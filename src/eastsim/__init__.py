@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .config import SimConfig, fingerprint, parse_config, serialize_config, validate
 from .engine import EnergyLedger, RoundRecord, SimResult, run_simulation
-from .errors import ConfigError, DataError, EastSimError, SimulationComplete, UsageError
+from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import (
     CadenceParams,
     ControllerState,
@@ -15,7 +15,6 @@ from .protocol import (
     RegionPartition,
     classical_assign,
     east_assign,
-    estimate_rssi_loss,
     init_desired_neighbors,
     needs_closed_loop,
     partition_regions,
@@ -28,11 +27,9 @@ from .radio import (
     free_space_base_requirement,
     power_level_for_rssi_loss,
     prr_from_margin,
-    required_transmit_power,
     rssi_loss_from_temperature,
     rx_energy,
     tx_energy,
-    watts_to_dbm,
 )
 from .report import (
     ComparisonReport,
@@ -51,5 +48,4 @@ from .topology import (
     distance,
     load_temperature_trace,
     substream,
-    temperature_at,
 )

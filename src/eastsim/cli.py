@@ -8,20 +8,14 @@ All numeric CSV output uses fixed 6-decimal formatting so that identical
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from typing import Optional
 
 from . import __version__
-from .config import (
-    SWEEPABLE_KEYS,
-    SimConfig,
-    apply_overrides,
-    fingerprint,
-    parse_config,
-    validate,
-)
+from .config import SWEEPABLE_KEYS, SimConfig, fingerprint, parse_config
 from .engine import SimResult, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import REGIONS
@@ -187,13 +181,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for item in args.set:
         if item.split("=", 1)[0].strip() == "controller":
             raise UsageError("compare sets the controller itself; do not override it")
-    results = {}
-    for controller in ("east", "classical"):
-        config = parse_config(args.config, args.set)
-        config.controller = controller
-        _resolve_seed(config, args.seed)
-        validate(config)
-        results[controller] = run_simulation(config)
+    config = parse_config(args.config, args.set)
+    _resolve_seed(config, args.seed)
+    results = {
+        controller: run_simulation(dataclasses.replace(config, controller=controller))
+        for controller in ("east", "classical")
+    }
     report = compare_runs(results["east"], results["classical"])
     os.makedirs(args.out, exist_ok=True)
     lines = [
@@ -248,10 +241,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     summary_lines = ["key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"]
     for raw in values:
-        config = parse_config(args.config, args.set)
-        apply_overrides(config, [f"{key}={raw}"])
+        config = parse_config(args.config, [*args.set, f"{key}={raw}"])
         _resolve_seed(config, args.seed)
-        validate(config)
         result = run_simulation(config)
         run_dir = os.path.join(args.out, f"{key}={raw}")
         write_run_outputs(result, run_dir, args.figure_round)
@@ -279,11 +270,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     rounds_path = os.path.join(args.dir, "rounds.csv")
     with open(summary_path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line]
+    if lines[:1] != [SUMMARY_HEADER]:
+        raise DataError(f"{summary_path}: expected header {SUMMARY_HEADER!r}")
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     with open(rounds_path, "r", encoding="utf-8") as fh:
         rounds_executed = sum(1 for line in fh if line.strip()) - 1
-    sys.stdout.write(render_summary_table(rows, rounds_executed))
+    try:
+        table = render_summary_table(rows, rounds_executed)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{summary_path}: malformed summary row: {exc!r}") from None
+    sys.stdout.write(table)
     return 0
 
 

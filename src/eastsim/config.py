@@ -9,6 +9,7 @@ a 100 m square, 1200 rounds, temperatures in [-10, 53] C.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -181,6 +182,9 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
 
 def validate(config: SimConfig) -> None:
     """Check every configuration invariant; raise ConfigError naming the key."""
+    for key, (kind, getter, _) in _schema().items():
+        if kind == "float" and not math.isfinite(getter(config)):
+            raise ConfigError(f"{key}: must be finite, got {getter(config)}")
     if config.node_count < 1:
         raise ConfigError(f"nodes: must be >= 1, got {config.node_count}")
     if config.rounds < 1:

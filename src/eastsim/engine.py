@@ -1,10 +1,13 @@
 """Deterministic discrete-round executor.
 
-Each round runs a fixed sequence: advance temperatures, run the selected
-controller (region-based feedback or max-power baseline), recompute each
-node's transmit power, send one data packet per alive node, debit energy,
-kill depleted nodes, and record metrics. Identical (config, seed) pairs
-produce identical output, record for record.
+Set-up runs once, before the first round: deploy the nodes, take their
+round-0 temperatures and losses, partition them into regions, derive the
+desired neighbor counts and give every node its region's capped threshold
+level. Each round then runs a fixed sequence: advance temperatures (from
+round 1 on), run the selected controller (region-based feedback or max-power
+baseline), recompute each node's transmit power, send one data packet per
+alive node, debit energy, kill depleted nodes, and record metrics. Identical
+(config, seed) pairs produce identical output, record for record.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ class EnergyLedger:
     """Cumulative energy accounting. The reference node is mains powered, so
     battery draw splits exactly into node-side tx and rx."""
 
-    battery_j: dict[int, float]
     tx_j: float = 0.0
     rx_j: float = 0.0
-    control_j: float = 0.0
-    data_j: float = 0.0
 
 
 @dataclass
@@ -83,7 +83,7 @@ class SimResult:
     partition: RegionPartition
     desired: dict[Region, int]
     records: list[RoundRecord] = field(default_factory=list)
-    ledger: Optional[EnergyLedger] = None
+    ledger: EnergyLedger = field(default_factory=EnergyLedger)
     traffic: ControlTraffic = field(default_factory=ControlTraffic)
     extinction_round: Optional[int] = None
 
@@ -139,6 +139,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     cap = config.level_cap_dbm
     baseline_level = min(classical_assign(proc.t_max_c), cap)
     is_east = config.controller == "east"
+    energy = config.energy
+    beacon_rx_j = rx_energy(energy.beacon_bits, energy)
 
     walks = {node.node_id: walk_stream(config.seed, node.node_id) for node in nodes}
     prr_streams = (
@@ -147,68 +149,57 @@ def run_simulation(config: SimConfig) -> SimResult:
         else None
     )
 
-    ledger = EnergyLedger(battery_j={n.node_id: n.battery_j for n in nodes})
-    traffic = ControlTraffic()
-    result: Optional[SimResult] = None
-    state: Optional[ControllerState] = None
-    last_loss = {node.node_id: 0.0 for node in nodes}
+    # Round-0 set-up: regions, desired counts and initial levels come from
+    # the round-0 losses of every node.
+    losses = {node.node_id: rssi_loss_from_temperature(node.current_temp_c) for node in nodes}
+    last_loss = dict(losses)
+    partition = partition_regions(losses, config.regions)
+    for node in nodes:
+        node.region = partition.assignment[node.node_id]
+        node.assigned_level_dbm = min(config.regions.threshold_level_dbm(node.region), cap)
+    desired = init_desired_neighbors(partition)
+    state = ControllerState(
+        n_current=dict(partition.counts),
+        n_desired=desired,
+        last_closed_loop_round={r: None for r in REGIONS},
+        last_estimated_loss={},
+    )
+    result = SimResult(
+        config=config, deployment=deployment, partition=partition, desired=desired
+    )
+    ledger = result.ledger
+    traffic = result.traffic
 
     for round_idx in range(config.rounds):
         alive_nodes = [node for node in nodes if node.alive]
 
-        # (1) temperatures
-        if proc.mode == "trace":
-            for node in alive_nodes:
-                node.current_temp_c = proc.trace[(node.node_id, round_idx)]
-        elif round_idx > 0:
-            for node in alive_nodes:
-                step = proc.walk_sigma_c * walks[node.node_id].gauss(0.0, 1.0)
-                node.current_temp_c = min(
-                    max(node.current_temp_c + step, proc.t_min_c), proc.t_max_c
-                )
+        # (1) temperatures and their losses; round 0 used the set-up values
+        if round_idx > 0:
+            if proc.mode == "trace":
+                for node in alive_nodes:
+                    node.current_temp_c = proc.trace[(node.node_id, round_idx)]
+            else:
+                for node in alive_nodes:
+                    step = proc.walk_sigma_c * walks[node.node_id].gauss(0.0, 1.0)
+                    node.current_temp_c = min(
+                        max(node.current_temp_c + step, proc.t_min_c), proc.t_max_c
+                    )
+            losses = {
+                node.node_id: rssi_loss_from_temperature(node.current_temp_c)
+                for node in alive_nodes
+            }
+            last_loss.update(losses)
 
         # (2) controller step
-        losses = {
-            node.node_id: rssi_loss_from_temperature(node.current_temp_c)
-            for node in alive_nodes
-        }
-        last_loss.update(losses)
-
-        if round_idx == 0:
-            partition = partition_regions(losses, config.regions)
-            for node in nodes:
-                node.region = partition.assignment[node.node_id]
-            desired = init_desired_neighbors(partition, allow_small=True)
-            state = ControllerState(
-                n_current=dict(partition.counts),
-                n_desired=desired,
-                last_closed_loop_round={r: None for r in REGIONS},
-                last_estimated_loss={},
-            )
-            for node in alive_nodes:
-                node.assigned_level_dbm = min(
-                    config.regions.threshold_level_dbm(node.region), cap
-                )
-            result = SimResult(
-                config=config,
-                deployment=deployment,
-                partition=partition,
-                desired=desired,
-                ledger=ledger,
-                traffic=traffic,
-            )
-
         members = {r: [n.node_id for n in alive_nodes if n.region is r] for r in REGIONS}
-        beacons_this = 0
-        acks_this = 0
         if is_east:
             exchanging = [
                 r
                 for r in REGIONS
                 if needs_closed_loop(r, round_idx, state, config.cadence, losses, members[r])
             ]
-            if exchanging:
-                beacons_this = 1
+            beacons_this = 1 if exchanging else 0
+            acks_this = 0
             for region in exchanging:
                 state.last_closed_loop_round[region] = round_idx
                 acks_this += len(members[region])
@@ -223,11 +214,6 @@ def run_simulation(config: SimConfig) -> SimResult:
             # Baseline: full beacon/ACK exchange and worst-case level, every round.
             beacons_this = 1
             acks_this = len(alive_nodes)
-            for region in REGIONS:
-                state.last_closed_loop_round[region] = round_idx
-                for node_id in members[region]:
-                    state.last_estimated_loss[node_id] = losses[node_id]
-                state.n_current[region] = len(members[region])
             exchange_regions = set(REGIONS)
             for node in alive_nodes:
                 node.assigned_level_dbm = baseline_level
@@ -248,35 +234,27 @@ def run_simulation(config: SimConfig) -> SimResult:
                 prr = 1.0 if prr_streams[node.node_id].random() < prr else 0.0
             prr_values[node.node_id] = prr
 
-        # (5) energy: debits capped at the remaining battery so batteries
-        # never go negative and draw always equals tx + rx exactly
+        # (5) energy: beacon rx, ACK tx, then data tx, each capped at the
+        # remaining battery so batteries never go negative and draw always
+        # equals tx + rx exactly
         tx_this = 0.0
         rx_this = 0.0
         for node in alive_nodes:
-            node_id = node.node_id
-            costs: list[tuple[str, str, float]] = []
+            battery = node.battery_j
             if node.region in exchange_regions:
-                costs.append(("rx", "control", rx_energy(config.energy.beacon_bits, config.energy)))
-                costs.append(
-                    ("tx", "control", tx_energy(node.assigned_pt_dbm, config.energy.ack_bits, config.energy))
-                )
-            costs.append(
-                ("tx", "data", tx_energy(node.assigned_pt_dbm, config.energy.data_bits, config.energy))
-            )
-            for direction, purpose, cost in costs:
-                spend = min(cost, ledger.battery_j[node_id])
-                ledger.battery_j[node_id] = ledger.battery_j[node_id] - spend
-                if direction == "tx":
-                    ledger.tx_j += spend
-                    tx_this += spend
-                else:
-                    ledger.rx_j += spend
-                    rx_this += spend
-                if purpose == "control":
-                    ledger.control_j += spend
-                else:
-                    ledger.data_j += spend
-            node.battery_j = ledger.battery_j[node_id]
+                spend = min(beacon_rx_j, battery)
+                battery -= spend
+                ledger.rx_j += spend
+                rx_this += spend
+                spend = min(tx_energy(node.assigned_pt_dbm, energy.ack_bits, energy), battery)
+                battery -= spend
+                ledger.tx_j += spend
+                tx_this += spend
+            spend = min(tx_energy(node.assigned_pt_dbm, energy.data_bits, energy), battery)
+            battery -= spend
+            ledger.tx_j += spend
+            tx_this += spend
+            node.battery_j = battery
 
         # (6) deaths
         for node in alive_nodes:

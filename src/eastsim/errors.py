@@ -15,7 +15,3 @@ class UsageError(EastSimError):
 
 class DataError(EastSimError):
     """Malformed or incomplete input data (e.g. a temperature trace)."""
-
-
-class SimulationComplete(EastSimError):
-    """Raised when no alive node remains and the run cannot continue."""

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .errors import ConfigError, SimulationComplete
 from .radio import power_level_for_rssi_loss, rssi_loss_from_temperature
-from .topology import Deployment, NodeState
+from .topology import NodeState
 
 # Desired neighbor count per region sits this far below the initial count.
 DESIRED_NEIGHBOR_DEFICIT = 5
@@ -57,10 +56,6 @@ class RegionConfig:
     def threshold_level_dbm(self, region: Region) -> float:
         return power_level_for_rssi_loss(self.threshold_loss_dbm[region])
 
-    @property
-    def threshold_levels_dbm(self) -> dict[Region, float]:
-        return {r: self.threshold_level_dbm(r) for r in REGIONS}
-
 
 @dataclass(frozen=True)
 class CadenceParams:
@@ -87,34 +82,11 @@ class ControllerState:
     last_closed_loop_round: dict[Region, Optional[int]]
     last_estimated_loss: dict[int, float]
 
-    def errors(self) -> dict[Region, int]:
-        """Feedback error per region: desired minus current neighbor count."""
-        return {r: self.n_desired[r] - self.n_current[r] for r in self.n_desired}
-
 
 @dataclass
 class ControlTraffic:
     beacons_sent: int = 0
     acks_sent: int = 0
-
-
-def estimate_rssi_loss(
-    deployment: Deployment,
-    temps_c: Mapping[int, float],
-    traffic: ControlTraffic,
-) -> dict[int, float]:
-    """Beacon/ACK exchange: measure every alive node's current power loss.
-
-    Costs one broadcast beacon plus one ACK per alive node. Estimation is
-    noise-free: the measured loss is the temperature relation evaluated at
-    the node's current temperature.
-    """
-    alive = [node for node in deployment.nodes if node.alive]
-    if not alive:
-        raise SimulationComplete("no alive nodes remain")
-    traffic.beacons_sent += 1
-    traffic.acks_sent += len(alive)
-    return {node.node_id: rssi_loss_from_temperature(temps_c[node.node_id]) for node in alive}
 
 
 def partition_regions(losses_dbm: Mapping[int, float], cfg: RegionConfig) -> RegionPartition:
@@ -136,25 +108,14 @@ def partition_regions(losses_dbm: Mapping[int, float], cfg: RegionConfig) -> Reg
     return RegionPartition(assignment=assignment, counts=counts)
 
 
-def init_desired_neighbors(
-    partition: RegionPartition, *, allow_small: bool = False
-) -> dict[Region, int]:
-    """Desired neighbor count per region: initial count minus 5.
-
-    A region with 5 or fewer nodes is degenerate (its desired count would
-    drop below 1) and rejected unless ``allow_small`` floors the result at 1,
-    which the engine uses for desk-scale networks.
-    """
-    desired: dict[Region, int] = {}
-    for region in REGIONS:
-        count = partition.counts.get(region, 0)
-        if count <= DESIRED_NEIGHBOR_DEFICIT and not allow_small:
-            raise ConfigError(
-                f"region {region.value} has {count} nodes; at least "
-                f"{DESIRED_NEIGHBOR_DEFICIT + 1} are required"
-            )
-        desired[region] = max(count - DESIRED_NEIGHBOR_DEFICIT, 1)
-    return desired
+def init_desired_neighbors(partition: RegionPartition) -> dict[Region, int]:
+    """Desired neighbor count per region: initial count minus 5, floored at 1
+    so that regions of 5 or fewer nodes (desk-scale networks) still get a
+    positive target."""
+    return {
+        region: max(partition.counts.get(region, 0) - DESIRED_NEIGHBOR_DEFICIT, 1)
+        for region in REGIONS
+    }
 
 
 def east_assign(

@@ -125,25 +125,11 @@ def free_space_base_requirement(distance_m: float, params: LinkBudgetParams) -> 
     )
 
 
-def required_transmit_power(
-    distance_m: float, level_dbm: PowerDbm, params: LinkBudgetParams
-) -> PowerDbm:
-    """Actual required transmit power: distance term plus compensation level."""
-    return free_space_base_requirement(distance_m, params) + level_dbm
-
-
 def dbm_to_watts(power_dbm: PowerDbm) -> PowerWatts:
     """Convert dBm to watts: 10 ** ((dBm - 30) / 10)."""
     if not math.isfinite(power_dbm):
         raise ValueError(f"power must be finite, got {power_dbm}")
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(power_w: PowerWatts) -> PowerDbm:
-    """Convert watts to dBm: 30 + 10 log10(W)."""
-    if not (power_w > 0.0):
-        raise ValueError(f"power must be positive, got {power_w}")
-    return 30.0 + 10.0 * math.log10(power_w)
 
 
 def prr_from_margin(margin_db: float, params: PrrParams) -> float:

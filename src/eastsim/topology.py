@@ -77,7 +77,6 @@ class Deployment:
     nodes: list[NodeState] = field(default_factory=list)
     reference_pos: Position = Position(0.0, 0.0)
     area_side_m: float = 100.0
-    seed: int = 0
 
 
 def deploy_random(
@@ -113,35 +112,12 @@ def deploy_random(
             )
         )
     reference = Position(0.0, area_side_m / 2.0)
-    return Deployment(nodes=nodes, reference_pos=reference, area_side_m=area_side_m, seed=seed)
+    return Deployment(nodes=nodes, reference_pos=reference, area_side_m=area_side_m)
 
 
 def walk_stream(seed: int, node_id: int) -> random.Random:
     """The substream feeding a node's temperature random walk."""
     return substream(seed, "temp-walk", node_id)
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
-
-
-def temperature_at(node: NodeState, round_idx: int, proc: TemperatureProcess, seed: int) -> float:
-    """Temperature of ``node`` at ``round_idx``.
-
-    Synthetic mode replays the node's walk from round 0 (round 0 is the base
-    temperature); trace mode is an exact table lookup.
-    """
-    if round_idx < 0:
-        raise ValueError(f"round index must be >= 0, got {round_idx}")
-    if proc.mode == "trace":
-        if proc.trace is None or (node.node_id, round_idx) not in proc.trace:
-            raise DataError(f"trace has no entry for node {node.node_id}, round {round_idx}")
-        return proc.trace[(node.node_id, round_idx)]
-    rng = walk_stream(seed, node.node_id)
-    temp = node.base_temp_c
-    for _ in range(round_idx):
-        temp = _clamp(temp + proc.walk_sigma_c * rng.gauss(0.0, 1.0), proc.t_min_c, proc.t_max_c)
-    return temp
 
 
 def load_temperature_trace(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from eastsim.cli import main
 from eastsim.config import (
     SimConfig,
     SWEEPABLE_KEYS,
+    _schema,
     fingerprint,
     parse_config,
     serialize_config,
@@ -17,6 +19,7 @@ from eastsim.errors import ConfigError
 from eastsim.protocol import Region
 
 SMALL = ["--set", "nodes=15", "--set", "rounds=12"]
+FLOAT_KEYS = [key for key, (kind, _, _) in _schema().items() if kind == "float"]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -93,6 +96,12 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key):
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=re.escape(key) + ": must be finite"):
+                parse_config(None, [f"{key}={raw}"])
 
     def test_fingerprint_stable_under_reordering(self, tmp_path):
         a = parse_config(write_config(tmp_path, "nodes = 30\nrounds = 50\n", "a.cfg"))
@@ -189,6 +198,13 @@ class TestCmdRun:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "o"), "--set", "rounds=0"]) == 2
         assert "rounds" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        for item in ("link_budget.rnf_db=nan", "prr.beta_db=nan", "level_cap_dbm=nan"):
+            out = tmp_path / item
+            assert main(["run", "--out", str(out), *SMALL, "--set", item]) == 2
+            assert item.split("=")[0] in capsys.readouterr().err
+            assert not out.exists()
 
     def test_figure_round_out_of_range_exits_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o"), *SMALL, "--figure-round", "99"]) == 2
@@ -288,6 +304,19 @@ class TestCmdSweep:
         sweep_rounds = (out_sweep / "rounds=12" / "rounds.csv").read_bytes()
         assert sweep_rounds == (out_run / "rounds.csv").read_bytes()
 
+    def test_swept_value_checked_against_trace(self, tmp_path, capsys):
+        # the swept bound applies to the trace exactly as it does for run
+        trace = tmp_path / "trace.csv"
+        rows = [f"{n},{r},{50.0 if n == 0 else 10.0}" for n in range(15) for r in range(12)]
+        trace.write_text("node,round,temp_c\n" + "\n".join(rows) + "\n")
+        common = [*SMALL, "--set", f"temperature.trace_path={trace}"]
+        assert main(["run", "--out", str(tmp_path / "r"), *common,
+                     "--set", "temperature.t_max_c=20"]) == 2
+        capsys.readouterr()
+        assert main(["sweep", "--out", str(tmp_path / "s"), *common,
+                     "--key", "temperature.t_max_c", "--values", "20"]) == 2
+        assert "outside declared range" in capsys.readouterr().err
+
     def test_non_sweepable_key_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path / "o"), "--key", "controller",
                      "--values", "east,classical"])
@@ -315,6 +344,22 @@ class TestCmdReport:
         first = capsys.readouterr().out
         main(["report", "--dir", str(out)])
         assert capsys.readouterr().out == first
+
+    def test_malformed_summary_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--out", str(out), *SMALL])
+        summary = out / "summary.csv"
+        lines = summary.read_text().splitlines()
+        broken = {
+            "missing column": [",".join(line.split(",")[:-1]) for line in lines],
+            "missing region": lines[:-1],
+            "bad value": [*lines[:-1], lines[-1].replace(lines[-1].split(",")[4], "x", 1)],
+        }
+        for what, text in broken.items():
+            summary.write_text("\n".join(text) + "\n")
+            capsys.readouterr()
+            assert main(["report", "--dir", str(out)]) == 2, what
+            assert "summary.csv" in capsys.readouterr().err, what
 
     def test_missing_artifacts_exit_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"

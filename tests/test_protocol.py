@@ -1,27 +1,27 @@
 """Tests for the region controller: partition, feedback rules, cadence."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from eastsim.errors import ConfigError, SimulationComplete
+from eastsim.config import SimConfig
+from eastsim.engine import run_simulation
 from eastsim.protocol import (
     REGIONS,
     CadenceParams,
     ControllerState,
-    ControlTraffic,
     Region,
     RegionConfig,
     RegionPartition,
     classical_assign,
     east_assign,
-    estimate_rssi_loss,
     init_desired_neighbors,
     needs_closed_loop,
     partition_regions,
 )
 from eastsim.radio import power_level_for_rssi_loss, rssi_loss_from_temperature
-from eastsim.topology import NodeState, Position, deploy_random
+from eastsim.topology import NodeState, Position, TemperatureProcess
 
 CFG = RegionConfig()
 
@@ -61,42 +61,52 @@ class TestRegionConfig:
         assert CFG.threshold_level_dbm(Region.C) == pytest.approx(22.21, abs=0.05)
 
 
+def one_round_run(temps, controller="east"):
+    """Run one round with node i held at ``temps[i]`` degrees C."""
+    cfg = SimConfig(node_count=len(temps), rounds=1, seed=1, controller=controller)
+    cfg.temperature = TemperatureProcess(
+        mode="trace",
+        trace={(i, 0): t for i, t in enumerate(temps)},
+        trace_nodes=len(temps),
+        trace_rounds=1,
+    )
+    return run_simulation(cfg)
+
+
 class TestEstimateRssiLoss:
+    """The beacon/ACK loss estimate as the engine runs and records it."""
+
     def test_reference_temperature_gives_zero(self):
-        dep = deploy_random(3, 50.0, seed=1)
-        traffic = ControlTraffic()
-        losses = estimate_rssi_loss(dep, {n.node_id: 25.0 for n in dep.nodes}, traffic)
-        assert all(v == 0.0 for v in losses.values())
+        record = one_round_run([25.0, 25.0, 25.0]).records[0]
+        assert record.losses_dbm == [0.0, 0.0, 0.0]
 
     def test_traffic_counting(self):
-        dep = deploy_random(3, 50.0, seed=1)
-        traffic = ControlTraffic()
-        estimate_rssi_loss(dep, {n.node_id: 30.0 for n in dep.nodes}, traffic)
-        assert traffic.beacons_sent == 1
-        assert traffic.acks_sent == 3
+        for controller in ("east", "classical"):
+            result = one_round_run([30.0, 30.0, 30.0], controller)
+            assert (result.records[0].beacons, result.records[0].acks) == (1, 3)
+            assert result.traffic.beacons_sent == 1
+            assert result.traffic.acks_sent == 3
 
     def test_dead_nodes_do_not_ack(self):
-        dep = deploy_random(3, 50.0, seed=1)
-        dep.nodes[1].alive = False
-        traffic = ControlTraffic()
-        losses = estimate_rssi_loss(dep, {n.node_id: 30.0 for n in dep.nodes}, traffic)
-        assert set(losses) == {0, 2}
-        assert traffic.acks_sent == 2
+        cfg = SimConfig(node_count=3, rounds=50, seed=1, controller="classical")
+        cfg.energy = replace(cfg.energy, initial_battery_j=0.006)
+        records = run_simulation(cfg).records
+        alive_before = [3] + [sum(rec.alive) for rec in records[:-1]]
+        assert [rec.acks for rec in records] == alive_before
+        assert 0 < min(alive_before) < 3  # deaths happened mid-run
 
     def test_known_temperatures(self):
-        dep = deploy_random(3, 50.0, seed=1)
-        temps = {0: 53.0, 1: 25.0, 2: -10.0}
-        losses = estimate_rssi_loss(dep, temps, ControlTraffic())
+        losses = one_round_run([53.0, 25.0, -10.0]).records[0].losses_dbm
         assert losses[0] == pytest.approx(5.5888)
         assert losses[1] == 0.0
         assert losses[2] == pytest.approx(-6.986)
 
     def test_all_dead_signals_completion(self):
-        dep = deploy_random(2, 50.0, seed=1)
-        for node in dep.nodes:
-            node.alive = False
-        with pytest.raises(SimulationComplete):
-            estimate_rssi_loss(dep, {}, ControlTraffic())
+        cfg = SimConfig(node_count=2, rounds=500, seed=1)
+        cfg.energy = replace(cfg.energy, initial_battery_j=0.003)
+        result = run_simulation(cfg)
+        assert result.extinction_round == len(result.records) - 1 < 499
+        assert not any(result.records[-1].alive)
 
 
 class TestPartitionRegions:
@@ -158,15 +168,11 @@ class TestDesiredNeighbors:
         part = RegionPartition(assignment={}, counts={Region.A: 6, Region.B: 6, Region.C: 6})
         assert init_desired_neighbors(part) == {Region.A: 1, Region.B: 1, Region.C: 1}
 
-    def test_degenerate_region_rejected(self):
-        part = RegionPartition(assignment={}, counts={Region.A: 5, Region.B: 30, Region.C: 24})
-        with pytest.raises(ConfigError, match="region A"):
-            init_desired_neighbors(part)
-
     def test_allow_small_floors_at_one(self):
         part = RegionPartition(assignment={}, counts={Region.A: 2, Region.B: 0, Region.C: 9})
-        desired = init_desired_neighbors(part, allow_small=True)
-        assert desired == {Region.A: 1, Region.B: 1, Region.C: 4}
+        assert init_desired_neighbors(part) == {Region.A: 1, Region.B: 1, Region.C: 4}
+        part = RegionPartition(assignment={}, counts={Region.A: 5, Region.B: 30, Region.C: 24})
+        assert init_desired_neighbors(part) == {Region.A: 1, Region.B: 25, Region.C: 19}
 
     def test_exact_relation_above_minimum(self):
         rng = random.Random(23)
@@ -268,13 +274,3 @@ class TestNeedsClosedLoop:
         assert not needs_closed_loop(Region.B, 5, state, self.CADENCE, {}, [])
         assert needs_closed_loop(Region.B, 10, state, self.CADENCE, {}, [])
 
-
-class TestControllerState:
-    def test_error_is_desired_minus_current(self):
-        state = ControllerState(
-            n_current={Region.A: 46, Region.B: 30, Region.C: 24},
-            n_desired={Region.A: 41, Region.B: 25, Region.C: 19},
-            last_closed_loop_round={r: None for r in REGIONS},
-            last_estimated_loss={},
-        )
-        assert state.errors() == {Region.A: -5, Region.B: -5, Region.C: -5}

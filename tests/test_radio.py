@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from eastsim.config import SimConfig
+from eastsim.engine import run_simulation
 from eastsim.radio import (
     EnergyModelParams,
     LinkBudgetParams,
@@ -13,12 +15,12 @@ from eastsim.radio import (
     free_space_base_requirement,
     power_level_for_rssi_loss,
     prr_from_margin,
-    required_transmit_power,
     rssi_loss_from_temperature,
     rx_energy,
     tx_energy,
-    watts_to_dbm,
 )
+
+from eastsim.topology import distance
 
 LB = LinkBudgetParams()
 
@@ -132,44 +134,43 @@ class TestFreeSpaceBaseRequirement:
 
 
 class TestRequiredTransmitPower:
-    def test_zero_level_identity(self):
-        assert required_transmit_power(42.0, 0.0, LB) == free_space_base_requirement(42.0, LB)
+    """Required transmit power: the distance term plus the compensation level."""
 
     def test_spot_values(self):
         # sums of the 100 m base value with the two threshold levels
-        assert required_transmit_power(100.0, 43.24, LB) == pytest.approx(16.79, abs=0.15)
-        assert required_transmit_power(100.0, 22.21, LB) == pytest.approx(-4.24, abs=0.15)
+        assert free_space_base_requirement(100.0, LB) + 43.24 == pytest.approx(16.79, abs=0.15)
+        assert free_space_base_requirement(100.0, LB) + 22.21 == pytest.approx(-4.24, abs=0.15)
 
     def test_additive(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            d = rng.uniform(1.0, 150.0)
-            level = rng.uniform(0.0, 48.0)
-            assert required_transmit_power(d, level, LB) == pytest.approx(
-                free_space_base_requirement(d, LB) + level, rel=1e-12
-            )
+        # every alive node in every round of both controllers' runs
+        for controller in ("east", "classical"):
+            cfg = SimConfig(node_count=12, rounds=30, seed=5, controller=controller)
+            result = run_simulation(cfg)
+            ref = result.deployment.reference_pos
+            base = [
+                free_space_base_requirement(distance(node.pos, ref), LB)
+                for node in result.deployment.nodes
+            ]
+            for rec in result.records:
+                for i, alive in enumerate(rec.alive):
+                    if alive:
+                        assert rec.pt_dbm[i] == base[i] + rec.levels_dbm[i]
 
 
 class TestDbmWattsConversion:
     def test_definition(self):
         assert dbm_to_watts(0.0) == pytest.approx(0.001, rel=1e-12)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
-        assert watts_to_dbm(1.0) == pytest.approx(30.0, abs=1e-12)
 
     def test_round_trip(self):
+        # against the inverse 30 + 10 log10(W)
         rng = random.Random(13)
         for _ in range(300):
             dbm = rng.uniform(-120.0, 50.0)
-            back = watts_to_dbm(dbm_to_watts(dbm))
+            back = 30.0 + 10.0 * math.log10(dbm_to_watts(dbm))
             assert back == pytest.approx(dbm, rel=1e-9, abs=1e-9)
             watts = rng.uniform(1e-12, 10.0)
-            assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-9)
-
-    def test_rejects_non_positive_watts(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(0.0)
-        with pytest.raises(ValueError):
-            watts_to_dbm(-0.5)
+            assert dbm_to_watts(30.0 + 10.0 * math.log10(watts)) == pytest.approx(watts, rel=1e-9)
 
 
 class TestPrrFromMargin:

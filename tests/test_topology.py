@@ -2,17 +2,18 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
+from eastsim.config import SimConfig
+from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
 from eastsim.topology import (
     Position,
-    TemperatureProcess,
     deploy_random,
     distance,
     load_temperature_trace,
-    temperature_at,
 )
 
 
@@ -79,37 +80,36 @@ class TestDistance:
             assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
+def walk_temps(nodes, rounds, seed, sigma):
+    """Per-round temperatures of a synthetic-walk run, as the engine records them."""
+    cfg = SimConfig(node_count=nodes, rounds=rounds, seed=seed)
+    cfg.temperature = replace(cfg.temperature, walk_sigma_c=sigma)
+    result = run_simulation(cfg)
+    assert len(result.records) == rounds
+    return result.deployment, [rec.temps_c for rec in result.records]
+
+
 class TestTemperatureAt:
+    """Node temperatures per round, as the engine's records report them."""
+
     def test_constant_when_sigma_zero(self):
-        proc = TemperatureProcess(walk_sigma_c=0.0)
-        dep = deploy_random(3, 100.0, seed=5)
-        node = dep.nodes[0]
-        for rnd in range(10):
-            assert temperature_at(node, rnd, proc, seed=5) == node.base_temp_c
+        dep, temps = walk_temps(3, 10, seed=5, sigma=0.0)
+        for row in temps:
+            assert row == [node.base_temp_c for node in dep.nodes]
 
     def test_bounded(self):
-        proc = TemperatureProcess(walk_sigma_c=5.0)
-        dep = deploy_random(4, 100.0, seed=2)
-        for node in dep.nodes:
-            for rnd in range(0, 60, 7):
-                t = temperature_at(node, rnd, proc, seed=2)
-                assert -10.0 <= t <= 53.0
+        _, temps = walk_temps(4, 60, seed=2, sigma=5.0)
+        for row in temps:
+            assert all(-10.0 <= t <= 53.0 for t in row)
 
     def test_matches_walk_oracle(self):
-        proc = TemperatureProcess(walk_sigma_c=0.5)
-        dep = deploy_random(1, 100.0, seed=1)
-        node = dep.nodes[0]
+        dep, temps = walk_temps(1, 10, seed=1, sigma=0.5)
         rng = reference_stream(1, "temp-walk", 0)
-        expected = node.base_temp_c
-        assert temperature_at(node, 0, proc, seed=1) == expected
+        expected = dep.nodes[0].base_temp_c
+        assert temps[0][0] == expected
         for rnd in range(1, 10):
             expected = min(max(expected + 0.5 * rng.gauss(0.0, 1.0), -10.0), 53.0)
-            assert temperature_at(node, rnd, proc, seed=1) == expected
-
-    def test_negative_round_rejected(self):
-        dep = deploy_random(1, 100.0, seed=1)
-        with pytest.raises(ValueError):
-            temperature_at(dep.nodes[0], -1, TemperatureProcess(), seed=1)
+            assert temps[rnd][0] == expected
 
 
 def write_trace(path, rows, header="node,round,temp_c"):
@@ -166,8 +166,9 @@ class TestLoadTemperatureTrace:
     def test_lookup_via_temperature_at(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace(path, ["0,0,20.0", "0,1,21.5"])
-        proc = load_temperature_trace(str(path))
-        dep = deploy_random(1, 100.0, seed=3)
-        assert temperature_at(dep.nodes[0], 1, proc, seed=3) == 21.5
-        with pytest.raises(DataError):
-            temperature_at(dep.nodes[0], 2, proc, seed=3)
+        cfg = SimConfig(node_count=1, rounds=2, seed=3)
+        cfg.temperature = load_temperature_trace(str(path))
+        assert [rec.temps_c for rec in run_simulation(cfg).records] == [[20.0], [21.5]]
+        cfg.rounds = 3
+        with pytest.raises(ConfigError, match="trace covers 1 nodes x 2 rounds"):
+            run_simulation(cfg)
