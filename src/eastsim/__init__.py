@@ -8,7 +8,6 @@ from .engine import EnergyLedger, RoundRecord, SimResult, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import (
     CadenceParams,
-    ControllerState,
     ControlTraffic,
     Region,
     RegionConfig,

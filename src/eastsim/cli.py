@@ -169,7 +169,7 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config, args.set)
     _resolve_seed(config, args.seed)
-    result = run_simulation(config)
+    result = run_simulation(config, keep_rounds={args.figure_round})
     outputs = write_run_outputs(result, args.out, args.figure_round)
     if result.extinction_round is not None:
         print(f"extinct_at_round={result.extinction_round}")
@@ -184,46 +184,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = parse_config(args.config, args.set)
     _resolve_seed(config, args.seed)
     results = {
-        controller: run_simulation(dataclasses.replace(config, controller=controller))
-        for controller in ("east", "classical")
+        c: run_simulation(dataclasses.replace(config, controller=c), keep_rounds=())
+        for c in ("east", "classical")
     }
     report = compare_runs(results["east"], results["classical"])
     os.makedirs(args.out, exist_ok=True)
-    lines = [
-        "metric,east,classical,delta",
-        ",".join(
-            [
-                "control_packets",
-                str(report.east_control_packets),
-                str(report.classical_control_packets),
-                str(report.control_packets_delta),
-            ]
-        ),
-        ",".join(
-            [
-                "energy_j",
-                _f6(report.east_energy_j),
-                _f6(report.classical_energy_j),
-                _f6(report.energy_delta_j),
-            ]
-        ),
-        ",".join(
-            [
-                "survivors",
-                str(report.east_survivors),
-                str(report.classical_survivors),
-                str(report.survivors_delta),
-            ]
-        ),
-        ",".join(
-            [
-                "mean_prr",
-                _f6(report.east_mean_prr),
-                _f6(report.classical_mean_prr),
-                _f6(report.mean_prr_delta),
-            ]
-        ),
+    rows = [
+        ("control_packets", str, report.east_control_packets,
+         report.classical_control_packets, report.control_packets_delta),
+        ("energy_j", _f6, report.east_energy_j, report.classical_energy_j, report.energy_delta_j),
+        ("survivors", str, report.east_survivors, report.classical_survivors,
+         report.survivors_delta),
+        ("mean_prr", _f6, report.east_mean_prr, report.classical_mean_prr,
+         report.mean_prr_delta),
     ]
+    lines = ["metric,east,classical,delta"]
+    lines.extend(",".join([name, *map(fmt, values)]) for name, fmt, *values in rows)
     _write_text(os.path.join(args.out, "compare.csv"), lines)
     print(f"east_dominates={'1' if report.east_dominates else '0'}")
     return 0
@@ -238,12 +214,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("sweep needs at least one value")
-    os.makedirs(args.out, exist_ok=True)
-    summary_lines = ["key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"]
+    # Every value is checked before the first run writes anything. Values
+    # that leave the temperature source alone share one loaded trace.
+    configs: list[SimConfig] = []
     for raw in values:
         config = parse_config(args.config, [*args.set, f"{key}={raw}"])
         _resolve_seed(config, args.seed)
-        result = run_simulation(config)
+        if configs and config.temperature == configs[0].temperature:
+            config.temperature = configs[0].temperature
+        configs.append(config)
+    os.makedirs(args.out, exist_ok=True)
+    summary_lines = ["key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"]
+    for raw, config in zip(values, configs):
+        result = run_simulation(config, keep_rounds={args.figure_round})
         run_dir = os.path.join(args.out, f"{key}={raw}")
         write_run_outputs(result, run_dir, args.figure_round)
         summary_lines.append(
@@ -333,9 +316,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UsageError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EastSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

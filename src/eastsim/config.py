@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .errors import ConfigError
 from .protocol import REGIONS, CadenceParams, Region, RegionConfig
-from .radio import EnergyModelParams, LinkBudgetParams, PrrParams
+from .radio import EnergyModelParams, LinkBudgetParams, PrrParams, rssi_loss_from_temperature
 from .topology import TemperatureProcess, load_temperature_trace
 
 CONTROLLERS = ("east", "classical")
@@ -105,7 +105,13 @@ def _schema():
     return schema
 
 
-CONFIG_KEYS = tuple(_schema().keys())
+# Keys whose value must be strictly positive.
+POSITIVE_KEYS = (
+    "area_side_m", "link_budget.eta", "link_budget.bandwidth_hz", "link_budget.frequency_hz",
+    "link_budget.temperature_kelvin", "prr.alpha_per_db", "energy.e_elec_j_per_bit",
+    "energy.bitrate_bps", "energy.beacon_bits", "energy.ack_bits", "energy.data_bits",
+    "energy.initial_battery_j",
+)
 
 # Keys a sweep may vary: numeric ones only.
 SWEEPABLE_KEYS = tuple(
@@ -177,20 +183,24 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
             t_min_c=config.temperature.t_min_c,
             t_max_c=config.temperature.t_max_c,
         )
+        validate(config)  # the trace must also cover the run
     return config
 
 
 def validate(config: SimConfig) -> None:
     """Check every configuration invariant; raise ConfigError naming the key."""
-    for key, (kind, getter, _) in _schema().items():
+    schema = _schema()
+    for key, (kind, getter, _) in schema.items():
         if kind == "float" and not math.isfinite(getter(config)):
             raise ConfigError(f"{key}: must be finite, got {getter(config)}")
+    for key in POSITIVE_KEYS:
+        value = schema[key][1](config)
+        if not (value > 0):
+            raise ConfigError(f"{key}: must be positive, got {value}")
     if config.node_count < 1:
         raise ConfigError(f"nodes: must be >= 1, got {config.node_count}")
     if config.rounds < 1:
         raise ConfigError(f"rounds: must be >= 1, got {config.rounds}")
-    if not (config.area_side_m > 0.0):
-        raise ConfigError(f"area_side_m: must be positive, got {config.area_side_m}")
     if config.controller not in CONTROLLERS:
         raise ConfigError(
             f"controller: must be one of {', '.join(CONTROLLERS)}, got {config.controller!r}"
@@ -201,21 +211,24 @@ def validate(config: SimConfig) -> None:
             "temperature.t_min_c/temperature.t_max_c: require t_min_c < t_max_c, "
             f"got {temp.t_min_c} >= {temp.t_max_c}"
         )
+    # Every loss the run can see is at least the loss at t_min_c, and the
+    # compensation curve is defined only above -40 dB.
+    min_loss = rssi_loss_from_temperature(temp.t_min_c)
+    if min_loss <= -40.0:
+        raise ConfigError(
+            f"temperature.t_min_c: its loss {min_loss} dB must exceed -40 dB, got {temp.t_min_c}"
+        )
     if temp.walk_sigma_c < 0.0:
         raise ConfigError(f"temperature.walk_sigma_c: must be >= 0, got {temp.walk_sigma_c}")
-    lb = config.link_budget
-    if not (lb.eta > 0.0):
-        raise ConfigError(f"link_budget.eta: must be positive, got {lb.eta}")
-    if not (lb.bandwidth_hz > 0.0):
-        raise ConfigError(f"link_budget.bandwidth_hz: must be positive, got {lb.bandwidth_hz}")
-    if not (lb.frequency_hz > 0.0):
-        raise ConfigError(f"link_budget.frequency_hz: must be positive, got {lb.frequency_hz}")
-    if not (lb.temperature_kelvin > 0.0):
+    if temp.mode == "trace" and (
+        temp.trace_nodes < config.node_count or temp.trace_rounds < config.rounds
+    ):
         raise ConfigError(
-            f"link_budget.temperature_kelvin: must be positive, got {lb.temperature_kelvin}"
+            f"temperature.trace_path: trace covers {temp.trace_nodes} nodes x "
+            f"{temp.trace_rounds} rounds, run needs {config.node_count} x {config.rounds}"
         )
-    if lb.margin_m < 1.0:
-        raise ConfigError(f"link_budget.margin_m: must be >= 1, got {lb.margin_m}")
+    if config.link_budget.margin_m < 1.0:
+        raise ConfigError(f"link_budget.margin_m: must be >= 1, got {config.link_budget.margin_m}")
     regions = config.regions
     if not (regions.boundary_low_dbm < regions.boundary_high_dbm):
         raise ConfigError(
@@ -243,19 +256,6 @@ def validate(config: SimConfig) -> None:
         )
     if config.cadence.drift_dbm < 0.0:
         raise ConfigError(f"cadence.drift_dbm: must be >= 0, got {config.cadence.drift_dbm}")
-    if not (config.prr.alpha_per_db > 0.0):
-        raise ConfigError(f"prr.alpha_per_db: must be positive, got {config.prr.alpha_per_db}")
-    energy = config.energy
-    for name, value in (
-        ("energy.e_elec_j_per_bit", energy.e_elec_j_per_bit),
-        ("energy.bitrate_bps", energy.bitrate_bps),
-        ("energy.beacon_bits", energy.beacon_bits),
-        ("energy.ack_bits", energy.ack_bits),
-        ("energy.data_bits", energy.data_bits),
-        ("energy.initial_battery_j", energy.initial_battery_j),
-    ):
-        if not (value > 0):
-            raise ConfigError(f"{name}: must be positive, got {value}")
 
 
 def _format_value(kind: str, value) -> str:
@@ -278,12 +278,17 @@ def serialize_config(config: SimConfig) -> str:
 
 
 def fingerprint(config: SimConfig, exclude: tuple[str, ...] = ()) -> str:
-    """Content hash of the resolved config, stable under key reordering."""
+    """Content hash of the resolved config, stable under key reordering.
+    A loaded temperature trace counts by the hash of its bytes."""
     schema = _schema()
     parts = []
     for key in sorted(schema):
         if key in exclude:
             continue
         kind, getter, _ = schema[key]
-        parts.append(f"{key}={_format_value(kind, getter(config))}")
+        value = _format_value(kind, getter(config))
+        if key == "temperature.trace_path" and config.temperature.trace_sha256:
+            # A run depends on the trace's contents, not on where they were read.
+            value = f"sha256:{config.temperature.trace_sha256}"
+        parts.append(f"{key}={value}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()

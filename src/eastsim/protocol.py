@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .radio import power_level_for_rssi_loss, rssi_loss_from_temperature
-from .topology import NodeState
 
 # Desired neighbor count per region sits this far below the initial count.
 DESIRED_NEIGHBOR_DEFICIT = 5
@@ -74,16 +73,6 @@ class RegionPartition:
 
 
 @dataclass
-class ControllerState:
-    """Per-region feedback state owned by the engine."""
-
-    n_current: dict[Region, int]
-    n_desired: dict[Region, int]
-    last_closed_loop_round: dict[Region, Optional[int]]
-    last_estimated_loss: dict[int, float]
-
-
-@dataclass
 class ControlTraffic:
     beacons_sent: int = 0
     acks_sent: int = 0
@@ -119,19 +108,21 @@ def init_desired_neighbors(partition: RegionPartition) -> dict[Region, int]:
 
 
 def east_assign(
-    node: NodeState,
-    region: Region,
+    level_dbm: float,
     loss_dbm: float,
-    state: ControllerState,
-    cfg: RegionConfig,
+    threshold_loss_dbm: float,
+    threshold_level_dbm: float,
+    n_current: int,
+    n_desired: int,
 ) -> float:
-    """New power level for one node under the three-rule table."""
-    threshold_loss = cfg.threshold_loss_dbm[region]
-    if loss_dbm >= threshold_loss:
-        if state.n_current[region] >= state.n_desired[region]:
-            return cfg.threshold_level_dbm(region)
-        return max(node.assigned_level_dbm, power_level_for_rssi_loss(loss_dbm))
-    return node.assigned_level_dbm
+    """New power level for one node under the three-rule table, given its
+    current level and loss and its region's threshold loss and level,
+    current neighbor count and desired neighbor count."""
+    if loss_dbm >= threshold_loss_dbm:
+        if n_current >= n_desired:
+            return threshold_level_dbm
+        return max(level_dbm, power_level_for_rssi_loss(loss_dbm))
+    return level_dbm
 
 
 def classical_assign(t_max_c: float) -> float:
@@ -144,26 +135,28 @@ def classical_assign(t_max_c: float) -> float:
 
 
 def needs_closed_loop(
-    region: Region,
     round_idx: int,
-    state: ControllerState,
+    last_round: Optional[int],
     cadence: CadenceParams,
-    predicted_loss_dbm: Mapping[int, float],
+    predicted_loss_dbm: Sequence[float],
+    last_estimated_loss_dbm: Sequence[float],
     members: Iterable[int],
 ) -> bool:
     """Whether a region must run a beacon/ACK exchange this round.
 
-    True when no exchange has happened yet, the period has elapsed, or some
-    member's locally predicted loss drifted past the drift bound since the
-    last exchange. Rounds returning False cost the region no control packets.
+    ``last_round`` is the region's last exchange round (None before the
+    first); the two loss sequences are indexed by node id and read only at
+    ``members``. True when no exchange has happened yet, the period has
+    elapsed, or some member's locally predicted loss drifted past the drift
+    bound since the last exchange. Rounds returning False cost the region
+    no control packets.
     """
-    last = state.last_closed_loop_round.get(region)
-    if last is None:
+    if last_round is None:
         return True
-    if round_idx - last >= cadence.period_rounds:
+    if round_idx - last_round >= cadence.period_rounds:
         return True
     drift = max(
-        (abs(predicted_loss_dbm[i] - state.last_estimated_loss[i]) for i in members),
+        (abs(predicted_loss_dbm[i] - last_estimated_loss_dbm[i]) for i in members),
         default=0.0,
     )
     return drift > cadence.drift_dbm

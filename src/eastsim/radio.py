@@ -136,11 +136,15 @@ def prr_from_margin(margin_db: float, params: PrrParams) -> float:
     """Packet reception ratio for a link margin, logistic in the margin.
 
     prr = 1 / (1 + exp(-alpha * (margin - beta))); strictly increasing,
-    bounded in (0, 1), equal to 0.5 at margin = beta.
+    bounded in (0, 1), equal to 0.5 at margin = beta. Where ``exp``
+    overflows the result is 0.0, the IEEE limit of the formula.
     """
     if not math.isfinite(margin_db):
         raise ValueError(f"margin must be finite, got {margin_db}")
-    return 1.0 / (1.0 + math.exp(-params.alpha_per_db * (margin_db - params.beta_db)))
+    try:
+        return 1.0 / (1.0 + math.exp(-params.alpha_per_db * (margin_db - params.beta_db)))
+    except OverflowError:
+        return 0.0
 
 
 def tx_energy(power_dbm: PowerDbm, bits: int, params: EnergyModelParams) -> Joules:

@@ -148,6 +148,8 @@ def emit_figure_data(result: SimResult, round_index: int = 0) -> FigureSeries:
             f"{len(result.records)} rounds"
         )
     snapshot = result.records[round_index]
+    if snapshot.temps_c is None:
+        raise UsageError(f"figure round {round_index} was not kept by the run")
     final = result.records[-1]
     baseline = min(classical_assign(result.config.temperature.t_max_c), result.config.level_cap_dbm)
     assignment = result.partition.assignment

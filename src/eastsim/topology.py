@@ -55,19 +55,19 @@ class TemperatureProcess:
     trace: Optional[dict[tuple[int, int], float]] = None
     trace_nodes: int = 0
     trace_rounds: int = 0
+    # sha256 of the trace file's bytes; the config fingerprint hashes it.
+    trace_sha256: Optional[str] = None
 
 
 @dataclass
 class NodeState:
-    """Mutable per-node simulation state."""
+    """One deployed node. The engine writes back its region, and its battery
+    and alive flag at the end of the run."""
 
     node_id: int
     pos: Position
     base_temp_c: float
-    current_temp_c: float
     battery_j: float
-    assigned_level_dbm: float = 0.0
-    assigned_pt_dbm: float = 0.0
     alive: bool = True
     region: Optional["Region"] = None
 
@@ -107,7 +107,6 @@ def deploy_random(
                 node_id=i,
                 pos=pos,
                 base_temp_c=base,
-                current_temp_c=base,
                 battery_j=initial_battery_j,
             )
         )
@@ -129,10 +128,11 @@ def load_temperature_trace(
     zero-based dense indices. Values must lie within [t_min_c, t_max_c].
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
+    lines = data.decode("utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty trace file")
     header = [col.strip() for col in lines[0].split(",")]
@@ -177,4 +177,5 @@ def load_temperature_trace(
         trace=trace,
         trace_nodes=n_nodes,
         trace_rounds=n_rounds,
+        trace_sha256=hashlib.sha256(data).hexdigest(),
     )

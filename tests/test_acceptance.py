@@ -17,7 +17,6 @@ from eastsim.config import SimConfig
 from eastsim.engine import run_simulation
 from eastsim.protocol import (
     REGIONS,
-    ControllerState,
     Region,
     RegionConfig,
     RegionPartition,
@@ -30,7 +29,6 @@ from eastsim.radio import (
     power_level_for_rssi_loss,
     rssi_loss_from_temperature,
 )
-from eastsim.topology import NodeState, Position
 
 from oracle import record_as_dict, records_equal, reference_run
 
@@ -120,26 +118,15 @@ def test_criterion_3_desired_neighbors():
 def test_criterion_4_controller_truth_table():
     cfg = RegionConfig()
 
-    def node_with(level):
-        return NodeState(
-            node_id=0, pos=Position(1.0, 1.0), base_temp_c=25.0,
-            current_temp_c=25.0, battery_j=2.0, assigned_level_dbm=level,
-        )
-
-    def state_with(region, n_c, n_d):
-        return ControllerState(
-            n_current={r: (n_c if r is region else 99) for r in REGIONS},
-            n_desired={r: (n_d if r is region else 1) for r in REGIONS},
-            last_closed_loop_round={r: None for r in REGIONS},
-            last_estimated_loss={},
+    def assign(level, region, loss, n_c, n_d):
+        return east_assign(
+            level, loss, cfg.threshold_loss_dbm[region], cfg.threshold_level_dbm(region), n_c, n_d
         )
 
     # worked examples
-    assert east_assign(node_with(10.0), Region.A, 4.5, state_with(Region.A, 46, 41), cfg) == (
-        pytest.approx(43.24, abs=0.05)
-    )
-    assert east_assign(node_with(22.21), Region.C, -6.0, state_with(Region.C, 20, 15), cfg) == 22.21
-    rule_ii = east_assign(node_with(31.77), Region.B, 0.5, state_with(Region.B, 24, 25), cfg)
+    assert assign(10.0, Region.A, 4.5, 46, 41) == pytest.approx(43.24, abs=0.05)
+    assert assign(22.21, Region.C, -6.0, 20, 15) == 22.21
+    rule_ii = assign(31.77, Region.B, 0.5, 24, 25)
     assert rule_ii == max(31.77, power_level_for_rssi_loss(0.5))
     assert rule_ii == pytest.approx(34.457, abs=0.05)
 
@@ -150,7 +137,7 @@ def test_criterion_4_controller_truth_table():
         loss = rng.uniform(-7.0, 5.6)
         prev = rng.uniform(0.0, 48.7)
         n_c, n_d = rng.randint(0, 60), rng.randint(1, 60)
-        new = east_assign(node_with(prev), region, loss, state_with(region, n_c, n_d), cfg)
+        new = assign(prev, region, loss, n_c, n_d)
         if loss >= threshold and n_c >= n_d:
             assert new == cfg.threshold_level_dbm(region)
         elif loss >= threshold:

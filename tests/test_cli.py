@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from eastsim import cli
 from eastsim.cli import main
 from eastsim.config import (
     SimConfig,
@@ -15,11 +16,25 @@ from eastsim.config import (
     parse_config,
     serialize_config,
 )
+from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError
 from eastsim.protocol import Region
 
 SMALL = ["--set", "nodes=15", "--set", "rounds=12"]
 FLOAT_KEYS = [key for key, (kind, _, _) in _schema().items() if kind == "float"]
+
+
+@pytest.fixture
+def recorded_runs(monkeypatch):
+    """The result of every run_simulation call the CLI makes."""
+    results = []
+
+    def recording_run(config, keep_rounds=None):
+        results.append(run_simulation(config, keep_rounds))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", recording_run)
+    return results
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -109,6 +124,20 @@ class TestParseConfig:
         assert fingerprint(a) == fingerprint(b)
         c = parse_config(write_config(tmp_path, "nodes = 31\nrounds = 50\n", "c.cfg"))
         assert fingerprint(a) != fingerprint(c)
+
+    def test_fingerprint_hashes_trace_contents(self, tmp_path):
+        trace = tmp_path / "t.csv"
+
+        def fingerprint_with(temps):
+            trace.write_text(
+                "node,round,temp_c\n" + "".join(f"0,{r},{t}\n" for r, t in enumerate(temps))
+            )
+            overrides = ["nodes=1", "rounds=2", f"temperature.trace_path={trace}"]
+            return fingerprint(parse_config(None, overrides))
+
+        cool = fingerprint_with([20.0, 21.0])
+        assert cool != fingerprint_with([40.0, 41.0])
+        assert cool == fingerprint_with([20.0, 21.0])
 
     def test_fingerprint_exclusion(self):
         east = parse_config(None, ["controller=east"])
@@ -205,6 +234,41 @@ class TestCmdRun:
             assert main(["run", "--out", str(out), *SMALL, "--set", item]) == 2
             assert item.split("=")[0] in capsys.readouterr().err
             assert not out.exists()
+
+    def test_loss_undefined_at_t_min_exits_2(self, tmp_path, capsys):
+        # 0.1996 * (-200 - 25) is below -40 dB, where no level compensates
+        out = tmp_path / "cold"
+        assert main(["run", "--out", str(out), *SMALL, "--set", "temperature.t_min_c=-200"]) == 2
+        assert "temperature.t_min_c" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run", "--out", str(tmp_path / "ok"), *SMALL,
+                     "--set", "temperature.t_min_c=-175"]) == 0
+
+    def test_steep_prr_slope_exits_0(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), *SMALL, "--set", "prr.alpha_per_db=1000"]) == 0
+        rows = [line.split(",") for line in (out / "rounds.csv").read_text().splitlines()[1:]]
+        prrs = [float(value) for row in rows for value in row[10:] if value != "nan"]
+        assert prrs and all(0.0 <= p <= 1.0 for p in prrs)
+
+    def test_keeps_node_vectors_of_figure_and_final_round_only(self, tmp_path, recorded_runs):
+        commands = {
+            "run": [*SMALL, "--figure-round", "5"],
+            "sweep": [*SMALL, "--figure-round", "5", "--key", "seed", "--values", "1,2"],
+            "compare": SMALL,
+        }
+        expected = {"run": [5, 11], "sweep": [5, 11], "compare": [11]}
+        for command, argv in commands.items():
+            recorded_runs.clear()
+            assert main([command, "--out", str(tmp_path / command), *argv]) == 0
+            assert len(recorded_runs) == (1 if command == "run" else 2)
+            for result in recorded_runs:
+                kept = [r.round_index for r in result.records if r.temps_c is not None]
+                assert kept == expected[command], command
+                for rec in result.records:
+                    vectors = (rec.temps_c, rec.losses_dbm, rec.levels_dbm, rec.pt_dbm)
+                    assert all(v is None for v in vectors) != (rec.round_index in kept)
+                    assert len(rec.alive) == 15
 
     def test_figure_round_out_of_range_exits_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o"), *SMALL, "--figure-round", "99"]) == 2
@@ -316,6 +380,24 @@ class TestCmdSweep:
         assert main(["sweep", "--out", str(tmp_path / "s"), *common,
                      "--key", "temperature.t_max_c", "--values", "20"]) == 2
         assert "outside declared range" in capsys.readouterr().err
+
+    def test_bad_value_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--out", str(out), "--key", "nodes", "--values", "10,abc",
+                     "--set", "rounds=5"])
+        assert code == 2
+        assert "nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_share_one_loaded_trace(self, tmp_path, recorded_runs):
+        trace = tmp_path / "trace.csv"
+        rows = [f"{n},{r},{20.0 + n}" for n in range(15) for r in range(12)]
+        trace.write_text("node,round,temp_c\n" + "\n".join(rows) + "\n")
+        assert main(["sweep", "--out", str(tmp_path / "s"), *SMALL,
+                     "--set", f"temperature.trace_path={trace}",
+                     "--key", "cadence.period_rounds", "--values", "1,2"]) == 0
+        first, second = (result.config for result in recorded_runs)
+        assert first.temperature is second.temperature
 
     def test_non_sweepable_key_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path / "o"), "--key", "controller",

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from eastsim.cli import write_run_outputs
 from eastsim.config import SimConfig
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError
@@ -188,6 +189,29 @@ class TestOracleEquivalence:
         assert len(engine) == len(reference)
         for got, expected in zip(engine, reference):
             assert records_equal(got, expected)
+
+
+class TestRetention:
+    @staticmethod
+    def artifacts(result, out_dir, figure_round):
+        names = write_run_outputs(result, str(out_dir), figure_round)
+        return {name: (out_dir / name).read_bytes() for name in names}
+
+    @pytest.mark.parametrize("battery_j", [2.0, 0.003], ids=["survivors", "extinct"])
+    def test_kept_rounds_write_identical_outputs(self, tmp_path, battery_j):
+        cfg = small_config(node_count=6, rounds=60)
+        cfg.energy = replace(cfg.energy, initial_battery_j=battery_j)
+        full = run_simulation(cfg)
+        last = len(full.records) - 1
+        assert (full.extinction_round is not None) == (battery_j < 1.0)
+        for k in (0, last // 2, last):
+            kept = run_simulation(cfg, keep_rounds={k})
+            assert [r.round_index for r in kept.records if r.temps_c is not None] == sorted(
+                {k, last}
+            )
+            assert self.artifacts(kept, tmp_path / f"kept{k}", k) == self.artifacts(
+                full, tmp_path / f"full{k}", k
+            )
 
 
 class TestTraceMode:

@@ -102,6 +102,18 @@ def one_region_drain():
     return cfg
 
 
+def staggered_drain():
+    """one_region_drain with a steeper link budget, a larger battery and a
+    faster walk: distant nodes die first, and after six deaths rule (ii)
+    raises the survivors' levels while they still have battery, so their
+    transmit power and tx costs change mid-run."""
+    cfg = one_region_drain()
+    cfg.link_budget = replace(cfg.link_budget, eb_n0_db=35.0)
+    cfg.energy = replace(cfg.energy, initial_battery_j=0.01)
+    cfg.temperature = replace(cfg.temperature, walk_sigma_c=2.0)
+    return cfg
+
+
 def _subset_sums(counts):
     return {sum(c) for k in range(len(counts) + 1) for c in combinations(counts, k)}
 
@@ -109,6 +121,7 @@ def _subset_sums(counts):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(configs())
 @example(one_region_drain())
+@example(staggered_drain())
 def test_engine_matches_oracle_and_invariants(cfg):
     result = run_simulation(cfg)
 

@@ -10,7 +10,6 @@ from eastsim.engine import run_simulation
 from eastsim.protocol import (
     REGIONS,
     CadenceParams,
-    ControllerState,
     Region,
     RegionConfig,
     RegionPartition,
@@ -21,29 +20,20 @@ from eastsim.protocol import (
     partition_regions,
 )
 from eastsim.radio import power_level_for_rssi_loss, rssi_loss_from_temperature
-from eastsim.topology import NodeState, Position, TemperatureProcess
+from eastsim.topology import TemperatureProcess
 
 CFG = RegionConfig()
 
 
-def make_node(node_id=0, level=0.0, alive=True):
-    return NodeState(
-        node_id=node_id,
-        pos=Position(10.0, 10.0),
-        base_temp_c=25.0,
-        current_temp_c=25.0,
-        battery_j=2.0,
-        assigned_level_dbm=level,
-        alive=alive,
-    )
-
-
-def make_state(region, n_current, n_desired, last_loss=None):
-    return ControllerState(
-        n_current={r: (n_current if r is region else 10) for r in REGIONS},
-        n_desired={r: (n_desired if r is region else 5) for r in REGIONS},
-        last_closed_loop_round={r: None for r in REGIONS},
-        last_estimated_loss=last_loss or {},
+def assign(level, region, loss, n_current, n_desired):
+    """east_assign for a node of ``region`` under the default thresholds."""
+    return east_assign(
+        level,
+        loss,
+        CFG.threshold_loss_dbm[region],
+        CFG.threshold_level_dbm(region),
+        n_current,
+        n_desired,
     )
 
 
@@ -185,28 +175,20 @@ class TestDesiredNeighbors:
 
 class TestEastAssign:
     def test_rule_i_assigns_threshold(self):
-        node = make_node(level=10.0)
-        state = make_state(Region.A, n_current=46, n_desired=41)
-        level = east_assign(node, Region.A, 4.5, state, CFG)
+        level = assign(10.0, Region.A, 4.5, n_current=46, n_desired=41)
         assert level == pytest.approx(43.24, abs=0.05)
         assert level == CFG.threshold_level_dbm(Region.A)
 
     def test_rule_iii_keeps_level(self):
-        node = make_node(level=22.21)
-        state = make_state(Region.C, n_current=20, n_desired=15)
-        assert east_assign(node, Region.C, -6.0, state, CFG) == 22.21
+        assert assign(22.21, Region.C, -6.0, n_current=20, n_desired=15) == 22.21
 
     def test_rule_ii_compensates_never_decreasing(self):
-        node = make_node(level=31.77)
-        state = make_state(Region.B, n_current=24, n_desired=25)
-        level = east_assign(node, Region.B, 0.5, state, CFG)
+        level = assign(31.77, Region.B, 0.5, n_current=24, n_desired=25)
         assert level == pytest.approx(34.4569388020839, rel=1e-12)
         assert level == max(31.77, power_level_for_rssi_loss(0.5))
 
     def test_rule_ii_keeps_higher_previous(self):
-        node = make_node(level=45.0)
-        state = make_state(Region.B, n_current=10, n_desired=25)
-        assert east_assign(node, Region.B, 0.5, state, CFG) == 45.0
+        assert assign(45.0, Region.B, 0.5, n_current=10, n_desired=25) == 45.0
 
     def test_randomized_truth_table(self):
         rng = random.Random(99)
@@ -217,9 +199,7 @@ class TestEastAssign:
             prev = rng.uniform(0.0, 48.7)
             n_c = rng.randint(0, 60)
             n_d = rng.randint(1, 60)
-            node = make_node(level=prev)
-            state = make_state(region, n_current=n_c, n_desired=n_d)
-            new = east_assign(node, region, loss, state, CFG)
+            new = assign(prev, region, loss, n_current=n_c, n_desired=n_d)
             if loss >= threshold and n_c >= n_d:
                 assert new == CFG.threshold_level_dbm(region)
             elif loss >= threshold:
@@ -253,24 +233,17 @@ class TestNeedsClosedLoop:
     CADENCE = CadenceParams(period_rounds=10, drift_dbm=1.0)
 
     def test_first_round_always_exchanges(self):
-        state = make_state(Region.A, n_current=10, n_desired=5)
-        assert needs_closed_loop(Region.A, 0, state, self.CADENCE, {}, [])
+        assert needs_closed_loop(0, None, self.CADENCE, [], [], [])
 
     def test_period_rule(self):
-        state = make_state(Region.A, n_current=10, n_desired=5, last_loss={1: 0.0})
-        state.last_closed_loop_round[Region.A] = 3
-        assert needs_closed_loop(Region.A, 13, state, self.CADENCE, {1: 0.0}, [1])
-        assert not needs_closed_loop(Region.A, 12, state, self.CADENCE, {1: 0.0}, [1])
+        # node 1 last measured at 0.0 dB in round 3
+        assert needs_closed_loop(13, 3, self.CADENCE, [0.0, 0.0], [0.0, 0.0], [1])
+        assert not needs_closed_loop(12, 3, self.CADENCE, [0.0, 0.0], [0.0, 0.0], [1])
 
     def test_drift_rule(self):
-        state = make_state(Region.A, n_current=10, n_desired=5, last_loss={1: 0.0})
-        state.last_closed_loop_round[Region.A] = 3
-        assert needs_closed_loop(Region.A, 7, state, self.CADENCE, {1: 1.5}, [1])
-        assert not needs_closed_loop(Region.A, 7, state, self.CADENCE, {1: 0.9}, [1])
+        assert needs_closed_loop(7, 3, self.CADENCE, [0.0, 1.5], [0.0, 0.0], [1])
+        assert not needs_closed_loop(7, 3, self.CADENCE, [0.0, 0.9], [0.0, 0.0], [1])
 
     def test_empty_region_follows_period_only(self):
-        state = make_state(Region.B, n_current=0, n_desired=1)
-        state.last_closed_loop_round[Region.B] = 0
-        assert not needs_closed_loop(Region.B, 5, state, self.CADENCE, {}, [])
-        assert needs_closed_loop(Region.B, 10, state, self.CADENCE, {}, [])
-
+        assert not needs_closed_loop(5, 0, self.CADENCE, [], [], [])
+        assert needs_closed_loop(10, 0, self.CADENCE, [], [], [])

@@ -193,6 +193,12 @@ class TestPrrFromMargin:
             prev = val
         assert prr_from_margin(600.0, q) == pytest.approx(1.0)
 
+    def test_exp_overflow_gives_zero(self):
+        # exp(1000 * 996) overflows; 1 / (1 + inf) is 0
+        q = PrrParams(alpha_per_db=1000.0, beta_db=-4.0)
+        assert prr_from_margin(-1000.0, q) == 0.0
+        assert prr_from_margin(1000.0, q) == 1.0
+
 
 class TestEnergy:
     E = EnergyModelParams()
