@@ -60,8 +60,20 @@ def _resolve_seed(config: SimConfig, cli_seed: Optional[int]) -> None:
             raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
 
 
+def _check_figure_round(figure_round: int, config: SimConfig) -> None:
+    if not 0 <= figure_round < config.rounds:
+        raise UsageError(
+            f"--figure-round {figure_round} out of range; the run has {config.rounds} rounds"
+        )
+
+
 def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) -> list[str]:
-    """Write the full artifact set for one run; returns relative paths."""
+    """Write the full artifact set for one run; returns relative paths.
+
+    The figure snapshot is taken first, so a round the run did not reach
+    fails before any file is written.
+    """
+    series = emit_figure_data(result, figure_round)
     os.makedirs(out_dir, exist_ok=True)
     os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
     outputs: list[str] = []
@@ -131,7 +143,6 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
     _write_text(os.path.join(out_dir, "summary.csv"), lines)
     outputs.append("summary.csv")
 
-    series = emit_figure_data(result, figure_round)
     per_node = [
         ("temp_per_node.csv", "temp_c", series.temp_per_node),
         ("loss_per_node.csv", "loss_dbm", series.loss_per_node),
@@ -169,6 +180,7 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config, args.set)
     _resolve_seed(config, args.seed)
+    _check_figure_round(args.figure_round, config)
     result = run_simulation(config, keep_rounds={args.figure_round})
     outputs = write_run_outputs(result, args.out, args.figure_round)
     if result.extinction_round is not None:
@@ -220,6 +232,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for raw in values:
         config = parse_config(args.config, [*args.set, f"{key}={raw}"])
         _resolve_seed(config, args.seed)
+        _check_figure_round(args.figure_round, config)
         if configs and config.temperature == configs[0].temperature:
             config.temperature = configs[0].temperature
         configs.append(config)

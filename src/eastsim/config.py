@@ -14,8 +14,15 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .errors import ConfigError
-from .protocol import REGIONS, CadenceParams, Region, RegionConfig
-from .radio import EnergyModelParams, LinkBudgetParams, PrrParams, rssi_loss_from_temperature
+from .protocol import REGIONS, CadenceParams, Region, RegionConfig, classical_assign
+from .radio import (
+    EnergyModelParams,
+    LinkBudgetParams,
+    PrrParams,
+    dbm_to_watts,
+    free_space_base_requirement,
+    rssi_loss_from_temperature,
+)
 from .topology import TemperatureProcess, load_temperature_trace
 
 CONTROLLERS = ("east", "classical")
@@ -218,6 +225,13 @@ def validate(config: SimConfig) -> None:
         raise ConfigError(
             f"temperature.t_min_c: its loss {min_loss} dB must exceed -40 dB, got {temp.t_min_c}"
         )
+    # The hottest loss sets the largest compensation level a run computes.
+    try:
+        top_level = classical_assign(temp.t_max_c)
+    except OverflowError:
+        raise ConfigError(
+            f"temperature.t_max_c: the compensation level for its loss overflows, got {temp.t_max_c}"
+        ) from None
     if temp.walk_sigma_c < 0.0:
         raise ConfigError(f"temperature.walk_sigma_c: must be >= 0, got {temp.walk_sigma_c}")
     if temp.mode == "trace" and (
@@ -244,18 +258,37 @@ def validate(config: SimConfig) -> None:
             )
     cap = config.level_cap_dbm
     for region in REGIONS:
-        level = regions.threshold_level_dbm(region)
+        try:
+            level = regions.threshold_level_dbm(region)
+        except OverflowError:
+            raise ConfigError(
+                f"regions.threshold_loss_{region.value.lower()}_dbm: the compensation level "
+                f"for it overflows, got {regions.threshold_loss_dbm[region]}"
+            ) from None
         if cap < level:
             raise ConfigError(
                 f"level_cap_dbm: cap {cap} is below region {region.value} "
                 f"threshold level {level:.4f}"
             )
+        top_level = max(top_level, level)
     if config.cadence.period_rounds < 1:
         raise ConfigError(
             f"cadence.period_rounds: must be >= 1, got {config.cadence.period_rounds}"
         )
     if config.cadence.drift_dbm < 0.0:
         raise ConfigError(f"cadence.drift_dbm: must be >= 0, got {config.cadence.drift_dbm}")
+    # A transmit power is a node's base requirement plus its level, and no
+    # level exceeds the top level or the cap. The largest power, at the
+    # square's farthest point, must convert to watts.
+    farthest_m = math.hypot(config.area_side_m, config.area_side_m / 2.0)
+    try:
+        power = free_space_base_requirement(farthest_m, config.link_budget) + min(top_level, cap)
+        dbm_to_watts(power)
+    except (OverflowError, ValueError):
+        raise ConfigError(
+            "area_side_m/link_budget/level_cap_dbm: the transmit power at the farthest point "
+            f"of the square, {farthest_m:g} m from the reference, is out of range"
+        ) from None
 
 
 def _format_value(kind: str, value) -> str:

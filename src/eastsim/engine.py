@@ -120,7 +120,7 @@ def run_simulation(config: SimConfig, keep_rounds: Optional[Collection[int]] = N
     """
     config_mod.validate(config)
     proc = config.temperature
-    trace = proc.trace if proc.mode == "trace" else None
+    trace_rows = proc.trace.rows if proc.mode == "trace" else None
     keep = None if keep_rounds is None else frozenset(keep_rounds)
 
     deployment = deploy_random(
@@ -133,8 +133,8 @@ def run_simulation(config: SimConfig, keep_rounds: Optional[Collection[int]] = N
     )
     nodes = deployment.nodes
     n = len(nodes)
-    if trace is not None:
-        temps = [trace[(i, 0)] for i in range(n)]
+    if trace_rows is not None:
+        temps = list(trace_rows[0][:n])
     else:
         temps = [node.base_temp_c for node in nodes]
     base_dbm = [
@@ -192,9 +192,10 @@ def run_simulation(config: SimConfig, keep_rounds: Optional[Collection[int]] = N
     for round_idx in range(config.rounds):
         # (1) temperatures and their losses; round 0 used the set-up values
         if round_idx > 0:
+            row = trace_rows[round_idx] if trace_rows is not None else None
             for i in live:
-                if trace is not None:
-                    t = trace[(i, round_idx)]
+                if row is not None:
+                    t = row[i]
                 else:
                     t = min(max(temps[i] + sigma * walks[i].gauss(0.0, 1.0), t_min), t_max)
                 temps[i] = t

@@ -39,20 +39,38 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
 
 
+@dataclass(frozen=True)
+class TraceTable:
+    """A dense temperature trace held as per-round rows: ``rows[round][node]``.
+
+    Every row has the same width. ``table[(node, round)]`` and ``len(table)``
+    (nodes x rounds) read it as the flat (node, round) table of the file.
+    """
+
+    rows: tuple[tuple[float, ...], ...]
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        node_id, round_idx = key
+        return self.rows[round_idx][node_id]
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.rows[0])
+
+
 @dataclass
 class TemperatureProcess:
     """Per-node per-round temperature source.
 
     Synthetic mode: a per-node Gaussian random walk started at the node's
     base temperature, clamped to [t_min_c, t_max_c] after every step.
-    Trace mode: exact lookup in a dense (node, round) table.
+    Trace mode: exact lookup in a dense per-round table.
     """
 
     mode: str = "synthetic"
     t_min_c: float = -10.0
     t_max_c: float = 53.0
     walk_sigma_c: float = 0.5
-    trace: Optional[dict[tuple[int, int], float]] = None
+    trace: Optional[TraceTable] = None
     trace_nodes: int = 0
     trace_rounds: int = 0
     # sha256 of the trace file's bytes; the config fingerprint hashes it.
@@ -124,8 +142,9 @@ def load_temperature_trace(
 ) -> TemperatureProcess:
     """Load a dense per-node per-round temperature table.
 
-    Format: header ``node,round,temp_c``, one row per (node, round) pair,
-    zero-based dense indices. Values must lie within [t_min_c, t_max_c].
+    Format: header ``node,round,temp_c``, one row per (node, round) pair
+    in any order, zero-based dense indices. Values must lie within
+    [t_min_c, t_max_c]. The table is held as per-round rows.
     """
     try:
         with open(path, "rb") as fh:
@@ -139,15 +158,25 @@ def load_temperature_trace(
     if header != TRACE_HEADER:
         raise DataError(f"{path}: expected header {','.join(TRACE_HEADER)!r}, got {lines[0]!r}")
 
-    trace: dict[tuple[int, int], float] = {}
+    # One pass in file order, so the first bad row is the one named. A
+    # cell not yet read holds None. Once the indices seen span more cells
+    # than the file has data lines, the table cannot be dense: the rows stop
+    # growing and a set of the cells read takes over the duplicate check.
+    limit = len(lines) - 1
+    rows: list[list[Optional[float]]] = []
+    seen: Optional[set[tuple[int, int]]] = None
+    n_nodes = n_rounds = count = 0
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [col.strip() for col in line.split(",")]
-        if len(fields) != 3:
-            raise DataError(f"{path}: row {line_no}: expected 3 fields, got {len(fields)}")
         try:
-            node_id, round_idx, temp = int(fields[0]), int(fields[1]), float(fields[2])
+            node_field, round_field, temp_field = line.split(",")
+        except ValueError:
+            if not line.strip():
+                continue
+            raise DataError(
+                f"{path}: row {line_no}: expected 3 fields, got {len(line.split(','))}"
+            ) from None
+        try:
+            node_id, round_idx, temp = int(node_field), int(round_field), float(temp_field)
         except ValueError:
             raise DataError(f"{path}: row {line_no}: malformed values {line!r}") from None
         if node_id < 0 or round_idx < 0:
@@ -157,25 +186,60 @@ def load_temperature_trace(
                 f"{path}: row {line_no}: temperature {temp} outside "
                 f"declared range [{t_min_c}, {t_max_c}]"
             )
-        if (node_id, round_idx) in trace:
-            raise DataError(f"{path}: row {line_no}: duplicate entry for ({node_id}, {round_idx})")
-        trace[(node_id, round_idx)] = temp
+        count += 1
+        if node_id >= n_nodes or round_idx >= n_rounds:
+            n_nodes = max(n_nodes, node_id + 1)
+            n_rounds = max(n_rounds, round_idx + 1)
+            if seen is None and n_nodes * n_rounds > limit:
+                seen = _cells_read(rows)
+            if seen is None:
+                rows.extend([] for _ in range(n_rounds - len(rows)))
+        if seen is not None:
+            if (node_id, round_idx) not in seen:
+                seen.add((node_id, round_idx))
+                continue
+        else:
+            row = rows[round_idx]
+            width = len(row)
+            if node_id == width:  # the common case, in node- or round-major files
+                row.append(temp)
+                continue
+            if node_id > width:
+                row.extend([None] * (node_id - width))
+                row.append(temp)
+                continue
+            if row[node_id] is None:
+                row[node_id] = temp
+                continue
+        raise DataError(f"{path}: row {line_no}: duplicate entry for ({node_id}, {round_idx})")
 
-    if not trace:
+    if not count:
         raise DataError(f"{path}: trace contains no rows")
-    n_nodes = max(node_id for node_id, _ in trace) + 1
-    n_rounds = max(round_idx for _, round_idx in trace) + 1
-    for node_id in range(n_nodes):
-        for round_idx in range(n_rounds):
-            if (node_id, round_idx) not in trace:
-                raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
+    if count != n_nodes * n_rounds:
+        # At most count cells are present, so this ends within count + 1 probes.
+        if seen is None:
+            seen = _cells_read(rows)
+        for node_id in range(n_nodes):
+            for round_idx in range(n_rounds):
+                if (node_id, round_idx) not in seen:
+                    raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
     return TemperatureProcess(
         mode="trace",
         t_min_c=t_min_c,
         t_max_c=t_max_c,
         walk_sigma_c=0.0,
-        trace=trace,
+        trace=TraceTable(tuple(map(tuple, rows))),
         trace_nodes=n_nodes,
         trace_rounds=n_rounds,
         trace_sha256=hashlib.sha256(data).hexdigest(),
     )
+
+
+def _cells_read(rows: list[list[Optional[float]]]) -> set[tuple[int, int]]:
+    """The (node, round) cells of partly filled per-round rows that hold a value."""
+    return {
+        (node_id, round_idx)
+        for round_idx, row in enumerate(rows)
+        for node_id, temp in enumerate(row)
+        if temp is not None
+    }

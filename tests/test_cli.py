@@ -244,6 +244,26 @@ class TestCmdRun:
         assert main(["run", "--out", str(tmp_path / "ok"), *SMALL,
                      "--set", "temperature.t_min_c=-175"]) == 0
 
+    @pytest.mark.parametrize(
+        "item, named",
+        [
+            ("temperature.t_max_c=1e300", "temperature.t_max_c"),
+            ("link_budget.eb_n0_db=1e5", "link_budget"),
+            ("area_side_m=1e300", "area_side_m"),
+            ("regions.threshold_loss_a_dbm=1e300", "regions.threshold_loss_a_dbm"),
+        ],
+    )
+    def test_overflowing_value_exits_2(self, tmp_path, capsys, item, named):
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), *SMALL, "--set", item]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cap_far_above_reachable_levels_exits_0(self, tmp_path):
+        # levels never exceed the top threshold or hottest-loss level, so a
+        # cap whose power would overflow is never reached
+        assert main(["run", "--out", str(tmp_path / "o"), *SMALL, "--set", "level_cap_dbm=1e5"]) == 0
+
     def test_steep_prr_slope_exits_0(self, tmp_path):
         out = tmp_path / "o"
         assert main(["run", "--out", str(out), *SMALL, "--set", "prr.alpha_per_db=1000"]) == 0
@@ -270,8 +290,20 @@ class TestCmdRun:
                     assert all(v is None for v in vectors) != (rec.round_index in kept)
                     assert len(rec.alive) == 15
 
-    def test_figure_round_out_of_range_exits_2(self, tmp_path):
-        assert main(["run", "--out", str(tmp_path / "o"), *SMALL, "--figure-round", "99"]) == 2
+    def test_figure_round_out_of_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--out", str(out), *SMALL, "--figure-round", "99"]) == 2
+        assert "--figure-round 99" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_figure_round_after_extinction_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["run", "--out", str(out), *SMALL, "--set", "energy.initial_battery_j=1e-6"]
+        assert main([*argv, "--figure-round", "10"]) == 2
+        assert "figure round 10" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0
+        assert "extinct_at_round=0" in capsys.readouterr().out
 
     def test_figure_round_selects_snapshot(self, tmp_path):
         out0, out5 = tmp_path / "r0", tmp_path / "r5"
@@ -367,6 +399,13 @@ class TestCmdSweep:
         main(["run", "--out", str(out_run), *SMALL])
         sweep_rounds = (out_sweep / "rounds=12" / "rounds.csv").read_bytes()
         assert sweep_rounds == (out_run / "rounds.csv").read_bytes()
+
+    def test_figure_round_checked_against_every_value_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--out", str(out), *SMALL, "--key", "rounds", "--values", "12,4"]
+        assert main([*argv, "--figure-round", "5"]) == 2
+        assert "--figure-round 5 out of range; the run has 4 rounds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_swept_value_checked_against_trace(self, tmp_path, capsys):
         # the swept bound applies to the trace exactly as it does for run

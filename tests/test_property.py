@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from eastsim.config import SimConfig
 from eastsim.engine import run_simulation
 from eastsim.protocol import REGIONS, Region, RegionConfig
-from eastsim.topology import TemperatureProcess
+from eastsim.topology import TemperatureProcess, TraceTable
 
 from oracle import record_as_dict, records_equal, reference_run
 
@@ -26,18 +26,20 @@ def _trace(trace_seed, nodes, rounds, t_min, t_max):
     """Dense in-bounds trace: a clamped random walk per node."""
     rng = random.Random(trace_seed)
     step = rng.uniform(0.0, 0.2 * (t_max - t_min))
-    table = {}
+    columns = []
     for i in range(nodes):
         temp = rng.uniform(t_min, t_max)
+        column = []
         for r in range(rounds):
-            table[(i, r)] = temp
+            column.append(temp)
             temp = min(max(temp + rng.gauss(0.0, step), t_min), t_max)
+        columns.append(column)
     return TemperatureProcess(
         mode="trace",
         t_min_c=t_min,
         t_max_c=t_max,
         walk_sigma_c=0.0,
-        trace=table,
+        trace=TraceTable(tuple(zip(*columns))),
         trace_nodes=nodes,
         trace_rounds=rounds,
     )

@@ -20,7 +20,7 @@ from eastsim.protocol import (
     partition_regions,
 )
 from eastsim.radio import power_level_for_rssi_loss, rssi_loss_from_temperature
-from eastsim.topology import TemperatureProcess
+from eastsim.topology import TemperatureProcess, TraceTable
 
 CFG = RegionConfig()
 
@@ -56,7 +56,7 @@ def one_round_run(temps, controller="east"):
     cfg = SimConfig(node_count=len(temps), rounds=1, seed=1, controller=controller)
     cfg.temperature = TemperatureProcess(
         mode="trace",
-        trace={(i, 0): t for i, t in enumerate(temps)},
+        trace=TraceTable((tuple(temps),)),
         trace_nodes=len(temps),
         trace_rounds=1,
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,8 @@ from eastsim.topology import (
     distance,
     load_temperature_trace,
 )
+
+from oracle import record_as_dict, records_equal
 
 
 def reference_stream(seed, *labels):
@@ -162,6 +165,90 @@ class TestLoadTemperatureTrace:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_temperature_trace(str(tmp_path / "nope.csv"))
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        cells = [(n, r, 20.0 + n + 0.25 * r) for n in range(3) for r in range(4)]
+        orders = {
+            "node_major": cells,
+            "round_major": sorted(cells, key=lambda c: (c[1], c[0])),
+            "shuffled": random.Random(7).sample(cells, len(cells)),
+        }
+        loaded = {}
+        for name, order in orders.items():
+            path = tmp_path / f"{name}.csv"
+            write_trace(path, [f"{n},{r},{t}" for n, r, t in order])
+            loaded[name] = load_temperature_trace(str(path))
+        for name in ("round_major", "shuffled"):
+            assert loaded[name].trace == loaded["node_major"].trace
+            assert (loaded[name].trace_nodes, loaded[name].trace_rounds) == (3, 4)
+        assert loaded["shuffled"].trace[(2, 3)] == 22.75
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (["0,0,20.0", "0,0,21.0", "0,1,20.0", "0,2,60.0"], r"row 3: duplicate entry for \(0, 0\)"),
+            # round 9 leaves too few rows for a dense table, so a set finds the duplicate
+            (["0,0,20.0", "0,9,20.0", "0,9,21.0", "0,1,60.0"], r"row 4: duplicate entry for \(0, 9\)"),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path, rows, named):
+        path = tmp_path / "trace.csv"
+        write_trace(path, rows)
+        with pytest.raises(DataError, match=named):
+            load_temperature_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "missing, named",
+        [({(2, 0), (1, 3)}, "node 1, round 3"), ({(2, 0)}, "node 2, round 0")],
+    )
+    def test_shuffled_missing_cells_name_first_in_node_major_order(self, tmp_path, missing, named):
+        path = tmp_path / "trace.csv"
+        rows = [f"{n},{r},20.0" for n in range(3) for r in range(4) if (n, r) not in missing]
+        write_trace(path, random.Random(3).sample(rows, len(rows)))
+        with pytest.raises(DataError, match=f"missing entry for {named}$"):
+            load_temperature_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (["0,0,20.0", "0,1,20.0", f"0,{10**6},20.0"], "node 0, round 2"),
+            (["0,0,20.0", "1,0,20.0", f"{10**7},0,20.0"], "node 2, round 0"),
+            ([f"{i},{i},20.0" for i in range(3000)], "node 0, round 1"),
+        ],
+        ids=["huge_round", "huge_node", "diagonal"],
+    )
+    def test_sparse_indices_do_not_grow_the_table(self, tmp_path, rows, named):
+        # Growing dense rows for these would take 64, 80 and 36 MB.
+        path = tmp_path / "trace.csv"
+        write_trace(path, rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"missing entry for {named}$"):
+                load_temperature_trace(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_larger_trace_runs_as_cropped_trace(self, tmp_path):
+        rng = random.Random(11)
+        temps = {(n, r): round(rng.uniform(-10.0, 53.0), 2) for n in range(6) for r in range(8)}
+        full, cropped = tmp_path / "full.csv", tmp_path / "cropped.csv"
+        write_trace(full, [f"{n},{r},{t}" for (n, r), t in temps.items()])
+        write_trace(cropped, [f"{n},{r},{t}" for (n, r), t in temps.items() if n < 4 and r < 5])
+        records = []
+        for path in (full, cropped):
+            cfg = SimConfig(node_count=4, rounds=5, seed=9)
+            cfg.temperature = load_temperature_trace(str(path))
+            records.append([record_as_dict(rec) for rec in run_simulation(cfg).records])
+        assert len(records[0]) == len(records[1]) == 5
+        assert all(records_equal(a, b) for a, b in zip(*records))
+
+    def test_two_loads_compare_equal(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, [f"{n},{r},{20.0 + n * r}" for n in range(3) for r in range(2)])
+        assert load_temperature_trace(str(path)) == load_temperature_trace(str(path))
 
     def test_lookup_via_temperature_at(self, tmp_path):
         path = tmp_path / "trace.csv"
