@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .config import SWEEPABLE_KEYS, SimConfig, fingerprint, parse_config
-from .engine import SimResult, run_simulation
+from .engine import Lockstep, SimResult, lockstep_groups, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import REGIONS
 from .report import compare_runs, emit_figure_data, render_summary_table, summarize
@@ -195,11 +195,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise UsageError("compare sets the controller itself; do not override it")
     config = parse_config(args.config, args.set)
     _resolve_seed(config, args.seed)
-    results = {
-        c: run_simulation(dataclasses.replace(config, controller=c), keep_rounds=())
-        for c in ("east", "classical")
-    }
-    report = compare_runs(results["east"], results["classical"])
+    configs = [dataclasses.replace(config, controller=c) for c in ("east", "classical")]
+    group = Lockstep(configs, keep_rounds=())
+    east, classical = (run_simulation(c, keep_rounds=(), lockstep=group) for c in configs)
+    report = compare_runs(east, classical)
     os.makedirs(args.out, exist_ok=True)
     rows = [
         ("control_packets", str, report.east_control_packets,
@@ -236,10 +235,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if configs and config.temperature == configs[0].temperature:
             config.temperature = configs[0].temperature
         configs.append(config)
+    # Values that share the deployment and temperatures run in lockstep.
+    # Every result is in hand, and every figure round checked, before the
+    # first directory is made.
+    keep = {args.figure_round}
+    groups = lockstep_groups(configs, keep)
+    results = [
+        run_simulation(config, keep_rounds=keep, lockstep=group)
+        for config, group in zip(configs, groups)
+    ]
+    for result in results:
+        emit_figure_data(result, args.figure_round)
     os.makedirs(args.out, exist_ok=True)
     summary_lines = ["key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"]
-    for raw, config in zip(values, configs):
-        result = run_simulation(config, keep_rounds={args.figure_round})
+    for raw, result in zip(values, results):
         run_dir = os.path.join(args.out, f"{key}={raw}")
         write_run_outputs(result, run_dir, args.figure_round)
         summary_lines.append(
@@ -271,7 +280,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     with open(rounds_path, "r", encoding="utf-8") as fh:
-        rounds_executed = sum(1 for line in fh if line.strip()) - 1
+        round_lines = [line for line in fh.read().splitlines() if line.strip()]
+    if round_lines[:1] != [ROUNDS_HEADER] or len(round_lines) < 2:
+        raise DataError(f"{rounds_path}: expected header {ROUNDS_HEADER!r} and a row per round")
+    rounds_executed = len(round_lines) - 1
     try:
         table = render_summary_table(rows, rounds_executed)
     except (KeyError, ValueError) as exc:

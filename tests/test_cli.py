@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 
 import pytest
@@ -29,8 +30,8 @@ def recorded_runs(monkeypatch):
     """The result of every run_simulation call the CLI makes."""
     results = []
 
-    def recording_run(config, keep_rounds=None):
-        results.append(run_simulation(config, keep_rounds))
+    def recording_run(config, keep_rounds=None, lockstep=None):
+        results.append(run_simulation(config, keep_rounds, lockstep))
         return results[-1]
 
     monkeypatch.setattr(cli, "run_simulation", recording_run)
@@ -367,6 +368,37 @@ class TestCmdCompare:
         rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
         assert int(rows["control_packets"][3]) == 0
 
+    def test_lockstep_compare_matches_solo_runs(self, tmp_path, monkeypatch, recorded_runs):
+        # a sampled-PRR trace run on a draining battery
+        rng = random.Random(3)
+        rows = []
+        for n in range(15):
+            temp = rng.uniform(-10.0, 53.0)
+            for r in range(30):
+                rows.append(f"{n},{r},{temp}")
+                temp = min(max(temp + rng.gauss(0.0, 3.0), -10.0), 53.0)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("node,round,temp_c\n" + "\n".join(rows) + "\n")
+        argv = ["--set", "nodes=15", "--set", "rounds=30", "--set", "prr.sampled=true",
+                "--set", "energy.initial_battery_j=0.004",
+                "--set", f"temperature.trace_path={trace}"]
+        assert main(["compare", "--out", str(tmp_path / "lockstep"), *argv]) == 0
+        east, classical = recorded_runs
+
+        def deaths(result):
+            return [sum(rec.alive) for rec in result.records]
+
+        assert deaths(east) != deaths(classical)
+        assert min(deaths(east)) < 15 and min(deaths(classical)) < 15
+
+        def solo_run(config, keep_rounds=None, lockstep=None):
+            return run_simulation(config, keep_rounds)
+
+        monkeypatch.setattr(cli, "run_simulation", solo_run)
+        assert main(["compare", "--out", str(tmp_path / "solo"), *argv]) == 0
+        lockstep_csv = (tmp_path / "lockstep" / "compare.csv").read_bytes()
+        assert lockstep_csv == (tmp_path / "solo" / "compare.csv").read_bytes()
+
     def test_controller_override_rejected(self, tmp_path, capsys):
         code = main(["compare", "--out", str(tmp_path / "o"), "--set", "controller=east"])
         assert code == 2
@@ -399,6 +431,42 @@ class TestCmdSweep:
         main(["run", "--out", str(out_run), *SMALL])
         sweep_rounds = (out_sweep / "rounds=12" / "rounds.csv").read_bytes()
         assert sweep_rounds == (out_run / "rounds.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("cadence.period_rounds", ["1", "5", "10"]),
+            # members lose nodes in different rounds
+            ("energy.initial_battery_j", ["0.0003", "0.0006", "2"]),
+            # members end in different rounds
+            ("rounds", ["12", "4"]),
+            # different seeds split into one-member groups
+            ("seed", ["1", "2"]),
+        ],
+    )
+    def test_sweep_members_match_solo_runs(self, tmp_path, key, values):
+        out = tmp_path / "sweep"
+        argv = [*SMALL, "--figure-round", "3"]
+        assert main(["sweep", "--out", str(out), *argv, "--key", key,
+                     "--values", ",".join(values)]) == 0
+        for value in values:
+            solo = tmp_path / f"run-{value}"
+            assert main(["run", "--out", str(solo), *argv, "--set", f"{key}={value}"]) == 0
+            member = out / f"{key}={value}"
+            files = sorted(p.relative_to(solo) for p in solo.rglob("*") if p.is_file())
+            assert files == sorted(p.relative_to(member) for p in member.rglob("*") if p.is_file())
+            for name in files:
+                assert (member / name).read_bytes() == (solo / name).read_bytes(), (value, name)
+
+    def test_late_figure_round_failure_writes_nothing(self, tmp_path, capsys):
+        # the second value goes extinct in round 0, after the first has run
+        out = tmp_path / "sw"
+        code = main(["sweep", "--key", "energy.initial_battery_j", "--values", "2,1e-6",
+                     "--figure-round", "5", "--set", "nodes=5", "--set", "rounds=10",
+                     "--out", str(out)])
+        assert code == 2
+        assert "figure round 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_figure_round_checked_against_every_value_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -481,6 +549,22 @@ class TestCmdReport:
             capsys.readouterr()
             assert main(["report", "--dir", str(out)]) == 2, what
             assert "summary.csv" in capsys.readouterr().err, what
+
+    def test_malformed_rounds_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--out", str(out), *SMALL])
+        rounds = out / "rounds.csv"
+        lines = rounds.read_text().splitlines()
+        broken = {
+            "empty": "",
+            "no header": "\n".join(lines[1:]) + "\n",
+            "header only": lines[0] + "\n",
+        }
+        for what, text in broken.items():
+            rounds.write_text(text)
+            capsys.readouterr()
+            assert main(["report", "--dir", str(out)]) == 2, what
+            assert "rounds.csv" in capsys.readouterr().err, what
 
     def test_missing_artifacts_exit_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -3,7 +3,10 @@
 Hypothesis draws small valid configurations (both controllers, sampled and
 expected PRR, synthetic walks and dense traces, batteries small enough to
 force extinction) and checks exact record equality with the reference
-executor plus the engine's accounting invariants.
+executor plus the engine's accounting invariants. A second test runs 2-3
+such configs as one lockstep group, differing in everything but the seed,
+nodes, area and temperature source, and checks every member against the
+reference executor.
 """
 
 import random
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eastsim.config import SimConfig
-from eastsim.engine import run_simulation
+from eastsim.engine import Lockstep, run_simulation
 from eastsim.protocol import REGIONS, Region, RegionConfig
 from eastsim.topology import TemperatureProcess, TraceTable
 
@@ -45,6 +48,18 @@ def _trace(trace_seed, nodes, rounds, t_min, t_max):
     )
 
 
+def _draw_regions_and_cap(draw, cfg):
+    # Boundaries may lie above every loss, which puts all nodes in region C.
+    low = draw(st.floats(-9.0, 9.0))
+    cfg.regions = RegionConfig(
+        boundary_high_dbm=low + draw(st.floats(0.1, 10.0)),
+        boundary_low_dbm=low,
+        threshold_loss_dbm={r: draw(st.floats(-9.0, 6.0)) for r in REGIONS},
+    )
+    top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
+    cfg.level_cap_dbm = top_level + draw(st.floats(0.0, 10.0))
+
+
 @st.composite
 def configs(draw):
     nodes = draw(st.integers(1, 12))
@@ -59,15 +74,7 @@ def configs(draw):
         area_side_m=draw(st.floats(1.0, 200.0)),
         prr_sampled=draw(st.booleans()),
     )
-    # Boundaries may lie above every loss, which puts all nodes in region C.
-    low = draw(st.floats(-9.0, 9.0))
-    cfg.regions = RegionConfig(
-        boundary_high_dbm=low + draw(st.floats(0.1, 10.0)),
-        boundary_low_dbm=low,
-        threshold_loss_dbm={r: draw(st.floats(-9.0, 6.0)) for r in REGIONS},
-    )
-    top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
-    cfg.level_cap_dbm = top_level + draw(st.floats(0.0, 10.0))
+    _draw_regions_and_cap(draw, cfg)
     if draw(st.booleans()):
         cfg.temperature = _trace(
             draw(st.integers(0, 2**32)),
@@ -157,3 +164,54 @@ def test_engine_matches_oracle_and_invariants(cfg):
     if result.extinction_round is not None:
         assert result.extinction_round == len(result.records) - 1
         assert not any(result.records[-1].alive)
+
+
+@st.composite
+def lockstep_groups(draw):
+    """One drawn config and 2-3 members that keep its seed, nodes, area and
+    temperature source but vary everything a lockstep group may vary."""
+    base = draw(configs())
+    members = []
+    for _ in range(draw(st.integers(2, 3))):
+        cfg = replace(
+            base,
+            controller=draw(st.sampled_from(["east", "classical"])),
+            rounds=draw(st.integers(1, base.rounds)),
+            prr_sampled=draw(st.booleans()),
+        )
+        _draw_regions_and_cap(draw, cfg)
+        cfg.cadence = replace(
+            cfg.cadence,
+            period_rounds=draw(st.integers(1, 12)),
+            drift_dbm=draw(st.floats(0.0, 2.0)),
+        )
+        # Log-uniform, so members often lose nodes in different rounds.
+        battery = 10.0 ** draw(st.floats(-4.0, -1.3))
+        cfg.energy = replace(cfg.energy, initial_battery_j=battery)
+        members.append(cfg)
+    return members
+
+
+def extinct_beside_survivor():
+    """A member on a battery that lasts one round next to members that run
+    all 30 rounds: the shared walk must go on for the survivors' nodes."""
+    base = SimConfig(node_count=8, rounds=30, seed=7, area_side_m=80.0, prr_sampled=True)
+    base.temperature = replace(base.temperature, walk_sigma_c=2.0)
+    doomed = replace(base, energy=replace(base.energy, initial_battery_j=1e-6))
+    sampled_classical = replace(base, controller="classical")
+    expected_east = replace(base, prr_sampled=False, cadence=replace(base.cadence, period_rounds=1))
+    return [doomed, sampled_classical, expected_east]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(lockstep_groups())
+@example(extinct_beside_survivor())
+def test_lockstep_members_match_oracle(members):
+    group = Lockstep(members)
+    for cfg in members:
+        result = run_simulation(cfg, lockstep=group)
+        engine = [record_as_dict(r) for r in result.records]
+        reference = reference_run(cfg)
+        assert len(engine) == len(reference)
+        for got, expected in zip(engine, reference):
+            assert records_equal(got, expected), got["round"]
