@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from math import cos, exp, log, sin, sqrt
 from typing import Collection, Generator, Optional, Sequence
 
 from . import config as config_mod
@@ -39,9 +40,14 @@ from .protocol import (
     partition_regions,
 )
 from .radio import (
+    LEVEL_CURVE_EXPONENT,
+    LEVEL_CURVE_OFFSET_DB,
+    LEVEL_CURVE_SCALE_DB,
+    TEMP_LOSS_SLOPE_DB_PER_C,
+    TEMP_REFERENCE_C,
     free_space_base_requirement,
     power_level_for_rssi_loss,
-    prr_from_margin,
+    prr_from_margin,  # noqa: F401  not called; perfbench/tracer.py wraps this name here
     rssi_loss_from_temperature,
     rx_energy,
     tx_energy,
@@ -222,10 +228,12 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     n = len(deployment.nodes)
     if trace_rows is not None:
         temps = list(trace_rows[0][:n])
-        walks = None
     else:
         temps = [node.base_temp_c for node in deployment.nodes]
+        # Each node's walk draws from its own stream; spare[i] is the second
+        # normal of its last Box-Muller pair, as Random.gauss caches it.
         walks = [walk_stream(first.seed, i) for i in range(n)]
+        spare: list[Optional[float]] = [None] * n
     losses = [rssi_loss_from_temperature(t) for t in temps]
     comp = [power_level_for_rssi_loss(loss) for loss in losses]
     if any(config.prr_sampled for config in configs):
@@ -251,24 +259,44 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
 
     sigma = proc.walk_sigma_c
     t_min, t_max = proc.t_min_c, proc.t_max_c
+    slope, t_ref = TEMP_LOSS_SLOPE_DB_PER_C, TEMP_REFERENCE_C
+    offset, scale, exponent = LEVEL_CURVE_OFFSET_DB, LEVEL_CURVE_SCALE_DB, LEVEL_CURVE_EXPONENT
+    two_pi = 2.0 * math.pi
     results: list[Optional[SimResult]] = [None] * len(configs)
     active = list(enumerate(runs))
     live = list(range(n))
     for round_idx in range(max(config.rounds for config in configs)):
-        # (1) the shared pass; round 0 used the set-up values
+        # (1) the shared pass; round 0 used the set-up values. The loss and
+        # compensation level are rssi_loss_from_temperature and
+        # power_level_for_rssi_loss written out, without their domain checks:
+        # every temperature here lies in [t_min_c, t_max_c] (clamped, or a
+        # trace value checked at load), and validate() has proved the loss
+        # above -40 dB at t_min_c and the level finite at t_max_c.
         if round_idx > 0:
             row = trace_rows[round_idx] if trace_rows is not None else None
             for i in live:
                 if row is not None:
                     t = row[i]
                 else:
+                    # Random.gauss(0.0, 1.0) written out: the same Box-Muller
+                    # arithmetic and cached spare, and the same mu + z * sigma,
+                    # where 0.0 + z turns a -0.0 draw into 0.0 as gauss does.
+                    z = spare[i]
+                    if z is None:
+                        rand = walks[i].random
+                        x2pi = rand() * two_pi
+                        g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                        z = cos(x2pi) * g2rad
+                        spare[i] = sin(x2pi) * g2rad
+                    else:
+                        spare[i] = None
+                    t = temps[i] + sigma * (0.0 + z)
                     # min(max(t, t_min), t_max), without two builtin calls
-                    t = temps[i] + sigma * walks[i].gauss(0.0, 1.0)
                     t = t_min if t_min > t else (t_max if t_max < t else t)
                 temps[i] = t
-                loss = rssi_loss_from_temperature(t)
+                loss = slope * (t - t_ref)
                 losses[i] = loss
-                comp[i] = power_level_for_rssi_loss(loss)
+                comp[i] = ((loss + offset) / scale) ** exponent
             if prr_streams is not None:
                 for i in live:
                     draws[i] = prr_streams[i].random()
@@ -349,7 +377,8 @@ def _member_rounds(
 
     energy = config.energy
     beacon_rx_j = rx_energy(energy.beacon_bits, energy)
-    prr_params = config.prr
+    neg_alpha = -config.prr.alpha_per_db
+    beta = config.prr.beta_db
     cadence = config.cadence
     sampled = draws if config.prr_sampled else None
     ledger_tx = ledger_rx = 0.0
@@ -411,7 +440,11 @@ def _member_rounds(
                 ack_tx_j[i] = tx_energy(power, energy.ack_bits, energy)
                 data_tx_j[i] = tx_energy(power, energy.data_bits, energy)
 
-            prr = prr_from_margin(level - comp[i], prr_params)
+            # prr_from_margin written out; level and comp[i] are finite.
+            try:
+                prr = 1.0 / (1.0 + exp(neg_alpha * (level - comp[i] - beta)))
+            except OverflowError:
+                prr = 0.0
             if sampled is not None:
                 prr = 1.0 if sampled[i] < prr else 0.0
             prr_all.append(prr)

@@ -155,8 +155,5 @@ def needs_closed_loop(
         return True
     if round_idx - last_round >= cadence.period_rounds:
         return True
-    drift = max(
-        (abs(predicted_loss_dbm[i] - last_estimated_loss_dbm[i]) for i in members),
-        default=0.0,
-    )
-    return drift > cadence.drift_dbm
+    drift = cadence.drift_dbm
+    return any(abs(predicted_loss_dbm[i] - last_estimated_loss_dbm[i]) > drift for i in members)

@@ -3,6 +3,10 @@
 All functions are pure. Powers are in dBm unless a name says watts,
 temperatures in degrees Celsius, distances in meters. Inputs outside a
 function's domain raise ValueError.
+
+The engine's round kernel evaluates ``rssi_loss_from_temperature``,
+``power_level_for_rssi_loss`` and ``prr_from_margin`` inline, from the same
+constants, so a change to one of these formulas must change both places.
 """
 
 from __future__ import annotations

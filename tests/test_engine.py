@@ -6,7 +6,7 @@ import pytest
 
 from eastsim.cli import write_run_outputs
 from eastsim.config import SimConfig
-from eastsim.engine import run_simulation
+from eastsim.engine import Lockstep, run_simulation
 from eastsim.errors import ConfigError
 from eastsim.protocol import classical_assign
 from eastsim.radio import free_space_base_requirement
@@ -189,6 +189,29 @@ class TestOracleEquivalence:
         assert len(engine) == len(reference)
         for got, expected in zip(engine, reference):
             assert records_equal(got, expected)
+
+
+class TestLockstep:
+    def test_node_dead_in_one_member_keeps_walking_in_the_other(self):
+        # Node 0 dies in round 27 of the small-battery member, after an odd
+        # number of walk draws, so its walk holds a cached Box-Muller spare
+        # that the surviving member's next round must use.
+        def member(battery_j):
+            cfg = SimConfig(node_count=4, rounds=40, seed=2)
+            cfg.energy = replace(cfg.energy, initial_battery_j=battery_j)
+            return cfg
+
+        drained, kept = member(0.004), member(2.0)
+        group = Lockstep([drained, kept])
+        results = [run_simulation(cfg, lockstep=group) for cfg in (drained, kept)]
+        death = next(r.round_index for r in results[0].records if not r.alive[0])
+        assert death == 27
+        assert all(r.alive[0] for r in results[1].records)
+        for cfg, result in zip((drained, kept), results):
+            solo = run_simulation(cfg)
+            assert len(result.records) == len(solo.records)
+            for got, expected in zip(result.records, solo.records):
+                assert records_equal(record_as_dict(got), record_as_dict(expected))
 
 
 class TestRetention:

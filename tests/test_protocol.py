@@ -179,6 +179,13 @@ class TestEastAssign:
         assert level == pytest.approx(43.24, abs=0.05)
         assert level == CFG.threshold_level_dbm(Region.A)
 
+    def test_rule_i_at_threshold_boundary(self):
+        # loss == threshold and n_current == n_desired is rule (i), even from
+        # a level above the threshold level
+        loss = CFG.threshold_loss_dbm[Region.B]
+        level = assign(45.0, Region.B, loss, n_current=25, n_desired=25)
+        assert level == CFG.threshold_level_dbm(Region.B)
+
     def test_rule_iii_keeps_level(self):
         assert assign(22.21, Region.C, -6.0, n_current=20, n_desired=15) == 22.21
 
@@ -243,6 +250,8 @@ class TestNeedsClosedLoop:
     def test_drift_rule(self):
         assert needs_closed_loop(7, 3, self.CADENCE, [0.0, 1.5], [0.0, 0.0], [1])
         assert not needs_closed_loop(7, 3, self.CADENCE, [0.0, 0.9], [0.0, 0.0], [1])
+        # a drift exactly at the bound does not trigger an exchange
+        assert not needs_closed_loop(7, 3, self.CADENCE, [0.0, 1.0], [0.0, 0.0], [1])
 
     def test_empty_region_follows_period_only(self):
         assert not needs_closed_loop(5, 0, self.CADENCE, [], [], [])

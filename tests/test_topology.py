@@ -15,6 +15,7 @@ from eastsim.topology import (
     deploy_random,
     distance,
     load_temperature_trace,
+    walk_stream,
 )
 
 from oracle import record_as_dict, records_equal
@@ -113,6 +114,23 @@ class TestTemperatureAt:
         for rnd in range(1, 10):
             expected = min(max(expected + 0.5 * rng.gauss(0.0, 1.0), -10.0), 53.0)
             assert temps[rnd][0] == expected
+
+    def test_long_walk_matches_random_gauss(self):
+        # 4 nodes x 2500 steps: 10^4 draws of the engine's own Box-Muller
+        # step, checked against Random.gauss on the same streams. A sigma of
+        # 20 C drives every node into both clamps many times.
+        nodes, rounds, seed, sigma = 4, 2501, 7, 20.0
+        dep, temps = walk_temps(nodes, rounds, seed=seed, sigma=sigma)
+        for i, node in enumerate(dep.nodes):
+            assert node.alive
+            rng = walk_stream(seed, i)
+            expected = node.base_temp_c
+            walk = [expected]
+            for _ in range(1, rounds):
+                expected = min(max(expected + sigma * rng.gauss(0.0, 1.0), -10.0), 53.0)
+                walk.append(expected)
+            assert [row[i] for row in temps] == walk
+            assert walk.count(-10.0) > 10 and walk.count(53.0) > 10
 
 
 def write_trace(path, rows, header="node,round,temp_c"):
