@@ -140,6 +140,47 @@ class TestParseConfig:
         assert cool != fingerprint_with([40.0, 41.0])
         assert cool == fingerprint_with([20.0, 21.0])
 
+    def test_fingerprint_pinned(self, tmp_path):
+        # perfbench's digests leave manifest.json out, so these hexes are
+        # what keeps the fingerprint definition from moving unnoticed
+        trace = tmp_path / "t.csv"
+        trace.write_text("node,round,temp_c\n0,0,20.0\n0,1,21.0\n")
+        pinned = {
+            "740b3f56ee6a00965cf87076ab41fe3b5b5dca491fe0a1a4f31d84f9299a7646": [],
+            "1e78fbea6ac00c329351ef92fcb508fc075ad46c99122a019a6eccd1019e5fe8":
+                ["controller=classical", "prr.sampled=true"],
+            "2e4a915f2d5129fa7825164f9812c5e729a96efa9dc63ee607a5a793c5ef97ff":
+                ["nodes=1", "rounds=2", f"temperature.trace_path={trace}"],
+        }
+        for hex_digest, overrides in pinned.items():
+            assert fingerprint(parse_config(None, overrides)) == hex_digest, overrides
+
+    @pytest.mark.parametrize(
+        "key, boundary, past, message",
+        [
+            # > 0: the boundary itself is rejected
+            *((key, None, "0", "must be positive, got 0.0") for key in (
+                "area_side_m", "link_budget.eta", "link_budget.bandwidth_hz",
+                "link_budget.frequency_hz", "link_budget.temperature_kelvin",
+                "prr.alpha_per_db", "energy.e_elec_j_per_bit", "energy.bitrate_bps",
+                "energy.initial_battery_j")),
+            *((key, None, "0", "must be positive, got 0") for key in (
+                "energy.beacon_bits", "energy.ack_bits", "energy.data_bits")),
+            ("nodes", "1", "0", "must be >= 1, got 0"),
+            ("rounds", "1", "0", "must be >= 1, got 0"),
+            ("temperature.walk_sigma_c", "0", "-0.5", "must be >= 0, got -0.5"),
+            ("link_budget.margin_m", "1", "0.5", "must be >= 1, got 0.5"),
+            ("cadence.period_rounds", "1", "0", "must be >= 1, got 0"),
+            ("cadence.drift_dbm", "0", "-0.5", "must be >= 0, got -0.5"),
+        ],
+    )
+    def test_lower_bound(self, key, boundary, past, message):
+        if boundary is not None:
+            parse_config(None, [f"{key}={boundary}"])
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(None, [f"{key}={past}"])
+        assert str(excinfo.value) == f"{key}: {message}"
+
     def test_fingerprint_exclusion(self):
         east = parse_config(None, ["controller=east"])
         classical = parse_config(None, ["controller=classical"])
