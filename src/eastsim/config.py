@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -39,7 +40,7 @@ class SimConfig:
     controller: str = "east"
     level_cap_dbm: float = 48.7
     prr_sampled: bool = False
-    trace_path: Optional[str] = None
+    trace_path: str = ""
     temperature: TemperatureProcess = field(default_factory=TemperatureProcess)
     link_budget: LinkBudgetParams = field(default_factory=LinkBudgetParams)
     regions: RegionConfig = field(default_factory=RegionConfig)
@@ -48,82 +49,68 @@ class SimConfig:
     energy: EnergyModelParams = field(default_factory=EnergyModelParams)
 
 
-# key path -> (type tag, getter, setter). Types: int | float | bool | str.
-def _schema():
-    def temp_set(cfg, name, value):
-        cfg.temperature = replace(cfg.temperature, **{name: value})
-
-    def lb_set(cfg, name, value):
-        cfg.link_budget = replace(cfg.link_budget, **{name: value})
-
-    def region_threshold_set(cfg, region, value):
-        thresholds = dict(cfg.regions.threshold_loss_dbm)
-        thresholds[region] = value
-        cfg.regions = replace(cfg.regions, threshold_loss_dbm=thresholds)
-
-    def regions_set(cfg, name, value):
-        cfg.regions = replace(cfg.regions, **{name: value})
-
-    def cadence_set(cfg, name, value):
-        cfg.cadence = replace(cfg.cadence, **{name: value})
-
-    def prr_set(cfg, name, value):
-        cfg.prr = replace(cfg.prr, **{name: value})
-
-    def energy_set(cfg, name, value):
-        cfg.energy = replace(cfg.energy, **{name: value})
-
-    schema = {
-        "nodes": ("int", lambda c: c.node_count, lambda c, v: setattr(c, "node_count", v)),
-        "rounds": ("int", lambda c: c.rounds, lambda c, v: setattr(c, "rounds", v)),
-        "area_side_m": ("float", lambda c: c.area_side_m, lambda c, v: setattr(c, "area_side_m", v)),
-        "seed": ("int", lambda c: c.seed, lambda c, v: setattr(c, "seed", v)),
-        "controller": ("str", lambda c: c.controller, lambda c, v: setattr(c, "controller", v)),
-        "level_cap_dbm": ("float", lambda c: c.level_cap_dbm, lambda c, v: setattr(c, "level_cap_dbm", v)),
-        "temperature.t_min_c": ("float", lambda c: c.temperature.t_min_c, lambda c, v: temp_set(c, "t_min_c", v)),
-        "temperature.t_max_c": ("float", lambda c: c.temperature.t_max_c, lambda c, v: temp_set(c, "t_max_c", v)),
-        "temperature.walk_sigma_c": ("float", lambda c: c.temperature.walk_sigma_c, lambda c, v: temp_set(c, "walk_sigma_c", v)),
-        "temperature.trace_path": ("str", lambda c: c.trace_path or "", lambda c, v: setattr(c, "trace_path", v or None)),
-        "link_budget.eta": ("float", lambda c: c.link_budget.eta, lambda c, v: lb_set(c, "eta", v)),
-        "link_budget.eb_n0_db": ("float", lambda c: c.link_budget.eb_n0_db, lambda c, v: lb_set(c, "eb_n0_db", v)),
-        "link_budget.snr_db": ("float", lambda c: c.link_budget.snr_db, lambda c, v: lb_set(c, "snr_db", v)),
-        "link_budget.bandwidth_hz": ("float", lambda c: c.link_budget.bandwidth_hz, lambda c, v: lb_set(c, "bandwidth_hz", v)),
-        "link_budget.frequency_hz": ("float", lambda c: c.link_budget.frequency_hz, lambda c, v: lb_set(c, "frequency_hz", v)),
-        "link_budget.rnf_db": ("float", lambda c: c.link_budget.rnf_db, lambda c, v: lb_set(c, "rnf_db", v)),
-        "link_budget.temperature_kelvin": ("float", lambda c: c.link_budget.temperature_kelvin, lambda c, v: lb_set(c, "temperature_kelvin", v)),
-        "link_budget.margin_m": ("float", lambda c: c.link_budget.margin_m, lambda c, v: lb_set(c, "margin_m", v)),
-        "regions.boundary_high_dbm": ("float", lambda c: c.regions.boundary_high_dbm, lambda c, v: regions_set(c, "boundary_high_dbm", v)),
-        "regions.boundary_low_dbm": ("float", lambda c: c.regions.boundary_low_dbm, lambda c, v: regions_set(c, "boundary_low_dbm", v)),
-        "regions.threshold_loss_a_dbm": ("float", lambda c: c.regions.threshold_loss_dbm[Region.A], lambda c, v: region_threshold_set(c, Region.A, v)),
-        "regions.threshold_loss_b_dbm": ("float", lambda c: c.regions.threshold_loss_dbm[Region.B], lambda c, v: region_threshold_set(c, Region.B, v)),
-        "regions.threshold_loss_c_dbm": ("float", lambda c: c.regions.threshold_loss_dbm[Region.C], lambda c, v: region_threshold_set(c, Region.C, v)),
-        "cadence.period_rounds": ("int", lambda c: c.cadence.period_rounds, lambda c, v: cadence_set(c, "period_rounds", v)),
-        "cadence.drift_dbm": ("float", lambda c: c.cadence.drift_dbm, lambda c, v: cadence_set(c, "drift_dbm", v)),
-        "prr.alpha_per_db": ("float", lambda c: c.prr.alpha_per_db, lambda c, v: prr_set(c, "alpha_per_db", v)),
-        "prr.beta_db": ("float", lambda c: c.prr.beta_db, lambda c, v: prr_set(c, "beta_db", v)),
-        "prr.sampled": ("bool", lambda c: c.prr_sampled, lambda c, v: setattr(c, "prr_sampled", v)),
-        "energy.e_elec_j_per_bit": ("float", lambda c: c.energy.e_elec_j_per_bit, lambda c, v: energy_set(c, "e_elec_j_per_bit", v)),
-        "energy.bitrate_bps": ("float", lambda c: c.energy.bitrate_bps, lambda c, v: energy_set(c, "bitrate_bps", v)),
-        "energy.beacon_bits": ("int", lambda c: c.energy.beacon_bits, lambda c, v: energy_set(c, "beacon_bits", v)),
-        "energy.ack_bits": ("int", lambda c: c.energy.ack_bits, lambda c, v: energy_set(c, "ack_bits", v)),
-        "energy.data_bits": ("int", lambda c: c.energy.data_bits, lambda c, v: energy_set(c, "data_bits", v)),
-        "energy.initial_battery_j": ("float", lambda c: c.energy.initial_battery_j, lambda c, v: energy_set(c, "initial_battery_j", v)),
-    }
-    return schema
-
-
-# Keys whose value must be strictly positive.
-POSITIVE_KEYS = (
-    "area_side_m", "link_budget.eta", "link_budget.bandwidth_hz", "link_budget.frequency_hz",
-    "link_budget.temperature_kelvin", "prr.alpha_per_db", "energy.e_elec_j_per_bit",
-    "energy.bitrate_bps", "energy.beacon_bits", "energy.ack_bits", "energy.data_bits",
-    "energy.initial_battery_j",
-)
+# Every config key, in README order: its kind (int, float, bool or str), its
+# attribute path on SimConfig and its lower bound, if any. Parsing,
+# validation, sweeps and the fingerprint all read this table. The region
+# thresholds' paths end in the Region that keys the threshold_loss_dbm dict.
+CONFIG_KEYS = {
+    "nodes": ("int", "node_count", ">= 1"),
+    "rounds": ("int", "rounds", ">= 1"),
+    "area_side_m": ("float", "area_side_m", "> 0"),
+    "seed": ("int", "seed", None),
+    "controller": ("str", "controller", None),
+    "level_cap_dbm": ("float", "level_cap_dbm", None),
+    "temperature.t_min_c": ("float", "temperature.t_min_c", None),
+    "temperature.t_max_c": ("float", "temperature.t_max_c", None),
+    "temperature.walk_sigma_c": ("float", "temperature.walk_sigma_c", ">= 0"),
+    "temperature.trace_path": ("str", "trace_path", None),
+    "link_budget.eta": ("float", "link_budget.eta", "> 0"),
+    "link_budget.eb_n0_db": ("float", "link_budget.eb_n0_db", None),
+    "link_budget.snr_db": ("float", "link_budget.snr_db", None),
+    "link_budget.bandwidth_hz": ("float", "link_budget.bandwidth_hz", "> 0"),
+    "link_budget.frequency_hz": ("float", "link_budget.frequency_hz", "> 0"),
+    "link_budget.rnf_db": ("float", "link_budget.rnf_db", None),
+    "link_budget.temperature_kelvin": ("float", "link_budget.temperature_kelvin", "> 0"),
+    "link_budget.margin_m": ("float", "link_budget.margin_m", ">= 1"),
+    "regions.boundary_high_dbm": ("float", "regions.boundary_high_dbm", None),
+    "regions.boundary_low_dbm": ("float", "regions.boundary_low_dbm", None),
+    "regions.threshold_loss_a_dbm": ("float", "regions.threshold_loss_dbm.A", None),
+    "regions.threshold_loss_b_dbm": ("float", "regions.threshold_loss_dbm.B", None),
+    "regions.threshold_loss_c_dbm": ("float", "regions.threshold_loss_dbm.C", None),
+    "cadence.period_rounds": ("int", "cadence.period_rounds", ">= 1"),
+    "cadence.drift_dbm": ("float", "cadence.drift_dbm", ">= 0"),
+    "prr.alpha_per_db": ("float", "prr.alpha_per_db", "> 0"),
+    "prr.beta_db": ("float", "prr.beta_db", None),
+    "prr.sampled": ("bool", "prr_sampled", None),
+    "energy.e_elec_j_per_bit": ("float", "energy.e_elec_j_per_bit", "> 0"),
+    "energy.bitrate_bps": ("float", "energy.bitrate_bps", "> 0"),
+    "energy.beacon_bits": ("int", "energy.beacon_bits", "> 0"),
+    "energy.ack_bits": ("int", "energy.ack_bits", "> 0"),
+    "energy.data_bits": ("int", "energy.data_bits", "> 0"),
+    "energy.initial_battery_j": ("float", "energy.initial_battery_j", "> 0"),
+}
 
 # Keys a sweep may vary: numeric ones only.
-SWEEPABLE_KEYS = tuple(
-    key for key, (kind, _, _) in _schema().items() if kind in ("int", "float")
-)
+SWEEPABLE_KEYS = tuple(key for key, (kind, _, _) in CONFIG_KEYS.items() if kind in ("int", "float"))
+
+
+def _get(config: SimConfig, path: str):
+    value = config
+    for name in path.split("."):
+        value = value[Region(name)] if isinstance(value, dict) else getattr(value, name)
+    return value
+
+
+def _set(config: SimConfig, path: str, value) -> None:
+    """Set the value at ``path``, rebuilding the frozen section it lies in."""
+    section, _, name = path.rpartition(".")
+    if section == "regions.threshold_loss_dbm":
+        thresholds = {**config.regions.threshold_loss_dbm, Region(name): value}
+        config.regions = replace(config.regions, threshold_loss_dbm=thresholds)
+    elif section:
+        setattr(config, section, replace(getattr(config, section), **{name: value}))
+    else:
+        setattr(config, name, value)
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -147,16 +134,15 @@ def _convert(key: str, kind: str, raw: str):
 
 def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
     """Apply ``key=value`` strings on top of an existing config."""
-    schema = _schema()
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key not in schema:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key: {key}")
-        kind, _, setter = schema[key]
-        setter(config, _convert(key, kind, raw))
+        kind, path, _ = CONFIG_KEYS[key]
+        _set(config, path, _convert(key, kind, raw))
     return config
 
 
@@ -196,18 +182,18 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
 
 def validate(config: SimConfig) -> None:
     """Check every configuration invariant; raise ConfigError naming the key."""
-    schema = _schema()
-    for key, (kind, getter, _) in schema.items():
-        if kind == "float" and not math.isfinite(getter(config)):
-            raise ConfigError(f"{key}: must be finite, got {getter(config)}")
-    for key in POSITIVE_KEYS:
-        value = schema[key][1](config)
-        if not (value > 0):
-            raise ConfigError(f"{key}: must be positive, got {value}")
-    if config.node_count < 1:
-        raise ConfigError(f"nodes: must be >= 1, got {config.node_count}")
-    if config.rounds < 1:
-        raise ConfigError(f"rounds: must be >= 1, got {config.rounds}")
+    for key, (kind, path, bound) in CONFIG_KEYS.items():
+        value = _get(config, path)
+        if kind == "float" and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
+        # Bit counts enter float arithmetic, and no node, round or period
+        # count that large means anything; the seed only feeds a hash.
+        if kind == "int" and key != "seed" and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key}: must fit a float, got {value}")
+        if bound is not None:
+            op, limit = bound.split()
+            if not (value > int(limit) if op == ">" else value >= int(limit)):
+                raise ConfigError(f"{key}: must be {'positive' if op == '>' else bound}, got {value}")
     if config.controller not in CONTROLLERS:
         raise ConfigError(
             f"controller: must be one of {', '.join(CONTROLLERS)}, got {config.controller!r}"
@@ -232,8 +218,6 @@ def validate(config: SimConfig) -> None:
         raise ConfigError(
             f"temperature.t_max_c: the compensation level for its loss overflows, got {temp.t_max_c}"
         ) from None
-    if temp.walk_sigma_c < 0.0:
-        raise ConfigError(f"temperature.walk_sigma_c: must be >= 0, got {temp.walk_sigma_c}")
     if temp.mode == "trace" and (
         temp.trace_nodes < config.node_count or temp.trace_rounds < config.rounds
     ):
@@ -241,8 +225,6 @@ def validate(config: SimConfig) -> None:
             f"temperature.trace_path: trace covers {temp.trace_nodes} nodes x "
             f"{temp.trace_rounds} rounds, run needs {config.node_count} x {config.rounds}"
         )
-    if config.link_budget.margin_m < 1.0:
-        raise ConfigError(f"link_budget.margin_m: must be >= 1, got {config.link_budget.margin_m}")
     regions = config.regions
     if not (regions.boundary_low_dbm < regions.boundary_high_dbm):
         raise ConfigError(
@@ -271,12 +253,6 @@ def validate(config: SimConfig) -> None:
                 f"threshold level {level:.4f}"
             )
         top_level = max(top_level, level)
-    if config.cadence.period_rounds < 1:
-        raise ConfigError(
-            f"cadence.period_rounds: must be >= 1, got {config.cadence.period_rounds}"
-        )
-    if config.cadence.drift_dbm < 0.0:
-        raise ConfigError(f"cadence.drift_dbm: must be >= 0, got {config.cadence.drift_dbm}")
     # A transmit power is a node's base requirement plus its level, and no
     # level exceeds the top level or the cap. The largest power, at the
     # square's farthest point, must convert to watts.
@@ -299,27 +275,14 @@ def _format_value(kind: str, value) -> str:
     return str(value)
 
 
-def serialize_config(config: SimConfig) -> str:
-    """Canonical text form: every key, sorted, one per line. Parses back
-    to an equal config."""
-    schema = _schema()
-    lines = []
-    for key in sorted(schema):
-        kind, getter, _ = schema[key]
-        lines.append(f"{key} = {_format_value(kind, getter(config))}")
-    return "\n".join(lines) + "\n"
-
-
 def fingerprint(config: SimConfig, exclude: tuple[str, ...] = ()) -> str:
     """Content hash of the resolved config, stable under key reordering.
     A loaded temperature trace counts by the hash of its bytes."""
-    schema = _schema()
     parts = []
-    for key in sorted(schema):
+    for key, (kind, path, _) in sorted(CONFIG_KEYS.items()):
         if key in exclude:
             continue
-        kind, getter, _ = schema[key]
-        value = _format_value(kind, getter(config))
+        value = _format_value(kind, _get(config, path))
         if key == "temperature.trace_path" and config.temperature.trace_sha256:
             # A run depends on the trace's contents, not on where they were read.
             value = f"sha256:{config.temperature.trace_sha256}"

@@ -115,10 +115,15 @@ def deploy_random(
         raise ConfigError(f"node count must be >= 1, got {n}")
     if not (area_side_m > 0.0):
         raise ConfigError(f"area side must be positive, got {area_side_m}")
+    reference = Position(0.0, area_side_m / 2.0)
     nodes = []
     for i in range(n):
         rng = substream(seed, "deploy", i)
         pos = Position(rng.uniform(0.0, area_side_m), rng.uniform(0.0, area_side_m))
+        if pos == reference:
+            # The link budget is undefined at distance 0; a side this small
+            # rounds positions onto the reference.
+            raise ConfigError(f"area_side_m: node {i} lies on the reference point, side {area_side_m}")
         base = substream(seed, "base-temp", i).uniform(t_min_c, t_max_c)
         nodes.append(
             NodeState(
@@ -128,7 +133,6 @@ def deploy_random(
                 battery_j=initial_battery_j,
             )
         )
-    reference = Position(0.0, area_side_m / 2.0)
     return Deployment(nodes=nodes, reference_pos=reference, area_side_m=area_side_m)
 
 

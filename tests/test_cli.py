@@ -10,19 +10,20 @@ import pytest
 from eastsim import cli
 from eastsim.cli import main
 from eastsim.config import (
+    CONFIG_KEYS,
     SimConfig,
     SWEEPABLE_KEYS,
-    _schema,
+    _get,
     fingerprint,
     parse_config,
-    serialize_config,
 )
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError
 from eastsim.protocol import Region
 
 SMALL = ["--set", "nodes=15", "--set", "rounds=12"]
-FLOAT_KEYS = [key for key, (kind, _, _) in _schema().items() if kind == "float"]
+FLOAT_KEYS = [key for key, (kind, _, _) in CONFIG_KEYS.items() if kind == "float"]
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture
@@ -68,8 +69,31 @@ class TestParseConfig:
 
     def test_round_trip(self, tmp_path):
         defaults = parse_config(None)
-        path = write_config(tmp_path, serialize_config(defaults))
-        assert parse_config(path) == defaults
+        text = "".join(
+            f"{key} = {_get(defaults, path)}\n" for key, (_, path, _) in CONFIG_KEYS.items()
+        )
+        assert parse_config(write_config(tmp_path, text)) == defaults
+
+    def test_readme_table_matches_keys(self):
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        assert [key for key, _, _ in rows] == list(CONFIG_KEYS)
+        defaults = SimConfig()
+        for key, default, bound in rows:
+            kind, path, table_bound = CONFIG_KEYS[key]
+            value = _get(defaults, path)
+            assert bound == (table_bound or ""), key
+            if kind in ("int", "float"):
+                assert float(default) == value, key
+            elif kind == "bool":
+                assert default == str(value).lower(), key
+            else:
+                assert default == (value or "*(unset)*"), key
 
     def test_values_and_comments(self, tmp_path):
         path = write_config(
@@ -299,6 +323,25 @@ class TestCmdRun:
         out = tmp_path / "o"
         assert main(["run", "--out", str(out), *SMALL, "--set", item]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bit_count_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        tiny = ["--set", "nodes=5", "--set", "rounds=5"]
+        for key in ("energy.beacon_bits", "energy.ack_bits", "energy.data_bits"):
+            out = tmp_path / key
+            assert main(["run", "--out", str(out), *tiny, "--set", f"{key}={10**400}"]) == 2
+            assert f"{key}: must fit a float" in capsys.readouterr().err
+            assert not out.exists()
+        # the seed only feeds a hash, so any integer is one
+        assert main(["run", "--out", str(tmp_path / "s"), *tiny, "--set", f"seed={10**400}"]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_node_on_reference_point_exits_2(self, tmp_path, capsys, command):
+        # a subnormal side rounds some positions onto the reference point
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--set", "nodes=5", "--set", "rounds=5"]
+        assert main([*argv, "--set", "area_side_m=5e-324"]) == 2
+        assert "area_side_m: node" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cap_far_above_reachable_levels_exits_0(self, tmp_path):
