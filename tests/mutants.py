@@ -76,27 +76,29 @@ def mutate(copy: str, path: str, anchor: str, replacement: str) -> None:
         fh.write(text.replace(anchor, replacement))
 
 
+def copy_repo(tmp: str, name: str) -> str:
+    copy = os.path.join(tmp, name)
+    shutil.copytree(ROOT, copy, ignore=IGNORE)
+    return copy
+
+
 def main() -> int:
-    survivors = []
     with tempfile.TemporaryDirectory(prefix="eastsim-mutants-") as tmp:
-        for index, mutant in enumerate([None, *MUTANTS]):
-            copy = os.path.join(tmp, str(index))
-            shutil.copytree(ROOT, copy, ignore=IGNORE)
+        start = time.perf_counter()
+        if not run_suite(copy_repo(tmp, "unmutated")):
+            print("the suite fails on the unmutated copy; nothing to check")
+            return 1
+        print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)")
+        survivors = []
+        for index, (name, path, anchor, replacement) in enumerate(MUTANTS):
             start = time.perf_counter()
-            if mutant is None:
-                if not run_suite(copy):
-                    print("the suite fails on the unmutated copy; nothing to check")
-                    return 1
-                print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)")
-                continue
-            name, path, anchor, replacement = mutant
+            copy = copy_repo(tmp, str(index))
             mutate(copy, path, anchor, replacement)
             killed = not run_suite(copy)
             verdict = "killed" if killed else "SURVIVED"
             print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)")
             if not killed:
                 survivors.append(name)
-            shutil.rmtree(copy)
     print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
