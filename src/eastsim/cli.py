@@ -47,6 +47,16 @@ def _write_text(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path: str) -> list[str]:
+    """The non-blank lines of a CSV this program wrote."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return [line for line in text.splitlines() if line.strip()]
+
+
 def _resolve_seed(config: SimConfig, cli_seed: Optional[int]) -> None:
     """Seed priority: --seed flag, then the environment, then the config."""
     if cli_seed is not None:
@@ -100,6 +110,7 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
     outputs.append("rounds.csv")
 
     final = result.records[-1]
+    assignment = result.partition.assignment
     lines = [NODES_HEADER]
     for node in result.deployment.nodes:
         i = node.node_id
@@ -109,13 +120,13 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
                     str(i),
                     _f6(node.pos.x_m),
                     _f6(node.pos.y_m),
-                    node.region.value,
+                    assignment[i].value,
                     _f6(final.temps_c[i]),
                     _f6(final.losses_dbm[i]),
                     _f6(final.levels_dbm[i]),
                     _f6(final.pt_dbm[i]),
-                    _f6(node.battery_j),
-                    "1" if node.alive else "0",
+                    _f6(result.batteries_j[i]),
+                    "1" if final.alive[i] else "0",
                 ]
             )
         )
@@ -273,14 +284,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.dir, "summary.csv")
     rounds_path = os.path.join(args.dir, "rounds.csv")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
+    lines = _read_lines(summary_path)
     if lines[:1] != [SUMMARY_HEADER]:
         raise DataError(f"{summary_path}: expected header {SUMMARY_HEADER!r}")
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    with open(rounds_path, "r", encoding="utf-8") as fh:
-        round_lines = [line for line in fh.read().splitlines() if line.strip()]
+    round_lines = _read_lines(rounds_path)
     if round_lines[:1] != [ROUNDS_HEADER] or len(round_lines) < 2:
         raise DataError(f"{rounds_path}: expected header {ROUNDS_HEADER!r} and a row per round")
     rounds_executed = len(round_lines) - 1

@@ -160,6 +160,8 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
                 text = fh.read()
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -218,13 +220,13 @@ def validate(config: SimConfig) -> None:
         raise ConfigError(
             f"temperature.t_max_c: the compensation level for its loss overflows, got {temp.t_max_c}"
         ) from None
-    if temp.mode == "trace" and (
-        temp.trace_nodes < config.node_count or temp.trace_rounds < config.rounds
-    ):
-        raise ConfigError(
-            f"temperature.trace_path: trace covers {temp.trace_nodes} nodes x "
-            f"{temp.trace_rounds} rounds, run needs {config.node_count} x {config.rounds}"
-        )
+    if temp.trace is not None:
+        trace_rounds, trace_nodes = len(temp.trace.rows), len(temp.trace.rows[0])
+        if trace_nodes < config.node_count or trace_rounds < config.rounds:
+            raise ConfigError(
+                f"temperature.trace_path: trace covers {trace_nodes} nodes x "
+                f"{trace_rounds} rounds, run needs {config.node_count} x {config.rounds}"
+            )
     regions = config.regions
     if not (regions.boundary_low_dbm < regions.boundary_high_dbm):
         raise ConfigError(

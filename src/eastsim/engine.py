@@ -22,7 +22,7 @@ kernel are the indices 0/1/2 of ``REGIONS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import cos, exp, log, sin, sqrt
 from typing import Collection, Generator, Optional, Sequence
 
@@ -100,6 +100,8 @@ class SimResult:
     deployment: Deployment
     partition: RegionPartition
     desired: dict[Region, int]
+    # each node's battery after its last round, by node id
+    batteries_j: list[float]
     records: list[RoundRecord] = field(default_factory=list)
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     traffic: ControlTraffic = field(default_factory=ControlTraffic)
@@ -107,7 +109,7 @@ class SimResult:
 
     @property
     def survivors(self) -> int:
-        return sum(1 for node in self.deployment.nodes if node.alive)
+        return sum(self.records[-1].alive)
 
     @property
     def control_packets(self) -> int:
@@ -215,7 +217,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         config_mod.validate(config)
     first = configs[0]
     proc = first.temperature
-    trace_rows = proc.trace.rows if proc.mode == "trace" else None
+    trace_rows = proc.trace.rows if proc.trace is not None else None
 
     deployment = deploy_random(
         first.node_count,
@@ -223,7 +225,6 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         first.seed,
         t_min_c=proc.t_min_c,
         t_max_c=proc.t_max_c,
-        initial_battery_j=first.energy.initial_battery_j,
     )
     n = len(deployment.nodes)
     if trace_rows is not None:
@@ -244,18 +245,10 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     # refs[i]: the unfinished members in which node i is alive.
     refs = [len(configs)] * n
 
-    runs = []
-    for k, config in enumerate(configs):
-        if k:
-            battery = config.energy.initial_battery_j
-            own = Deployment(
-                nodes=[replace(node, battery_j=battery) for node in deployment.nodes],
-                reference_pos=deployment.reference_pos,
-                area_side_m=deployment.area_side_m,
-            )
-        else:
-            own = deployment
-        runs.append(_member_rounds(config, keep, own, temps, losses, comp, draws, refs))
+    runs = [
+        _member_rounds(config, keep, deployment, temps, losses, comp, draws, refs)
+        for config in configs
+    ]
 
     sigma = proc.walk_sigma_c
     t_min, t_max = proc.t_min_c, proc.t_max_c
@@ -331,8 +324,8 @@ def _member_rounds(
     values of that round, yields whether any of its nodes died, and the
     generator returns the member's SimResult after its last round.
 
-    The shared lists are read, never written, except ``refs``, which counts
-    down as this member's nodes die or its run ends.
+    The deployment and the shared lists are read, never written, except
+    ``refs``, which counts down as this member's nodes die or its run ends.
     """
     nodes = deployment.nodes
     n = len(nodes)
@@ -364,7 +357,7 @@ def _member_rounds(
     pt = [math.nan] * n
     ack_tx_j = [0.0] * n
     data_tx_j = [0.0] * n
-    batteries = [node.battery_j for node in nodes]
+    batteries = [config.energy.initial_battery_j] * n
     alive = [True] * n
     alive_flags = tuple(alive)
     live = list(range(n))
@@ -383,7 +376,8 @@ def _member_rounds(
     sampled = draws if config.prr_sampled else None
     ledger_tx = ledger_rx = 0.0
 
-    result = SimResult(config=config, deployment=deployment, partition=partition, desired=desired)
+    result = SimResult(config=config, deployment=deployment, partition=partition, desired=desired,
+                       batteries_j=batteries)
     traffic = result.traffic
 
     for round_idx in range(config.rounds):
@@ -521,8 +515,4 @@ def _member_rounds(
         refs[i] -= 1
     result.ledger.tx_j = ledger_tx
     result.ledger.rx_j = ledger_rx
-    for node, k, battery, is_alive in zip(nodes, region_of, batteries, alive):
-        node.region = REGIONS[k]
-        node.battery_j = battery
-        node.alive = is_alive
     return result

@@ -10,13 +10,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ConfigError, DataError
-
-if TYPE_CHECKING:
-    from .protocol import Region
 
 TRACE_HEADER = ["node", "round", "temp_c"]
 
@@ -63,38 +60,34 @@ class TemperatureProcess:
 
     Synthetic mode: a per-node Gaussian random walk started at the node's
     base temperature, clamped to [t_min_c, t_max_c] after every step.
-    Trace mode: exact lookup in a dense per-round table.
+    Trace mode, when ``trace`` is set: exact lookup in a dense per-round table.
     """
 
-    mode: str = "synthetic"
     t_min_c: float = -10.0
     t_max_c: float = 53.0
     walk_sigma_c: float = 0.5
     trace: Optional[TraceTable] = None
-    trace_nodes: int = 0
-    trace_rounds: int = 0
     # sha256 of the trace file's bytes; the config fingerprint hashes it.
     trace_sha256: Optional[str] = None
 
+    @property
+    def mode(self) -> str:
+        return "synthetic" if self.trace is None else "trace"
 
-@dataclass
+
+@dataclass(frozen=True)
 class NodeState:
-    """One deployed node. The engine writes back its region, and its battery
-    and alive flag at the end of the run."""
+    """One deployed node: where it is and where its temperature walk starts."""
 
     node_id: int
     pos: Position
     base_temp_c: float
-    battery_j: float
-    alive: bool = True
-    region: Optional["Region"] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Deployment:
-    nodes: list[NodeState] = field(default_factory=list)
-    reference_pos: Position = Position(0.0, 0.0)
-    area_side_m: float = 100.0
+    nodes: tuple[NodeState, ...]
+    reference_pos: Position
 
 
 def deploy_random(
@@ -103,7 +96,6 @@ def deploy_random(
     seed: int,
     t_min_c: float = -10.0,
     t_max_c: float = 53.0,
-    initial_battery_j: float = 2.0,
 ) -> Deployment:
     """Place ``n`` nodes uniformly in the square, reference at the left-edge midpoint.
 
@@ -125,15 +117,8 @@ def deploy_random(
             # rounds positions onto the reference.
             raise ConfigError(f"area_side_m: node {i} lies on the reference point, side {area_side_m}")
         base = substream(seed, "base-temp", i).uniform(t_min_c, t_max_c)
-        nodes.append(
-            NodeState(
-                node_id=i,
-                pos=pos,
-                base_temp_c=base,
-                battery_j=initial_battery_j,
-            )
-        )
-    return Deployment(nodes=nodes, reference_pos=reference, area_side_m=area_side_m)
+        nodes.append(NodeState(node_id=i, pos=pos, base_temp_c=base))
+    return Deployment(nodes=tuple(nodes), reference_pos=reference)
 
 
 def walk_stream(seed: int, node_id: int) -> random.Random:
@@ -155,7 +140,10 @@ def load_temperature_trace(
             data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
-    lines = data.decode("utf-8").splitlines()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not lines:
         raise DataError(f"{path}: empty trace file")
     header = [col.strip() for col in lines[0].split(",")]
@@ -228,13 +216,10 @@ def load_temperature_trace(
                 if (node_id, round_idx) not in seen:
                     raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
     return TemperatureProcess(
-        mode="trace",
         t_min_c=t_min_c,
         t_max_c=t_max_c,
         walk_sigma_c=0.0,
         trace=TraceTable(tuple(map(tuple, rows))),
-        trace_nodes=n_nodes,
-        trace_rounds=n_rounds,
         trace_sha256=hashlib.sha256(data).hexdigest(),
     )
 

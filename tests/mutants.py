@@ -46,6 +46,26 @@ MUTANTS = [
      '"link_budget.margin_m", ">= 1"', '"link_budget.margin_m", "> 1"'),
     ("region-threshold setter always writes Region.A", "src/eastsim/config.py",
      "Region(name): value", "Region.A: value"),
+    ("cadence: >= becomes > at the period", "src/eastsim/protocol.py",
+     ">= cadence.period_rounds", "> cadence.period_rounds"),
+    ("partition: > becomes >= at the high boundary", "src/eastsim/protocol.py",
+     "loss > cfg.boundary_high_dbm", "loss >= cfg.boundary_high_dbm"),
+    ("partition: > becomes >= at the low boundary", "src/eastsim/protocol.py",
+     "loss > cfg.boundary_low_dbm", "loss >= cfg.boundary_low_dbm"),
+    ("death: <= becomes < at an empty battery", "src/eastsim/engine.py",
+     "if battery <= 0.0:", "if battery < 0.0:"),
+    ("PRR draws made only when the first member samples", "src/eastsim/engine.py",
+     "if any(config.prr_sampled for config in configs):", "if configs[0].prr_sampled:"),
+    ("walk never clamped", "src/eastsim/engine.py",
+     "t = t_min if t_min > t else (t_max if t_max < t else t)", "pass"),
+    ("desired neighbor count floored at 0, not 1", "src/eastsim/protocol.py",
+     "DESIRED_NEIGHBOR_DEFICIT, 1)", "DESIRED_NEIGHBOR_DEFICIT, 0)"),
+    ("classical: one ACK short each round", "src/eastsim/engine.py",
+     "acks_this = len(live)", "acks_this = len(live) - 1"),
+    ("east: a beacon every round", "src/eastsim/engine.py",
+     "beacons_this = 1 if any(exchanging) else 0", "beacons_this = 1"),
+    ("a node dead in every member keeps walking", "src/eastsim/engine.py",
+     "                refs[i] -= 1", "                pass"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")

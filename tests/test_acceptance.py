@@ -207,7 +207,7 @@ def test_criterion_8_determinism_and_conservation(
     assert len(_TRACKED) >= 5
     for config, result in _TRACKED:
         initial = config.node_count * config.energy.initial_battery_j
-        drop = initial - sum(node.battery_j for node in result.deployment.nodes)
+        drop = initial - sum(result.batteries_j)
         total = result.ledger.tx_j + result.ledger.rx_j
         assert drop == pytest.approx(total, rel=1e-9)
 

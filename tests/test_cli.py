@@ -655,3 +655,29 @@ class TestCmdReport:
         empty.mkdir()
         assert main(["report", "--dir", str(empty)]) == 3
         assert "summary.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damaged", ["config", "trace", "summary.csv", "rounds.csv"])
+def test_invalid_utf8_input_is_a_named_error(tmp_path, capsys, damaged):
+    # A trailing byte that is not UTF-8, in each file a command reads.
+    config = tmp_path / "run.cfg"
+    config.write_text("nodes = 2\nrounds = 3\n")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("node,round,temp_c\n" + "".join(
+        f"{n},{r},20.0\n" for n in range(2) for r in range(3)))
+    out = tmp_path / "out"
+    argv = ["run", "--out", str(out), "--config", str(config)]
+    if damaged in ("config", "trace"):
+        path = config if damaged == "config" else trace
+        path.write_bytes(path.read_bytes() + b"\xff")
+        assert main([*argv, "--set", f"temperature.trace_path={trace}"]) == 2
+        assert not out.exists()
+    else:
+        assert main(argv) == 0
+        path = out / damaged
+        path.write_bytes(path.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err
+    assert "Traceback" not in err

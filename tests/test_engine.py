@@ -1,16 +1,18 @@
 """Tests for the discrete-round executor."""
 
+import random
 from dataclasses import replace
 
 import pytest
 
+from eastsim import engine
 from eastsim.cli import write_run_outputs
 from eastsim.config import SimConfig
 from eastsim.engine import Lockstep, run_simulation
 from eastsim.errors import ConfigError
-from eastsim.protocol import classical_assign
+from eastsim.protocol import REGIONS, classical_assign
 from eastsim.radio import free_space_base_requirement
-from eastsim.topology import distance
+from eastsim.topology import distance, walk_stream
 
 from oracle import record_as_dict, records_equal, reference_run
 
@@ -22,7 +24,7 @@ def small_config(**kwargs):
 
 
 def total_battery(result):
-    return sum(node.battery_j for node in result.deployment.nodes)
+    return sum(result.batteries_j)
 
 
 class TestRunSimulation:
@@ -60,7 +62,7 @@ class TestRoundSemantics:
         region = result.partition.assignment[0]
         expected = cfg.regions.threshold_level_dbm(region)
         assert result.records[0].levels_dbm[0] == pytest.approx(min(expected, cfg.level_cap_dbm))
-        assert node.region is region
+        assert result.records[0].region_alive[region] == 1
         assert loss == pytest.approx(0.1996 * (node.base_temp_c - 25.0), rel=1e-12)
 
     def test_classical_constant_level(self):
@@ -114,8 +116,10 @@ class TestRoundSemantics:
     def test_region_membership_frozen(self):
         result = run_simulation(small_config(rounds=25))
         assignment = result.partition.assignment
-        for node in result.deployment.nodes:
-            assert node.region is assignment[node.node_id]
+        for rec in result.records:
+            for region in REGIONS:
+                members = [i for i, r in assignment.items() if r is region and rec.alive[i]]
+                assert rec.region_alive[region] == len(members)
 
 
 class TestEnergyAndDeath:
@@ -130,7 +134,7 @@ class TestEnergyAndDeath:
         cfg = small_config(rounds=200)
         cfg.energy = replace(cfg.energy, initial_battery_j=0.01)
         result = run_simulation(cfg)
-        assert all(node.battery_j >= 0.0 for node in result.deployment.nodes)
+        assert all(battery >= 0.0 for battery in result.batteries_j)
 
     def test_death_monotone_and_alive_flags(self):
         cfg = small_config(rounds=300)
@@ -139,8 +143,9 @@ class TestEnergyAndDeath:
         alive_counts = [sum(rec.alive) for rec in result.records]
         assert all(a >= b for a, b in zip(alive_counts, alive_counts[1:]))
         assert any(a < cfg.node_count for a in alive_counts)  # some attrition happened
-        for node in result.deployment.nodes:
-            assert node.alive == (node.battery_j > 0.0)
+        final = result.records[-1]
+        for i, battery in enumerate(result.batteries_j):
+            assert final.alive[i] == (battery > 0.0)
 
     def test_extinction_terminates_early(self):
         cfg = small_config(node_count=4, rounds=500)
@@ -207,11 +212,38 @@ class TestLockstep:
         death = next(r.round_index for r in results[0].records if not r.alive[0])
         assert death == 27
         assert all(r.alive[0] for r in results[1].records)
+        assert results[0].deployment is results[1].deployment
         for cfg, result in zip((drained, kept), results):
             solo = run_simulation(cfg)
             assert len(result.records) == len(solo.records)
             for got, expected in zip(result.records, solo.records):
                 assert records_equal(record_as_dict(got), record_as_dict(expected))
+
+    def test_dead_node_stops_drawing_its_walk(self, monkeypatch):
+        # Once a node is dead in every member, the shared pass stops walking
+        # it: node 0 dies in round 27 after 27 Gaussian steps, which take 28
+        # uniform draws (14 Box-Muller pairs), not the 40 of a full run.
+        draws = {}
+
+        class CountingRandom(random.Random):
+            def random(self):
+                draws[self.node_id] += 1
+                return super().random()
+
+        def counting_stream(seed, node_id):
+            stream = CountingRandom()
+            stream.setstate(walk_stream(seed, node_id).getstate())
+            stream.node_id = node_id
+            draws[node_id] = 0
+            return stream
+
+        monkeypatch.setattr(engine, "walk_stream", counting_stream)
+        cfg = SimConfig(node_count=4, rounds=40, seed=2)
+        cfg.energy = replace(cfg.energy, initial_battery_j=0.004)
+        result = run_simulation(cfg)
+        death = next(r.round_index for r in result.records if not r.alive[0])
+        assert death == 27
+        assert draws[0] == 28
 
 
 class TestRetention:

@@ -38,13 +38,10 @@ def _trace(trace_seed, nodes, rounds, t_min, t_max):
             temp = min(max(temp + rng.gauss(0.0, step), t_min), t_max)
         columns.append(column)
     return TemperatureProcess(
-        mode="trace",
         t_min_c=t_min,
         t_max_c=t_max,
         walk_sigma_c=0.0,
         trace=TraceTable(tuple(zip(*columns))),
-        trace_nodes=nodes,
-        trace_rounds=rounds,
     )
 
 
@@ -140,7 +137,7 @@ def test_engine_matches_oracle_and_invariants(cfg):
     for got, expected in zip(engine, reference):
         assert records_equal(got, expected), got["round"]
 
-    batteries = [node.battery_j for node in result.deployment.nodes]
+    batteries = result.batteries_j
     assert all(b >= 0.0 for b in batteries)
     drop = cfg.node_count * cfg.energy.initial_battery_j - sum(batteries)
     assert drop == pytest.approx(result.ledger.tx_j + result.ledger.rx_j, rel=1e-9)

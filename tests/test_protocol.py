@@ -54,12 +54,7 @@ class TestRegionConfig:
 def one_round_run(temps, controller="east"):
     """Run one round with node i held at ``temps[i]`` degrees C."""
     cfg = SimConfig(node_count=len(temps), rounds=1, seed=1, controller=controller)
-    cfg.temperature = TemperatureProcess(
-        mode="trace",
-        trace=TraceTable((tuple(temps),)),
-        trace_nodes=len(temps),
-        trace_rounds=1,
-    )
+    cfg.temperature = TemperatureProcess(trace=TraceTable((tuple(temps),)))
     return run_simulation(cfg)
 
 

@@ -90,16 +90,16 @@ def walk_temps(nodes, rounds, seed, sigma):
     cfg.temperature = replace(cfg.temperature, walk_sigma_c=sigma)
     result = run_simulation(cfg)
     assert len(result.records) == rounds
-    return result.deployment, [rec.temps_c for rec in result.records]
+    return result, [rec.temps_c for rec in result.records]
 
 
 class TestTemperatureAt:
     """Node temperatures per round, as the engine's records report them."""
 
     def test_constant_when_sigma_zero(self):
-        dep, temps = walk_temps(3, 10, seed=5, sigma=0.0)
+        result, temps = walk_temps(3, 10, seed=5, sigma=0.0)
         for row in temps:
-            assert row == [node.base_temp_c for node in dep.nodes]
+            assert row == [node.base_temp_c for node in result.deployment.nodes]
 
     def test_bounded(self):
         _, temps = walk_temps(4, 60, seed=2, sigma=5.0)
@@ -107,9 +107,9 @@ class TestTemperatureAt:
             assert all(-10.0 <= t <= 53.0 for t in row)
 
     def test_matches_walk_oracle(self):
-        dep, temps = walk_temps(1, 10, seed=1, sigma=0.5)
+        result, temps = walk_temps(1, 10, seed=1, sigma=0.5)
         rng = reference_stream(1, "temp-walk", 0)
-        expected = dep.nodes[0].base_temp_c
+        expected = result.deployment.nodes[0].base_temp_c
         assert temps[0][0] == expected
         for rnd in range(1, 10):
             expected = min(max(expected + 0.5 * rng.gauss(0.0, 1.0), -10.0), 53.0)
@@ -120,9 +120,9 @@ class TestTemperatureAt:
         # step, checked against Random.gauss on the same streams. A sigma of
         # 20 C drives every node into both clamps many times.
         nodes, rounds, seed, sigma = 4, 2501, 7, 20.0
-        dep, temps = walk_temps(nodes, rounds, seed=seed, sigma=sigma)
-        for i, node in enumerate(dep.nodes):
-            assert node.alive
+        result, temps = walk_temps(nodes, rounds, seed=seed, sigma=sigma)
+        for i, node in enumerate(result.deployment.nodes):
+            assert result.records[-1].alive[i]
             rng = walk_stream(seed, i)
             expected = node.base_temp_c
             walk = [expected]
@@ -145,8 +145,8 @@ class TestLoadTemperatureTrace:
         proc = load_temperature_trace(str(path))
         assert proc.mode == "trace"
         assert len(proc.trace) == 6
-        assert proc.trace_nodes == 2
-        assert proc.trace_rounds == 3
+        assert len(proc.trace.rows[0]) == 2
+        assert len(proc.trace.rows) == 3
         assert proc.trace[(1, 2)] == 23.0
 
     def test_missing_entry_identified(self, tmp_path):
@@ -198,7 +198,8 @@ class TestLoadTemperatureTrace:
             loaded[name] = load_temperature_trace(str(path))
         for name in ("round_major", "shuffled"):
             assert loaded[name].trace == loaded["node_major"].trace
-            assert (loaded[name].trace_nodes, loaded[name].trace_rounds) == (3, 4)
+            rows = loaded[name].trace.rows
+            assert (len(rows[0]), len(rows)) == (3, 4)
         assert loaded["shuffled"].trace[(2, 3)] == 22.75
 
     @pytest.mark.parametrize(
