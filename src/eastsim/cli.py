@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .config import SWEEPABLE_KEYS, SimConfig, fingerprint, parse_config
-from .engine import Lockstep, SimResult, lockstep_groups, run_simulation
+from .engine import Lockstep, SimResult, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import REGIONS
 from .report import compare_runs, emit_figure_data, render_summary_table, summarize
@@ -236,13 +236,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("sweep needs at least one value")
-    # Every value is checked before the first run writes anything. Values
-    # that leave the temperature source alone share one loaded trace.
+    # Every value is checked before the first run writes anything, and two
+    # values that make the same config (a repeat, a key the seed override or
+    # a trace discards) are refused. Values that leave the temperature
+    # source alone share one loaded trace.
     configs: list[SimConfig] = []
+    seen: dict[str, str] = {}
     for raw in values:
         config = parse_config(args.config, [*args.set, f"{key}={raw}"])
         _resolve_seed(config, args.seed)
         _check_figure_round(args.figure_round, config)
+        digest = fingerprint(config)
+        if digest in seen:
+            raise UsageError(f"{key} values {seen[digest]!r} and {raw!r} make the same config")
+        seen[digest] = raw
         if configs and config.temperature == configs[0].temperature:
             config.temperature = configs[0].temperature
         configs.append(config)
@@ -250,11 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Every result is in hand, and every figure round checked, before the
     # first directory is made.
     keep = {args.figure_round}
-    groups = lockstep_groups(configs, keep)
-    results = [
-        run_simulation(config, keep_rounds=keep, lockstep=group)
-        for config, group in zip(configs, groups)
-    ]
+    batch = Lockstep(configs, keep)
+    results = [run_simulation(config, keep_rounds=keep, lockstep=batch) for config in configs]
     for result in results:
         emit_figure_data(result, args.figure_round)
     os.makedirs(args.out, exist_ok=True)

@@ -125,63 +125,49 @@ class SimResult:
 
 
 class Lockstep:
-    """A group of configs that ``run_simulation`` runs together, one round
-    at a time, sharing the deployment and each node's temperature walk.
+    """The simulations of one command, which ``run_simulation`` runs as a
+    batch: configs that share the seed, node count, area side and
+    temperature source form one group, run one round at a time on a shared
+    deployment and temperature walk.
 
     It exists so that callers still get each member's result through one
-    ``run_simulation(config, keep_rounds, lockstep=handle)`` call per
+    ``run_simulation(config, keep_rounds, lockstep=batch)`` call per
     simulation, which is what code wrapping that function expects to see:
     ``perfbench/tracer.py`` reads one SimResult per call, and tests record
-    the results the CLI gets. The first such call runs the whole group; the
+    the results the CLI gets. The first such call runs every group; the
     later ones return what it kept.
     """
 
     def __init__(self, configs: Sequence[SimConfig], keep_rounds: Optional[Collection[int]] = None):
-        first = configs[0]
-        for config in configs[1:]:
-            if _shared_inputs(config) != _shared_inputs(first):
-                raise ValueError(
-                    "lockstep members must share seed, nodes, area_side_m and temperature"
-                )
         self.configs = list(configs)
         self.keep = None if keep_rounds is None else frozenset(keep_rounds)
-        self.results: Optional[list[SimResult]] = None
+        self.results: Optional[dict[int, SimResult]] = None
 
     def result(self, config: SimConfig, keep_rounds: Optional[Collection[int]]) -> SimResult:
         keep = None if keep_rounds is None else frozenset(keep_rounds)
         if keep != self.keep:
-            raise ValueError("keep_rounds differs from the one the lockstep group runs with")
-        for k, member in enumerate(self.configs):
-            if member is config:
-                if self.results is None:
-                    self.results = _run_group(self.configs, self.keep)
-                return self.results[k]
-        raise ValueError("config is not a member of this lockstep group")
+            raise ValueError("keep_rounds differs from the one the lockstep batch runs with")
+        if not any(member is config for member in self.configs):
+            raise ValueError("config is not a member of this lockstep batch")
+        if self.results is None:
+            groups: list[list[SimConfig]] = []
+            for member in self.configs:
+                for group in groups:
+                    if _shared_inputs(group[0]) == _shared_inputs(member):
+                        group.append(member)
+                        break
+                else:
+                    groups.append([member])
+            self.results = {}
+            for group in groups:
+                for member, result in zip(group, _run_group(group, self.keep)):
+                    self.results[id(member)] = result
+        return self.results[id(config)]
 
 
 def _shared_inputs(config: SimConfig) -> tuple:
     """The inputs that fix the deployment and every node's temperatures."""
     return (config.seed, config.node_count, config.area_side_m, config.temperature)
-
-
-def lockstep_groups(
-    configs: Sequence[SimConfig], keep_rounds: Optional[Collection[int]] = None
-) -> list[Lockstep]:
-    """The lockstep group of each config, in order. Configs that share the
-    seed, node count, area side and temperature source share a group."""
-    index: list[int] = []
-    members: list[list[SimConfig]] = []
-    for config in configs:
-        for g, group in enumerate(members):
-            if _shared_inputs(group[0]) == _shared_inputs(config):
-                break
-        else:
-            g = len(members)
-            members.append([])
-        members[g].append(config)
-        index.append(g)
-    handles = [Lockstep(group, keep_rounds) for group in members]
-    return [handles[g] for g in index]
 
 
 def run_simulation(
@@ -194,7 +180,7 @@ def run_simulation(
 
     ``keep_rounds`` names the rounds whose records carry per-node vectors;
     the final round always does. None keeps them on every round.
-    ``lockstep``, when given, is the group ``config`` belongs to; its result
+    ``lockstep``, when given, is the batch ``config`` belongs to; its result
     equals that of a run on its own.
     """
     if lockstep is not None:

@@ -66,6 +66,10 @@ MUTANTS = [
      "beacons_this = 1 if any(exchanging) else 0", "beacons_this = 1"),
     ("a node dead in every member keeps walking", "src/eastsim/engine.py",
      "                refs[i] -= 1", "                pass"),
+    ("a batch runs all its members as one group", "src/eastsim/engine.py",
+     "if _shared_inputs(group[0]) == _shared_inputs(member):", "if True:"),
+    ("sweep runs two values that make the same config", "src/eastsim/cli.py",
+     "if digest in seen:", "if False:"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")

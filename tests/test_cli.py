@@ -590,6 +590,38 @@ class TestCmdSweep:
         first, second = (result.config for result in recorded_runs)
         assert first.temperature is second.temperature
 
+    @pytest.mark.parametrize(
+        "key, values, extra, env_seed",
+        [
+            ("seed", "1,1", [], None),
+            ("temperature.walk_sigma_c", "0.1,0.2", ["--set", "temperature.trace_path={trace}"],
+             None),
+            ("seed", "1,2", ["--seed", "5"], None),
+            ("seed", "1,2", [], "7"),
+        ],
+        ids=["repeated-value", "trace-drops-walk-sigma", "seed-flag", "seed-env"],
+    )
+    def test_values_making_one_config_rejected(self, tmp_path, capsys, monkeypatch,
+                                               key, values, extra, env_seed):
+        # Each pair of values resolves to one config; running it twice would
+        # write two identical rows under names that misstate an input.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("node,round,temp_c\n" + "".join(
+            f"{n},{r},20.0\n" for n in range(5) for r in range(3)))
+        if env_seed is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+        out = tmp_path / "sweep"
+        extra = [arg.format(trace=trace) for arg in extra]
+        code = main(["sweep", "--out", str(out), "--set", "nodes=5", "--set", "rounds=3",
+                     *extra, "--key", key, "--values", values])
+        assert code == 2
+        err = capsys.readouterr().err
+        first, second = values.split(",")
+        assert f"{key} values {first!r} and {second!r} make the same config" in err
+        assert not out.exists()
+
     def test_non_sweepable_key_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path / "o"), "--key", "controller",
                      "--values", "east,classical"])

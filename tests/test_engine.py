@@ -245,6 +245,37 @@ class TestLockstep:
         assert death == 27
         assert draws[0] == 28
 
+    def test_batch_groups_members_by_shared_inputs(self):
+        # Two seeds, interleaved: the batch splits them into two groups.
+        def member(seed, **kwargs):
+            return SimConfig(node_count=4, rounds=40, seed=seed, **kwargs)
+
+        drained = member(2, controller="classical")
+        drained.energy = replace(drained.energy, initial_battery_j=0.004)
+        fast = member(3)
+        fast.cadence = replace(fast.cadence, period_rounds=1)
+        configs = [member(2), member(3), drained, fast]
+        batch = Lockstep(configs)
+        results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
+        for cfg, result in zip(configs, results):
+            assert result.config is cfg
+            solo = run_simulation(cfg)
+            assert len(result.records) == len(solo.records)
+            for got, expected in zip(result.records, solo.records):
+                assert records_equal(record_as_dict(got), record_as_dict(expected))
+        assert results[0].deployment is results[2].deployment
+        assert results[1].deployment is results[3].deployment
+        assert results[0].deployment is not results[1].deployment
+        assert run_simulation(configs[1], lockstep=batch) is results[1]
+
+    def test_batch_refuses_other_keep_rounds_and_non_members(self):
+        cfg = SimConfig(node_count=4, rounds=5, seed=2)
+        batch = Lockstep([cfg], keep_rounds=(1,))
+        with pytest.raises(ValueError, match="keep_rounds"):
+            run_simulation(cfg, (2,), lockstep=batch)
+        with pytest.raises(ValueError, match="not a member"):
+            run_simulation(SimConfig(node_count=4, rounds=5, seed=2), (1,), lockstep=batch)
+
 
 class TestRetention:
     @staticmethod
