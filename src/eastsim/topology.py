@@ -11,6 +11,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Optional
 
 from .errors import ConfigError, DataError
@@ -133,7 +134,9 @@ def load_temperature_trace(
 
     Format: header ``node,round,temp_c``, one row per (node, round) pair
     in any order, zero-based dense indices. Values must lie within
-    [t_min_c, t_max_c]. The table is held as per-round rows.
+    [t_min_c, t_max_c]. The table is held as per-round rows. A file in
+    the canonical node-major shape is read column-wise in bulk; any other
+    file goes through the one-pass loader, with the same result.
     """
     try:
         with open(path, "rb") as fh:
@@ -141,9 +144,87 @@ def load_temperature_trace(
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    table = _load_bulk(text, t_min_c, t_max_c)
+    if table is None:
+        table = _load_per_line(path, text, t_min_c, t_max_c)
+    return TemperatureProcess(
+        t_min_c=t_min_c,
+        t_max_c=t_max_c,
+        walk_sigma_c=0.0,
+        trace=table,
+        trace_sha256=hashlib.sha256(data).hexdigest(),
+    )
+
+
+# The bulk path takes only this header followed by the lines "n,r,<temp>\n"
+# for n < N, r < R in node-major order, indices written as str(int).
+_BULK_HEADER = ",".join(TRACE_HEADER) + "\n"
+# str.translate table deleting every ASCII character but "," and the line
+# breaks str.splitlines() honours, so the separators of a slice can be
+# compared with ",,\n" per line; a non-ASCII character is kept, so it fails too.
+_SEPARATORS_ONLY = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n\r\x0b\x0c\x1c\x1d\x1e")
+# Characters per slice, ending at a line break: bounds the per-slice field lists.
+_SLICE_CHARS = 1 << 15
+
+
+def _load_bulk(text: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
+    """The table of a canonical node-major file, or None for any other file.
+
+    R is the line offset of the first ``1,0,`` line (all lines when there is
+    none) and N the line count over R, so the shape comes from line positions
+    and a stray huge index allocates nothing. Each slice of whole lines must
+    have exactly the expected separators and index strings; the temperatures
+    are then parsed column-wise and range-checked once. This path never names
+    an error: the per-line loader reports every file declined here.
+    """
+    if not text.startswith(_BULK_HEADER):
+        return None
+    start = len(_BULK_HEADER)
+    n_lines = text.count("\n", start)
+    second_node = text.find("\n1,0,", start - 1)
+    n_rounds = n_lines if second_node < 0 else text.count("\n", start, second_node + 1)
+    if not n_rounds or n_lines % n_rounds:
+        return None
+    n_nodes = n_lines // n_rounds
+    node_names = chain.from_iterable(map(repeat, map(str, range(n_nodes)), repeat(n_rounds)))
+    round_names = chain.from_iterable(repeat(list(map(str, range(n_rounds))), n_nodes))
+    temps: list[float] = []
+    while start < len(text):
+        end = text.rfind("\n", start, start + _SLICE_CHARS) + 1
+        if not end:
+            return None
+        chunk = text[start:end]
+        start = end
+        separators = chunk.translate(_SEPARATORS_ONLY)
+        count = len(separators) // 3
+        if separators != ",,\n" * count:
+            return None
+        fields = chunk.replace("\n", ",").split(",")
+        fields.pop()  # the empty field after the slice's last line break
+        nodes, rounds = list(islice(node_names, count)), list(islice(round_names, count))
+        if fields[0::3] != nodes or fields[1::3] != rounds:
+            return None
+        try:
+            temps.extend(map(float, fields[2::3]))
+        except ValueError:
+            return None
+    if not (t_min_c <= min(temps) and max(temps) <= t_max_c):
+        return None
+    if not math.isfinite(sum(temps)):  # min and max can step over a NaN
+        return None
+    return TraceTable(tuple(tuple(temps[r::n_rounds]) for r in range(n_rounds)))
+
+
+def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> TraceTable:
+    """The table of a trace's decoded text, read line by line in any row order.
+
+    The only loader that names errors: a ``DataError`` names the first bad
+    row of the file.
+    """
+    lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty trace file")
     header = [col.strip() for col in lines[0].split(",")]
@@ -215,13 +296,7 @@ def load_temperature_trace(
             for round_idx in range(n_rounds):
                 if (node_id, round_idx) not in seen:
                     raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
-    return TemperatureProcess(
-        t_min_c=t_min_c,
-        t_max_c=t_max_c,
-        walk_sigma_c=0.0,
-        trace=TraceTable(tuple(map(tuple, rows))),
-        trace_sha256=hashlib.sha256(data).hexdigest(),
-    )
+    return TraceTable(tuple(map(tuple, rows)))
 
 
 def _cells_read(rows: list[list[Optional[float]]]) -> set[tuple[int, int]]:

@@ -70,6 +70,10 @@ MUTANTS = [
      "if _shared_inputs(group[0]) == _shared_inputs(member):", "if True:"),
     ("sweep runs two values that make the same config", "src/eastsim/cli.py",
      "if digest in seen:", "if False:"),
+    ("bulk trace load: index columns never compared", "src/eastsim/topology.py",
+     "if fields[0::3] != nodes or fields[1::3] != rounds:", "if False:"),
+    ("bulk trace load: no NaN/inf guard", "src/eastsim/topology.py",
+     "if not math.isfinite(sum(temps)):", "if False:"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")

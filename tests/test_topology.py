@@ -4,14 +4,19 @@ import hashlib
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eastsim.config import SimConfig
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
 from eastsim.topology import (
     Position,
+    _load_bulk,
+    _load_per_line,
     deploy_random,
     distance,
     load_temperature_trace,
@@ -135,6 +140,97 @@ class TestTemperatureAt:
 
 def write_trace(path, rows, header="node,round,temp_c"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
+
+
+def node_major_lines(n_nodes, n_rounds):
+    return [f"{n},{r},{20.0 + n + 0.25 * r}" for n in range(n_nodes) for r in range(n_rounds)]
+
+
+def trace_text(lines, end="\n"):
+    return "node,round,temp_c\n" + "".join(line + end for line in lines)
+
+
+def with_value(lines, i, value):
+    node, rnd, _ = lines[i].split(",")
+    return lines[:i] + [f"{node},{rnd},{value}"] + lines[i + 1 :]
+
+
+def with_index_prefix(lines, i, prefix):
+    return lines[:i] + [prefix + lines[i]] + lines[i + 1 :]
+
+
+def swapped(lines, i):
+    j = (i + 1) % len(lines)
+    out = list(lines)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def inside_value(lines, i, char):
+    node, rnd, temp = lines[i].split(",")
+    return lines[:i] + [f"{node},{rnd},{temp[:1]}{char}{temp[1:]}"] + lines[i + 1 :]
+
+
+# Files that look like a canonical node-major trace but are not one: each
+# maps (data lines, a line index) to the text of the file.
+PERTURBATIONS = {
+    "crlf": lambda lines, i: trace_text(lines, "\r\n"),
+    "blank_line": lambda lines, i: trace_text(lines[:i] + [""] + lines[i:]),
+    "two_trailing_newlines": lambda lines, i: trace_text(lines) + "\n",
+    "plus_index": lambda lines, i: trace_text(with_index_prefix(lines, i, "+")),
+    "zero_padded_index": lambda lines, i: trace_text(with_index_prefix(lines, i, "0")),
+    "space_before_index": lambda lines, i: trace_text(with_index_prefix(lines, i, " ")),
+    "nan": lambda lines, i: trace_text(with_value(lines, i, "nan")),
+    "inf": lambda lines, i: trace_text(with_value(lines, i, "inf")),
+    "overflow": lambda lines, i: trace_text(with_value(lines, i, "1e400")),
+    "out_of_range": lambda lines, i: trace_text(with_value(lines, i, "60.0")),
+    "line_dropped": lambda lines, i: trace_text(lines[:i] + lines[i + 1 :]),
+    "line_duplicated": lambda lines, i: trace_text(lines[: i + 1] + lines[i:]),
+    "lines_swapped": lambda lines, i: trace_text(swapped(lines, i)),
+    "round_major": lambda lines, i: trace_text(
+        sorted(lines, key=lambda line: [int(f) for f in line.split(",")[1::-1]])
+    ),
+    "vertical_tab_in_value": lambda lines, i: trace_text(inside_value(lines, i, "\x0b")),
+    "file_separator_in_value": lambda lines, i: trace_text(inside_value(lines, i, "\x1c")),
+    "no_trailing_newline": lambda lines, i: trace_text(lines)[:-1],
+}
+
+
+def load_outcome(load):
+    """The table a loader returns, or the message of the DataError it raises."""
+    try:
+        return load()
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_loaders_agree(path, text):
+    """Writes ``text`` to ``path`` and checks that load_temperature_trace gives
+    what the per-line loader gives; returns what the bulk path gave."""
+    path.write_bytes(text.encode("utf-8"))
+    loaded = load_outcome(lambda: load_temperature_trace(str(path)).trace)
+    assert loaded == load_outcome(lambda: _load_per_line(str(path), text, -10.0, 53.0))
+    return _load_bulk(text, -10.0, 53.0)
+
+
+@st.composite
+def perturbed_node_major_traces(draw):
+    """A node-major grid of 1-6 x 1-6 with values in and just outside the
+    default bounds, and at most one perturbation; with whether the bulk path
+    must take the file, or None where a perturbation may leave it canonical
+    (a dropped last line of a one-round grid)."""
+    n_nodes, n_rounds = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    temperature = st.one_of(
+        st.floats(-10.5, 53.5),
+        st.sampled_from([-10.0, 53.0, -10.000001, 53.000001]),
+    )
+    temps = draw(st.lists(temperature, min_size=n_nodes * n_rounds, max_size=n_nodes * n_rounds))
+    cells = product(range(n_nodes), range(n_rounds))
+    lines = [f"{n},{r},{t!r}" for (n, r), t in zip(cells, temps)]
+    perturbation = draw(st.sampled_from([None, *PERTURBATIONS]))
+    if perturbation is None:
+        return trace_text(lines), all(-10.0 <= t <= 53.0 for t in temps)
+    return PERTURBATIONS[perturbation](lines, draw(st.integers(0, len(lines) - 1))), None
 
 
 class TestLoadTemperatureTrace:
@@ -263,6 +359,74 @@ class TestLoadTemperatureTrace:
             records.append([record_as_dict(rec) for rec in run_simulation(cfg).records])
         assert len(records[0]) == len(records[1]) == 5
         assert all(records_equal(a, b) for a, b in zip(*records))
+
+    @pytest.mark.parametrize(
+        "n_nodes, n_rounds, perturbation, line, accepted",
+        [
+            pytest.param(3, 4, None, 0, True, id="canonical"),
+            pytest.param(1, 5, None, 0, True, id="one_node"),
+            pytest.param(5, 1, None, 0, True, id="one_round"),
+            *(
+                pytest.param(3, 4, name, line, False, id=name)
+                for name, line in [
+                    ("crlf", 0),
+                    ("blank_line", 6),
+                    ("two_trailing_newlines", 0),
+                    ("plus_index", 0),
+                    ("zero_padded_index", 0),
+                    ("space_before_index", 0),
+                    ("nan", 11),
+                    ("inf", 11),
+                    ("overflow", 11),
+                    ("out_of_range", 11),
+                    ("line_dropped", 11),
+                    ("line_duplicated", 11),
+                    ("lines_swapped", 5),
+                    ("round_major", 0),
+                    ("vertical_tab_in_value", 5),
+                    ("file_separator_in_value", 5),
+                    ("no_trailing_newline", 0),
+                ]
+            ),
+        ],
+    )
+    def test_bulk_path_declines_all_but_canonical_files(
+        self, tmp_path, n_nodes, n_rounds, perturbation, line, accepted
+    ):
+        lines = node_major_lines(n_nodes, n_rounds)
+        if perturbation is None:
+            text = trace_text(lines)
+        else:
+            text = PERTURBATIONS[perturbation](lines, line)
+        bulk = assert_loaders_agree(tmp_path / "trace.csv", text)
+        assert (bulk is not None) == accepted
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(perturbed_node_major_traces())
+    def test_bulk_and_per_line_loaders_agree(self, tmp_path_factory, drawn):
+        text, accepted = drawn
+        bulk = assert_loaders_agree(tmp_path_factory.mktemp("trace") / "trace.csv", text)
+        if accepted is not None:
+            assert (bulk is not None) == accepted
+
+    def test_bulk_load_peaks_below_per_line_loader(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        temps = [20.0 + 0.01 * ((n * 7 + r * 13) % 3000) for n in range(200) for r in range(100)]
+        write_trace(path, [f"{n},{r},{t}" for (n, r), t in zip(product(range(200), range(100)), temps)])
+        text = path.read_text(encoding="utf-8")
+        peaks = []
+        for load in (
+            lambda: load_temperature_trace(str(path)),
+            lambda: _load_per_line(str(path), text, -10.0, 53.0),
+        ):
+            tracemalloc.start()
+            try:
+                load()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert _load_bulk(text, -10.0, 53.0) is not None
+        assert peaks[0] < peaks[1]
 
     def test_two_loads_compare_equal(self, tmp_path):
         path = tmp_path / "trace.csv"
