@@ -11,7 +11,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from typing import Optional
 
 from .errors import ConfigError, DataError
@@ -174,23 +174,23 @@ def _load_bulk(text: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable
     """The table of a canonical node-major file, or None for any other file.
 
     R is the line offset of the first ``1,0,`` line (all lines when there is
-    none) and N the line count over R, so the shape comes from line positions
-    and a stray huge index allocates nothing. Each slice of whole lines must
-    have exactly the expected separators and index strings; the temperatures
-    are then parsed column-wise and range-checked once. This path never names
-    an error: the per-line loader reports every file declined here.
+    none), so the shape comes from line positions and a stray huge index
+    allocates nothing. Each slice of whole lines must have exactly the
+    expected separators and index strings, and the lines must end on a whole
+    node; the temperatures are parsed column-wise and range-checked once.
+    Text with no final line break or with trailing blank lines is declined
+    before any slice. This path never names an error: the per-line loader
+    reports every file declined here.
     """
-    if not text.startswith(_BULK_HEADER):
+    if not text.startswith(_BULK_HEADER) or not text.endswith("\n") or text.endswith("\n\n"):
         return None
     start = len(_BULK_HEADER)
-    n_lines = text.count("\n", start)
     second_node = text.find("\n1,0,", start - 1)
-    n_rounds = n_lines if second_node < 0 else text.count("\n", start, second_node + 1)
-    if not n_rounds or n_lines % n_rounds:
+    n_rounds = text.count("\n", start, None if second_node < 0 else second_node + 1)
+    if not n_rounds:
         return None
-    n_nodes = n_lines // n_rounds
-    node_names = chain.from_iterable(map(repeat, map(str, range(n_nodes)), repeat(n_rounds)))
-    round_names = chain.from_iterable(repeat(list(map(str, range(n_rounds))), n_nodes))
+    node_names = chain.from_iterable(map(repeat, map(str, count()), repeat(n_rounds)))
+    round_names = cycle(list(map(str, range(n_rounds))))
     temps: list[float] = []
     while start < len(text):
         end = text.rfind("\n", start, start + _SLICE_CHARS) + 1
@@ -199,19 +199,19 @@ def _load_bulk(text: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable
         chunk = text[start:end]
         start = end
         separators = chunk.translate(_SEPARATORS_ONLY)
-        count = len(separators) // 3
-        if separators != ",,\n" * count:
+        n_lines = len(separators) // 3
+        if separators != ",,\n" * n_lines:
             return None
         fields = chunk.replace("\n", ",").split(",")
         fields.pop()  # the empty field after the slice's last line break
-        nodes, rounds = list(islice(node_names, count)), list(islice(round_names, count))
+        nodes, rounds = list(islice(node_names, n_lines)), list(islice(round_names, n_lines))
         if fields[0::3] != nodes or fields[1::3] != rounds:
             return None
         try:
             temps.extend(map(float, fields[2::3]))
         except ValueError:
             return None
-    if not (t_min_c <= min(temps) and max(temps) <= t_max_c):
+    if len(temps) % n_rounds or not (t_min_c <= min(temps) and max(temps) <= t_max_c):
         return None
     if not math.isfinite(sum(temps)):  # min and max can step over a NaN
         return None
