@@ -81,10 +81,15 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
     """Write the full artifact set for one run; returns relative paths.
 
     The figure snapshot is taken first, so a round the run did not reach
-    fails before any file is written.
+    fails before any file is written. An earlier run's manifest is deleted
+    before the first write and the new one is written last, so a directory
+    holds a manifest only when every file beside it is from the same run.
     """
     series = emit_figure_data(result, figure_round)
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.lexists(manifest_path):
+        os.remove(manifest_path)
     os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
     outputs: list[str] = []
     controller = result.config.controller
@@ -181,7 +186,7 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
         "version": __version__,
         "outputs": sorted(outputs + ["manifest.json"]),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="") as fh:
+    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs.append("manifest.json")

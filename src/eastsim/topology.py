@@ -7,9 +7,14 @@ temperatures never perturbs node placement.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import random
+import struct
+import sys
+import tempfile
 from dataclasses import dataclass
 from itertools import chain, count, cycle, islice, repeat
 from typing import Optional
@@ -137,26 +142,114 @@ def load_temperature_trace(
     [t_min_c, t_max_c]. The table is held as per-round rows. A file in
     the canonical node-major shape is read column-wise in bulk; any other
     file goes through the one-pass loader, with the same result.
+
+    A loaded table is cached in a file named by the sha256 of the trace's
+    bytes (see ``_trace_cache_path``); a later load of the same bytes reads
+    that file instead of parsing, when every check on it passes.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    table = _load_bulk(text, t_min_c, t_max_c)
+    sha256 = hashlib.sha256(data).hexdigest()
+    cache_path = _trace_cache_path(sha256)
+    table = None if cache_path is None else _read_trace_cache(cache_path, t_min_c, t_max_c)
     if table is None:
-        table = _load_per_line(path, text, t_min_c, t_max_c)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        table = _load_bulk(text, t_min_c, t_max_c)
+        if table is None:
+            table = _load_per_line(path, text, t_min_c, t_max_c)
+        if cache_path is not None:
+            _write_trace_cache(cache_path, table)
     return TemperatureProcess(
         t_min_c=t_min_c,
         t_max_c=t_max_c,
         walk_sigma_c=0.0,
         trace=table,
-        trace_sha256=hashlib.sha256(data).hexdigest(),
+        trace_sha256=sha256,
     )
+
+
+# A trace cache file is this header (magic with the format version, byte
+# order of the values, N, R, min and max of the values), the values as raw
+# doubles in round-major order, then the sha256 of everything before it.
+_CACHE_MAGIC = b"eastsim-trace-cache-v1\n"
+_CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}scQQdd")
+_BYTE_ORDER = "<" if sys.byteorder == "little" else ">"
+_CACHE_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+def _cache_row(n_nodes: int) -> struct.Struct:
+    """One round's values in a cache file: ``n_nodes`` doubles."""
+    return struct.Struct(f"{_BYTE_ORDER}{n_nodes}d")
+
+
+def _trace_cache_path(sha256: str) -> Optional[str]:
+    """The cache file of the trace with this sha256, or None where nothing is
+    cached: under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        home = os.path.expanduser("~")
+        if not os.path.isabs(home):
+            return None
+        root = os.path.join(home, ".cache")
+    return os.path.join(root, "eastsim", "traces", sha256)
+
+
+def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
+    """The table a cache file holds, or None unless it passes every check:
+    header, length, checksum, and values inside [t_min_c, t_max_c]."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    if len(blob) < _CACHE_HEADER.size + _CACHE_DIGEST_SIZE:
+        return None
+    magic, byte_order, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack_from(blob)
+    if magic != _CACHE_MAGIC or byte_order != _BYTE_ORDER.encode() or not (n_nodes and n_rounds):
+        return None
+    end = _CACHE_HEADER.size + 8 * n_nodes * n_rounds
+    if len(blob) != end + _CACHE_DIGEST_SIZE:
+        return None
+    payload = memoryview(blob)[:end]
+    if hashlib.sha256(payload).digest() != blob[end:]:
+        return None
+    if not (t_min_c <= lo and hi <= t_max_c):
+        return None
+    return TraceTable(tuple(_cache_row(n_nodes).iter_unpack(payload[_CACHE_HEADER.size :])))
+
+
+def _write_trace_cache(path: str, table: TraceTable) -> None:
+    """Writes the cache file of a loaded table through a temporary file; a
+    location that cannot be written only means nothing is cached."""
+    rows = table.rows
+    n_nodes = len(rows[0])
+    lo, hi = min(map(min, rows)), max(map(max, rows))
+    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, len(rows), lo, hi)
+    row = _cache_row(n_nodes)
+    directory = os.path.dirname(path)
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with open(fd, "wb") as fh:
+            checksum = hashlib.sha256(header)
+            fh.write(header)
+            for temps in rows:  # one round at a time, so no copy of the whole table is held
+                packed = row.pack(*temps)
+                checksum.update(packed)
+                fh.write(packed)
+            fh.write(checksum.digest())
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # The bulk path takes only this header followed by the lines "n,r,<temp>\n"

@@ -74,6 +74,12 @@ MUTANTS = [
      "if fields[0::3] != nodes or fields[1::3] != rounds:", "if False:"),
     ("bulk trace load: no NaN/inf guard", "src/eastsim/topology.py",
      "if not math.isfinite(sum(temps)):", "if False:"),
+    ("trace cache hit skips the range check", "src/eastsim/topology.py",
+     "if not (t_min_c <= lo and hi <= t_max_c):", "if False:"),
+    ("trace cache checksum never compared", "src/eastsim/topology.py",
+     "if hashlib.sha256(payload).digest() != blob[end:]:", "if False:"),
+    ("run outputs keep an earlier run's manifest", "src/eastsim/cli.py",
+     "os.remove(manifest_path)", "pass"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")

@@ -406,6 +406,17 @@ class TestCmdRun:
         assert main(["run", "--out", str(blocker), *SMALL]) == 3
         assert "i/o error" in capsys.readouterr().err
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), *SMALL, "--seed", "1"]) == 0
+        figure = out / "figures" / "temp_per_node.csv"
+        figure.unlink()
+        figure.mkdir()
+        assert main(["run", "--out", str(out), *SMALL, "--seed", "2"]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        # rounds.csv is now the seed-2 run's; a manifest naming seed 1 beside it would lie
+        assert not (out / "manifest.json").exists()
+
 
 class TestSeedResolution:
     def test_env_overrides_config(self, tmp_path, monkeypatch):

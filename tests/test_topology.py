@@ -1,6 +1,7 @@
 """Tests for deployment, distance geometry and the temperature process."""
 
 import hashlib
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eastsim import topology
+from eastsim.cli import main
 from eastsim.config import SimConfig
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
@@ -441,3 +444,141 @@ class TestLoadTemperatureTrace:
         cfg.rounds = 3
         with pytest.raises(ConfigError, match="trace covers 1 nodes x 2 rounds"):
             run_simulation(cfg)
+
+
+# A 3 x 4 grid with a negative zero and both default bounds among its values.
+CACHE_CELLS = {
+    (n, r): t
+    for (n, r), t in zip(
+        product(range(3), range(4)),
+        [-0.0, 21.5, -10.0, 53.0, 0.0, 0.25, 52.75, -9.5, 1e-300, 20.0, 30.125, 45.0],
+    )
+}
+
+
+def write_cells(path, node_major=True):
+    order = sorted(CACHE_CELLS, key=None if node_major else lambda cell: cell[::-1])
+    path.write_text(trace_text([f"{n},{r},{CACHE_CELLS[n, r]!r}" for n, r in order]))
+    return str(path)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """How many times a trace's text was parsed by either loader."""
+    calls = []
+
+    def counted(real):
+        def load(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return load
+
+    for name in ("_load_bulk", "_load_per_line"):
+        monkeypatch.setattr(topology, name, counted(getattr(topology, name)))
+    return calls
+
+
+def reseal(blob):
+    """A cache file's bytes with its checksum made to match the rest again."""
+    return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
+
+
+def with_byte(blob, offset, value):
+    return blob[:offset] + bytes([value]) + blob[offset + 1 :]
+
+
+MAGIC = topology._CACHE_MAGIC
+# Damaged cache files: each maps the bytes of a valid one to a file that
+# must be a miss. The version and byte-order cases carry a valid checksum,
+# so only the field they change can make them a miss.
+DAMAGED_CACHE = {
+    "truncated": lambda blob: blob[:-1],
+    "payload_byte_flipped": lambda blob: with_byte(
+        blob, topology._CACHE_HEADER.size, blob[topology._CACHE_HEADER.size] ^ 0x01
+    ),
+    "other_format_version": lambda blob: reseal(blob.replace(MAGIC, MAGIC.replace(b"v1", b"v2"), 1)),
+    "other_byte_order": lambda blob: reseal(
+        with_byte(blob, len(MAGIC), ord(">" if topology._BYTE_ORDER == "<" else "<"))
+    ),
+}
+
+
+class TestTraceCache:
+    @pytest.mark.parametrize("node_major", [True, False], ids=["node_major", "round_major"])
+    def test_warm_load_equals_cold_load(self, tmp_path, trace_cache_home, parses, node_major):
+        path = write_cells(tmp_path / "trace.csv", node_major)
+        cold = load_temperature_trace(path)
+        assert len(parses) == (1 if node_major else 2)  # the bulk path declines round-major
+        assert os.listdir(trace_cache_home) == [cold.trace_sha256]
+        warm = load_temperature_trace(path)
+        assert len(parses) == (1 if node_major else 2)  # nothing parsed: a hit
+        assert warm == cold
+        assert repr(warm.trace.rows) == repr(cold.trace.rows)  # -0.0 stays -0.0
+        assert all(type(row) is tuple for row in warm.trace.rows)
+        assert [warm.trace[cell] for cell in CACHE_CELLS] == list(CACHE_CELLS.values())
+
+    def test_narrower_range_names_first_bad_row_on_warm_cache(self, tmp_path, monkeypatch, parses):
+        path = write_cells(tmp_path / "trace.csv")
+        load_temperature_trace(path)
+        with pytest.raises(DataError) as warm:
+            load_temperature_trace(path, t_max_c=50.0)
+        assert len(parses) == 3  # the narrower range missed and parsed again
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
+        with pytest.raises(DataError) as cold:
+            load_temperature_trace(path, t_max_c=50.0)
+        assert str(warm.value) == str(cold.value)
+        assert "row 5: temperature 53.0 outside declared range [-10.0, 50.0]" in str(warm.value)
+
+    def test_failed_load_writes_no_cache_file(self, tmp_path, trace_cache_home):
+        path = tmp_path / "trace.csv"
+        write_trace(path, ["0,0,20.0", "0,0,21.0"])
+        with pytest.raises(DataError, match="duplicate"):
+            load_temperature_trace(str(path))
+        assert not trace_cache_home.exists()
+
+    @pytest.mark.parametrize("damage", DAMAGED_CACHE)
+    def test_damaged_cache_file_is_a_miss_and_rewritten(self, tmp_path, trace_cache_home, parses, damage):
+        path = write_cells(tmp_path / "trace.csv")
+        cold = load_temperature_trace(path)
+        cache_file = trace_cache_home / cold.trace_sha256
+        valid = cache_file.read_bytes()
+        cache_file.write_bytes(DAMAGED_CACHE[damage](valid))
+        assert load_temperature_trace(path) == cold
+        assert len(parses) == 2
+        assert cache_file.read_bytes() == valid
+        assert os.listdir(trace_cache_home) == [cold.trace_sha256]  # no temporary file left
+
+    def test_cache_home_on_a_regular_file_only_disables_caching(self, tmp_path, monkeypatch, parses):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = write_cells(tmp_path / "trace.csv")
+        assert load_temperature_trace(path) == load_temperature_trace(path)
+        assert len(parses) == 2
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_relative_cache_home_falls_back_to_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
+        assert os.listdir(tmp_path / "home" / ".cache" / "eastsim" / "traces") == [sha256]
+        assert not (tmp_path / "relative").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_cli_writes_identical_files_on_warm_cache(self, tmp_path, trace_cache_home, parses, command):
+        trace = write_cells(tmp_path / "trace.csv")
+        argv = [command, "--set", "nodes=3", "--set", "rounds=4",
+                "--set", f"temperature.trace_path={trace}"]
+        for name in ("cold", "warm"):
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        assert len(parses) == 1
+        assert len(os.listdir(trace_cache_home)) == 1
+        files = {}
+        for name in ("cold", "warm"):
+            root = tmp_path / name
+            files[name] = {
+                str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+        assert files["cold"] == files["warm"] and files["cold"]
