@@ -8,6 +8,7 @@ temperatures never perturbs node placement.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -144,8 +145,9 @@ def load_temperature_trace(
     file goes through the one-pass loader, with the same result.
 
     A loaded table is cached in a file named by the sha256 of the trace's
-    bytes (see ``_trace_cache_path``); a later load of the same bytes reads
-    that file instead of parsing, when every check on it passes.
+    bytes (see ``_trace_cache_path``); a later load of the same bytes by the
+    same package source reads that file instead of parsing, when every
+    check on it passes.
     """
     try:
         with open(path, "rb") as fh:
@@ -175,12 +177,15 @@ def load_temperature_trace(
 
 
 # A trace cache file is this header (magic with the format version, byte
-# order of the values, N, R, min and max of the values), the values as raw
-# doubles in round-major order, then the sha256 of everything before it.
-_CACHE_MAGIC = b"eastsim-trace-cache-v1\n"
-_CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}scQQdd")
+# order of the values, the sha256 of the package source that wrote it, N, R,
+# min and max of the values), the values as raw doubles in round-major
+# order, then the sha256 of everything before it.
+_CACHE_MAGIC = b"eastsim-trace-cache-v2\n"
+_CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}sc32sQQdd")
 _BYTE_ORDER = "<" if sys.byteorder == "little" else ">"
 _CACHE_DIGEST_SIZE = hashlib.sha256().digest_size
+# Writing a cache file deletes all but this many most recently written ones.
+_CACHE_FILES = 8
 
 
 def _cache_row(n_nodes: int) -> struct.Struct:
@@ -188,9 +193,28 @@ def _cache_row(n_nodes: int) -> struct.Struct:
     return struct.Struct(f"{_BYTE_ORDER}{n_nodes}d")
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> Optional[bytes]:
+    """The sha256 of this package's source files, so that a cache file
+    written by other loader code is a miss; None when they cannot be read."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    try:
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), "rb") as fh:
+                    source = fh.read()
+                digest.update(f"{name}\0{len(source)}\0".encode() + source)
+    except OSError:
+        return None
+    return digest.digest()
+
+
 def _trace_cache_path(sha256: str) -> Optional[str]:
     """The cache file of the trace with this sha256, or None where nothing is
     cached: under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``."""
+    if _source_digest() is None:
+        return None
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         home = os.path.expanduser("~")
@@ -202,7 +226,8 @@ def _trace_cache_path(sha256: str) -> Optional[str]:
 
 def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
     """The table a cache file holds, or None unless it passes every check:
-    header, length, checksum, and values inside [t_min_c, t_max_c]."""
+    header (including the package source digest), length, checksum, and
+    values inside [t_min_c, t_max_c]."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -210,8 +235,10 @@ def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[Tra
         return None
     if len(blob) < _CACHE_HEADER.size + _CACHE_DIGEST_SIZE:
         return None
-    magic, byte_order, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack_from(blob)
+    magic, byte_order, source, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack_from(blob)
     if magic != _CACHE_MAGIC or byte_order != _BYTE_ORDER.encode() or not (n_nodes and n_rounds):
+        return None
+    if source != _source_digest():
         return None
     end = _CACHE_HEADER.size + 8 * n_nodes * n_rounds
     if len(blob) != end + _CACHE_DIGEST_SIZE:
@@ -225,17 +252,23 @@ def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[Tra
 
 
 def _write_trace_cache(path: str, table: TraceTable) -> None:
-    """Writes the cache file of a loaded table through a temporary file; a
-    location that cannot be written only means nothing is cached."""
+    """Writes the cache file of a loaded table through a temporary file, then
+    deletes the oldest files beyond ``_CACHE_FILES``; a location that cannot
+    be written only means nothing is cached."""
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError:  # checked first, so a location never writable costs no scan
+        return
     rows = table.rows
     n_nodes = len(rows[0])
     lo, hi = min(map(min, rows)), max(map(max, rows))
-    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, len(rows), lo, hi)
+    header = _CACHE_HEADER.pack(
+        _CACHE_MAGIC, _BYTE_ORDER.encode(), _source_digest(), n_nodes, len(rows), lo, hi
+    )
     row = _cache_row(n_nodes)
-    directory = os.path.dirname(path)
     tmp = None
     try:
-        os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with open(fd, "wb") as fh:
             checksum = hashlib.sha256(header)
@@ -246,6 +279,11 @@ def _write_trace_cache(path: str, table: TraceTable) -> None:
                 fh.write(packed)
             fh.write(checksum.digest())
         os.replace(tmp, path)
+        tmp = None
+        with os.scandir(directory) as entries:
+            files = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
+        for entry in files[_CACHE_FILES:]:
+            os.unlink(entry.path)
     except OSError:
         if tmp is not None:
             with contextlib.suppress(OSError):

@@ -78,6 +78,10 @@ MUTANTS = [
      "if not (t_min_c <= lo and hi <= t_max_c):", "if False:"),
     ("trace cache checksum never compared", "src/eastsim/topology.py",
      "if hashlib.sha256(payload).digest() != blob[end:]:", "if False:"),
+    ("trace cache ignores the package source", "src/eastsim/topology.py",
+     "if source != _source_digest():", "if False:"),
+    ("trace cache never evicts", "src/eastsim/topology.py",
+     "for entry in files[_CACHE_FILES:]:", "for entry in files[:0]:"),
     ("run outputs keep an earlier run's manifest", "src/eastsim/cli.py",
      "os.remove(manifest_path)", "pass"),
 ]

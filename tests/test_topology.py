@@ -3,6 +3,9 @@
 import hashlib
 import os
 import random
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -497,11 +500,25 @@ DAMAGED_CACHE = {
     "payload_byte_flipped": lambda blob: with_byte(
         blob, topology._CACHE_HEADER.size, blob[topology._CACHE_HEADER.size] ^ 0x01
     ),
-    "other_format_version": lambda blob: reseal(blob.replace(MAGIC, MAGIC.replace(b"v1", b"v2"), 1)),
+    "other_format_version": lambda blob: reseal(blob.replace(MAGIC, MAGIC.replace(b"v2", b"v3"), 1)),
     "other_byte_order": lambda blob: reseal(
         with_byte(blob, len(MAGIC), ord(">" if topology._BYTE_ORDER == "<" else "<"))
     ),
+    "other_package_source": lambda blob: reseal(
+        with_byte(blob, len(MAGIC) + 1, blob[len(MAGIC) + 1] ^ 0x01)
+    ),
 }
+
+# Appended to a copy of topology.py: a loader change that shifts every value.
+SHIFTED_LOADER = """
+
+_unshifted_load_bulk = _load_bulk
+
+
+def _load_bulk(text, t_min_c, t_max_c):
+    table = _unshifted_load_bulk(text, t_min_c, t_max_c)
+    return TraceTable(tuple(tuple(temp + 1.0 for temp in row) for row in table.rows))
+"""
 
 
 class TestTraceCache:
@@ -548,6 +565,46 @@ class TestTraceCache:
         assert len(parses) == 2
         assert cache_file.read_bytes() == valid
         assert os.listdir(trace_cache_home) == [cold.trace_sha256]  # no temporary file left
+
+    def test_changed_package_source_misses_cache(self, tmp_path, trace_cache_home):
+        package = tmp_path / "copy" / "eastsim"
+        shutil.copytree(
+            os.path.dirname(topology.__file__), package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        trace = tmp_path / "trace.csv"
+        write_trace(trace, node_major_lines(2, 3))
+        script = (
+            "import sys\nfrom eastsim.topology import load_temperature_trace\n"
+            "print(load_temperature_trace(sys.argv[1]).trace.rows)\n"
+        )
+
+        def load_with_copy():
+            env = dict(os.environ, PYTHONPATH=str(package.parent))
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(trace)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return done.stdout.strip()
+
+        rows = load_temperature_trace(str(trace)).trace.rows
+        assert load_with_copy() == repr(rows)  # the same source: a hit
+        with open(package / "topology.py", "a", encoding="utf-8") as fh:
+            fh.write(SHIFTED_LOADER)
+        shifted = tuple(tuple(temp + 1.0 for temp in row) for row in rows)
+        assert load_with_copy() == repr(shifted)  # the edited loader ran
+        assert load_temperature_trace(str(trace)).trace.rows == rows
+        assert len(os.listdir(trace_cache_home)) == 1
+
+    def test_write_keeps_only_the_most_recently_written_files(self, tmp_path, trace_cache_home):
+        trace_cache_home.mkdir(parents=True)
+        older = []
+        for i in range(topology._CACHE_FILES):
+            cache_file = trace_cache_home / f"older-{i}"
+            cache_file.write_bytes(b"")
+            os.utime(cache_file, ns=(i * 10**9, i * 10**9))
+            older.append(cache_file.name)
+        sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
+        assert sorted(os.listdir(trace_cache_home)) == sorted(older[1:] + [sha256])
 
     def test_cache_home_on_a_regular_file_only_disables_caching(self, tmp_path, monkeypatch, parses):
         blocker = tmp_path / "blocker"
