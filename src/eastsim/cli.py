@@ -267,6 +267,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for result in results:
         emit_figure_data(result, args.figure_round)
     os.makedirs(args.out, exist_ok=True)
+    # An earlier sweep's summary goes before the first run directory is
+    # written, and the new one is written last, so a sweep that fails
+    # part-way leaves no summary beside run directories it does not describe.
+    summary_path = os.path.join(args.out, "sweep_summary.csv")
+    if os.path.lexists(summary_path):
+        os.remove(summary_path)
     summary_lines = ["key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"]
     for raw, result in zip(values, results):
         run_dir = os.path.join(args.out, f"{key}={raw}")
@@ -285,7 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ]
             )
         )
-    _write_text(os.path.join(args.out, "sweep_summary.csv"), summary_lines)
+    _write_text(summary_path, summary_lines)
     print(f"swept {key} over {len(values)} values into {args.out}")
     return 0
 

@@ -13,7 +13,9 @@ Identical (config, seed) pairs produce identical output, record for record.
 Configs that share the seed, node count, area and temperature source can run
 as one lockstep group: the deployment and each node's temperatures, losses
 and random draws are made once per round for the whole group, and each
-member runs the rest of the round on them.
+member runs the rest of the round on them. Members that also share every
+controller input are twins: until the group's first death or last round,
+the first of them assigns the levels and scores the PRR for all of them.
 
 Per-node state lives in flat lists indexed by node id, and regions in the
 kernel are the indices 0/1/2 of ``REGIONS``.
@@ -170,6 +172,23 @@ def _shared_inputs(config: SimConfig) -> tuple:
     return (config.seed, config.node_count, config.area_side_m, config.temperature)
 
 
+def _controller_inputs(config: SimConfig) -> tuple:
+    """The inputs that, within one group, fix every level and PRR value
+    until a node dies. The other inputs (cadence, energy model, link budget,
+    rounds) reach the levels only through a region's neighbor count, which
+    changes only at an exchange after a death."""
+    return (config.controller, config.level_cap_dbm, config.regions, config.prr,
+            config.prr_sampled)
+
+
+class _TwinRound:
+    """What the first member of a twin set computes for the others: its
+    levels list, which it alone writes, and the current round's region and
+    mean PRR."""
+
+    __slots__ = ("levels", "region_prr", "prr_mean")
+
+
 def run_simulation(
     config: SimConfig,
     keep_rounds: Optional[Collection[int]] = None,
@@ -198,6 +217,13 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     Sharing is exact because a node draws from its own streams once per
     round while alive, so a node alive in a member at round r has drawn the
     same values there as in a run on its own.
+
+    Twins, members with equal ``_controller_inputs``, also share the control
+    part until the first round in which some member has a death or runs its
+    last round: only the first twin in config order assigns levels and
+    scores PRR, and the others read its levels list and PRR averages. After
+    that round each twin takes its own levels before any member starts the
+    next round.
     """
     for config in configs:
         config_mod.validate(config)
@@ -231,10 +257,16 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     # refs[i]: the unfinished members in which node i is alive.
     refs = [len(configs)] * n
 
+    keys = [_controller_inputs(config) for config in configs]
+    leader = [keys.index(key) for key in keys]
+    twins = {k: _TwinRound() for k in set(leader) if leader.count(k) > 1}
     runs = [
-        _member_rounds(config, keep, deployment, temps, losses, comp, draws, refs)
-        for config in configs
+        _member_rounds(config, keep, deployment, temps, losses, comp, draws, refs,
+                       twins.get(leader[k]), leader[k] != k)
+        for k, config in enumerate(configs)
     ]
+    # handoff[k]: the levels list member k runs on once its twin set splits
+    handoff: dict[int, list[float]] = {}
 
     sigma = proc.walk_sigma_c
     t_min, t_max = proc.t_min_c, proc.t_max_c
@@ -284,7 +316,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         dropped = False
         for k, run in active:
             try:
-                dropped |= next(run)
+                dropped |= run.send(handoff.pop(k, None))
             except StopIteration as stop:
                 results[k] = stop.value
                 dropped = True
@@ -293,6 +325,14 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
             if not active:
                 break
             live = [i for i in live if refs[i]]
+            if twins:
+                # The first twin keeps its list; the others copy it now,
+                # before it changes in the next round.
+                for k, _ in active:
+                    twin = twins.get(leader[k])
+                    if twin is not None:
+                        handoff[k] = twin.levels if leader[k] == k else twin.levels[:]
+                twins = {}
     return results
 
 
@@ -305,13 +345,18 @@ def _member_rounds(
     comp: list[float],
     draws: Optional[list[float]],
     refs: list[int],
-) -> Generator[bool, None, SimResult]:
-    """One member's rounds: each ``next()`` runs one round on the shared
+    twin: Optional[_TwinRound],
+    follows: bool,
+) -> Generator[bool, Optional[list[float]], SimResult]:
+    """One member's rounds: each ``send()`` runs one round on the shared
     values of that round, yields whether any of its nodes died, and the
     generator returns the member's SimResult after its last round.
 
     The deployment and the shared lists are read, never written, except
     ``refs``, which counts down as this member's nodes die or its run ends.
+    A member of a twin set publishes its control part to ``twin`` or, when
+    it ``follows``, reads it from there, until a ``send()`` hands it the
+    levels list it runs on from then on.
     """
     nodes = deployment.nodes
     n = len(nodes)
@@ -333,11 +378,16 @@ def _member_rounds(
     last_estimated = [0.0] * n
     cap = config.level_cap_dbm
     is_east = config.controller == "east"
-    if is_east:
-        levels = [min(threshold_level[k], cap) for k in region_of]
+    if follows:
+        levels = twin.levels
     else:
-        # The baseline's level never changes: the worst-case compensation.
-        levels = [min(classical_assign(config.temperature.t_max_c), cap)] * n
+        if is_east:
+            levels = [min(threshold_level[k], cap) for k in region_of]
+        else:
+            # The baseline's level never changes: the worst-case compensation.
+            levels = [min(classical_assign(config.temperature.t_max_c), cap)] * n
+        if twin is not None:
+            twin.levels = levels
     # Transmit power and the ACK/data tx costs it fixes; the costs are
     # recomputed only when a node's power changes.
     pt = [math.nan] * n
@@ -369,8 +419,10 @@ def _member_rounds(
     for round_idx in range(config.rounds):
         if round_idx > 0:
             # Hand back the round just run; resume once the shared pass of
-            # this round is done.
-            yield died
+            # this round is done, on a list of its own if the twin set split.
+            own = yield died
+            if own is not None:
+                levels, twin, follows = own, None, False
 
         # (2) closed-loop schedule
         if is_east:
@@ -395,10 +447,11 @@ def _member_rounds(
         traffic.beacons_sent += beacons_this
         traffic.acks_sent += acks_this
 
-        # (3) one pass over the alive nodes in id order: level, power, one
-        # data packet and its reception quality, the beacon rx, ACK tx and
-        # data tx debits, each capped at the remaining battery so draw always
-        # equals tx + rx exactly, and death on an empty battery. The caps are
+        # (3) one pass over the alive nodes in id order: level and one data
+        # packet's reception quality (the control part, which a following
+        # twin reads instead), power, the beacon rx, ACK tx and data tx
+        # debits, each capped at the remaining battery so draw always equals
+        # tx + rx exactly, and death on an empty battery. The caps are
         # conditionals that pick what min() would, without a call per debit.
         prr_all = []
         prr_by_region: list[list[float]] = [[], [], []]
@@ -407,28 +460,30 @@ def _member_rounds(
         died = False
         for i in live:
             k = region_of[i]
-            loss = losses[i]
-            if is_east:
-                level = east_assign(levels[i], loss, threshold_loss[k], threshold_level[k],
-                                    n_current[k], n_desired[k])
-                levels[i] = level = cap if cap < level else level
-            else:
+            if follows:
                 level = levels[i]
+            else:
+                if is_east:
+                    level = east_assign(levels[i], losses[i], threshold_loss[k],
+                                        threshold_level[k], n_current[k], n_desired[k])
+                    levels[i] = level = cap if cap < level else level
+                else:
+                    level = levels[i]
+                # prr_from_margin written out; level and comp[i] are finite.
+                try:
+                    prr = 1.0 / (1.0 + exp(neg_alpha * (level - comp[i] - beta)))
+                except OverflowError:
+                    prr = 0.0
+                if sampled is not None:
+                    prr = 1.0 if sampled[i] < prr else 0.0
+                prr_all.append(prr)
+                prr_by_region[k].append(prr)
+
             power = base_dbm[i] + level
             if power != pt[i]:
                 pt[i] = power
                 ack_tx_j[i] = tx_energy(power, energy.ack_bits, energy)
                 data_tx_j[i] = tx_energy(power, energy.data_bits, energy)
-
-            # prr_from_margin written out; level and comp[i] are finite.
-            try:
-                prr = 1.0 / (1.0 + exp(neg_alpha * (level - comp[i] - beta)))
-            except OverflowError:
-                prr = 0.0
-            if sampled is not None:
-                prr = 1.0 if sampled[i] < prr else 0.0
-            prr_all.append(prr)
-            prr_by_region[k].append(prr)
 
             battery = batteries[i]
             if exchanging[k]:
@@ -454,16 +509,23 @@ def _member_rounds(
             if battery <= 0.0:
                 alive[i] = False
                 died = True
-                frozen[i] = (temps[i], loss)
+                frozen[i] = (temps[i], losses[i])
                 refs[i] -= 1
 
         # (4) record; the region and mean PRR sum each round's values in id
         # order
-        region_prr = {
-            r: sum(values) / len(values) if values else math.nan
-            for r, values in zip(REGIONS, prr_by_region)
-        }
-        prr_mean = sum(prr_all) / len(prr_all)
+        if follows:
+            region_prr = dict(twin.region_prr)
+            prr_mean = twin.prr_mean
+        else:
+            region_prr = {
+                r: sum(values) / len(values) if values else math.nan
+                for r, values in zip(REGIONS, prr_by_region)
+            }
+            prr_mean = sum(prr_all) / len(prr_all)
+            if twin is not None:
+                twin.region_prr = region_prr
+                twin.prr_mean = prr_mean
         if died:
             live = [i for i in live if alive[i]]
             members = [[i for i in m if alive[i]] for m in members]

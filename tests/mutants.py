@@ -84,6 +84,12 @@ MUTANTS = [
      "for entry in files[_CACHE_FILES:]:", "for entry in files[:0]:"),
     ("run outputs keep an earlier run's manifest", "src/eastsim/cli.py",
      "os.remove(manifest_path)", "pass"),
+    ("sweep keeps an earlier sweep's summary", "src/eastsim/cli.py",
+     "os.remove(summary_path)", "pass"),
+    ("twins never dissolve", "src/eastsim/engine.py",
+     "handoff[k] = twin.levels if leader[k] == k else twin.levels[:]", "pass"),
+    ("the twin key omits prr", "src/eastsim/engine.py",
+     "config.regions, config.prr,", "config.regions,"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")

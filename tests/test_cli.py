@@ -553,6 +553,19 @@ class TestCmdSweep:
             for name in files:
                 assert (member / name).read_bytes() == (solo / name).read_bytes(), (value, name)
 
+    def test_failed_rerun_leaves_no_stale_summary(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--key", "cadence.period_rounds", "--values", "1,5",
+                "--set", "nodes=5", "--set", "rounds=5", "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        figure = out / "cadence.period_rounds=5" / "figures" / "temp_per_node.csv"
+        figure.unlink()
+        figure.mkdir()
+        assert main([*argv, "--seed", "2"]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        # the first run directory now holds seed 2; a seed-1 summary beside it would lie
+        assert not (out / "sweep_summary.csv").exists()
+
     def test_late_figure_round_failure_writes_nothing(self, tmp_path, capsys):
         # the second value goes extinct in round 0, after the first has run
         out = tmp_path / "sw"

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from eastsim import engine
-from eastsim.cli import write_run_outputs
+from eastsim import engine, protocol
+from eastsim.cli import main, write_run_outputs
 from eastsim.config import SimConfig
 from eastsim.engine import Lockstep, run_simulation
 from eastsim.errors import ConfigError
@@ -196,6 +196,16 @@ class TestOracleEquivalence:
             assert records_equal(got, expected)
 
 
+def same_as_solo_runs(configs, results):
+    """Whether each lockstep result equals, record for record, its run alone."""
+    for cfg, result in zip(configs, results):
+        solo = run_simulation(cfg)
+        assert len(result.records) == len(solo.records)
+        for got, expected in zip(result.records, solo.records):
+            assert records_equal(record_as_dict(got), record_as_dict(expected))
+    return True
+
+
 class TestLockstep:
     def test_node_dead_in_one_member_keeps_walking_in_the_other(self):
         # Node 0 dies in round 27 of the small-battery member, after an odd
@@ -213,11 +223,7 @@ class TestLockstep:
         assert death == 27
         assert all(r.alive[0] for r in results[1].records)
         assert results[0].deployment is results[1].deployment
-        for cfg, result in zip((drained, kept), results):
-            solo = run_simulation(cfg)
-            assert len(result.records) == len(solo.records)
-            for got, expected in zip(result.records, solo.records):
-                assert records_equal(record_as_dict(got), record_as_dict(expected))
+        assert same_as_solo_runs((drained, kept), results)
 
     def test_dead_node_stops_drawing_its_walk(self, monkeypatch):
         # Once a node is dead in every member, the shared pass stops walking
@@ -257,12 +263,8 @@ class TestLockstep:
         configs = [member(2), member(3), drained, fast]
         batch = Lockstep(configs)
         results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
-        for cfg, result in zip(configs, results):
-            assert result.config is cfg
-            solo = run_simulation(cfg)
-            assert len(result.records) == len(solo.records)
-            for got, expected in zip(result.records, solo.records):
-                assert records_equal(record_as_dict(got), record_as_dict(expected))
+        assert all(result.config is cfg for cfg, result in zip(configs, results))
+        assert same_as_solo_runs(configs, results)
         assert results[0].deployment is results[2].deployment
         assert results[1].deployment is results[3].deployment
         assert results[0].deployment is not results[1].deployment
@@ -275,6 +277,65 @@ class TestLockstep:
             run_simulation(cfg, (2,), lockstep=batch)
         with pytest.raises(ValueError, match="not a member"):
             run_simulation(SimConfig(node_count=4, rounds=5, seed=2), (1,), lockstep=batch)
+
+
+class TestTwins:
+    @pytest.fixture
+    def east_calls(self, monkeypatch):
+        calls = [0]
+
+        def counting_east_assign(*args):
+            calls[0] += 1
+            return protocol.east_assign(*args)
+
+        monkeypatch.setattr(engine, "east_assign", counting_east_assign)
+        return calls
+
+    def test_sweep_without_deaths_assigns_levels_once(self, tmp_path, east_calls):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out", str(out), "--key", "cadence.period_rounds",
+                     "--values", "1,5,10,20", "--set", "nodes=15", "--set", "rounds=12"]) == 0
+        survivors = [line.split(",")[6] for line in
+                     (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert survivors == ["15"] * 4
+        assert east_calls[0] == 15 * 12
+
+    def test_drained_member_ends_the_sharing(self, east_calls):
+        # The first member loses a node in round 19; from round 20 on every
+        # member assigns its own levels.
+        base = SimConfig(node_count=8, rounds=30, seed=11, area_side_m=90.0)
+        base.temperature = replace(base.temperature, walk_sigma_c=2.0)
+        configs = [replace(base, cadence=replace(base.cadence, period_rounds=p))
+                   for p in (1, 5, 10, 20)]
+        configs[0].energy = replace(base.energy, initial_battery_j=0.004)
+        batch = Lockstep(configs)
+        results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
+        death = next(r.round_index for r in results[0].records if not all(r.alive))
+        assert death == 19
+        alive_after = sum(sum(rec.alive) for result in results for rec in result.records[19:-1])
+        assert east_calls[0] == 8 * 20 + alive_after
+        assert same_as_solo_runs(configs, results)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(prr=replace(SimConfig().prr, alpha_per_db=2.0)),
+            dict(prr=replace(SimConfig().prr, beta_db=-1.0)),
+            dict(prr_sampled=True),
+            # binds the classical controller's level
+            dict(level_cap_dbm=45.0),
+            dict(regions=replace(SimConfig().regions, boundary_low_dbm=-3.0)),
+        ],
+        ids=["alpha", "beta", "sampled", "cap", "regions"],
+    )
+    def test_members_differing_in_a_controller_input_are_not_twins(self, change, east_calls):
+        base = SimConfig(node_count=8, rounds=15, seed=5, controller="classical")
+        configs = [base, replace(base, **change)]
+        configs += [replace(cfg, controller="east") for cfg in configs]
+        batch = Lockstep(configs)
+        results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
+        assert east_calls[0] == 2 * 8 * 15
+        assert same_as_solo_runs(configs, results)
 
 
 class TestRetention:

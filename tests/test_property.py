@@ -6,7 +6,8 @@ force extinction) and checks exact record equality with the reference
 executor plus the engine's accounting invariants. A second test runs 2-3
 such configs as one lockstep group, differing in everything but the seed,
 nodes, area and temperature source, and checks every member against the
-reference executor.
+reference executor. A third runs 2-4 twins, members that also share every
+controller input, on batteries that let a death end their sharing mid-run.
 """
 
 import random
@@ -200,10 +201,7 @@ def extinct_beside_survivor():
     return [doomed, sampled_classical, expected_east]
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(lockstep_groups())
-@example(extinct_beside_survivor())
-def test_lockstep_members_match_oracle(members):
+def assert_members_match_oracle(members):
     group = Lockstep(members)
     for cfg in members:
         result = run_simulation(cfg, lockstep=group)
@@ -212,3 +210,83 @@ def test_lockstep_members_match_oracle(members):
         assert len(engine) == len(reference)
         for got, expected in zip(engine, reference):
             assert records_equal(got, expected), got["round"]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(lockstep_groups())
+@example(extinct_beside_survivor())
+def test_lockstep_members_match_oracle(members):
+    assert_members_match_oracle(members)
+
+
+@st.composite
+def twin_groups(draw):
+    """2-4 twins of one drawn config: they keep its controller inputs too and
+    vary only the cadence, the energy model, one link-budget key and the
+    round count."""
+    base = draw(configs())
+    members = []
+    for _ in range(draw(st.integers(2, 4))):
+        cfg = replace(
+            base,
+            rounds=draw(st.integers(1, base.rounds)),
+            cadence=replace(
+                base.cadence,
+                period_rounds=draw(st.integers(1, 12)),
+                drift_dbm=draw(st.floats(0.0, 2.0)),
+            ),
+            link_budget=replace(base.link_budget, eb_n0_db=draw(st.floats(0.0, 20.0))),
+            # Log-uniform, so a death often ends the sharing mid-run.
+            energy=replace(
+                base.energy,
+                initial_battery_j=10.0 ** draw(st.floats(-4.0, -1.0)),
+                e_elec_j_per_bit=draw(st.floats(10e-9, 100e-9)),
+                ack_bits=draw(st.integers(64, 512)),
+                data_bits=draw(st.integers(256, 2048)),
+            ),
+        )
+        members.append(cfg)
+    return members
+
+
+def _twin_base():
+    base = SimConfig(node_count=8, rounds=30, seed=11, area_side_m=90.0)
+    base.temperature = replace(base.temperature, walk_sigma_c=2.0)
+    return base
+
+
+def _with_battery(cfg, battery_j):
+    return replace(cfg, energy=replace(cfg.energy, initial_battery_j=battery_j))
+
+
+def first_twin_dies_first():
+    """The first twin, which computes the others' levels, loses a node
+    mid-run while the second keeps all of its nodes."""
+    base = _twin_base()
+    fast = replace(base, cadence=replace(base.cadence, period_rounds=1))
+    return [_with_battery(fast, 0.004), _with_battery(base, 2.0)]
+
+
+def first_twin_ends_first():
+    """The first twin runs the fewest rounds; the others go on without it."""
+    base = _twin_base()
+    return [replace(base, rounds=4),
+            replace(base, cadence=replace(base.cadence, period_rounds=1)),
+            replace(base, link_budget=replace(base.link_budget, eb_n0_db=12.0))]
+
+
+def death_only_beside_twins():
+    """A member that is no twin of the others drains first; the two twins
+    after it in the group lose no node."""
+    base = _twin_base()
+    doomed = _with_battery(replace(base, controller="classical"), 0.004)
+    return [doomed, base, replace(base, cadence=replace(base.cadence, period_rounds=1))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(twin_groups())
+@example(first_twin_dies_first())
+@example(first_twin_ends_first())
+@example(death_only_beside_twins())
+def test_twin_members_match_oracle(members):
+    assert_members_match_oracle(members)
