@@ -17,7 +17,6 @@ import struct
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, count, cycle, islice, repeat
 from typing import Optional
 
 from .errors import ConfigError, DataError
@@ -47,15 +46,11 @@ def distance(a: Position, b: Position) -> float:
 class TraceTable:
     """A dense temperature trace held as per-round rows: ``rows[round][node]``.
 
-    Every row has the same width. ``table[(node, round)]`` and ``len(table)``
-    (nodes x rounds) read it as the flat (node, round) table of the file.
+    Every row has the same width. ``len(table)`` counts the (node, round)
+    cells, as many as the file has data rows.
     """
 
     rows: tuple[tuple[float, ...], ...]
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        node_id, round_idx = key
-        return self.rows[round_idx][node_id]
 
     def __len__(self) -> int:
         return len(self.rows) * len(self.rows[0])
@@ -140,9 +135,7 @@ def load_temperature_trace(
 
     Format: header ``node,round,temp_c``, one row per (node, round) pair
     in any order, zero-based dense indices. Values must lie within
-    [t_min_c, t_max_c]. The table is held as per-round rows. A file in
-    the canonical node-major shape is read column-wise in bulk; any other
-    file goes through the one-pass loader, with the same result.
+    [t_min_c, t_max_c]. The table is held as per-round rows.
 
     A loaded table is cached in a file named by the sha256 of the trace's
     bytes (see ``_trace_cache_path``); a later load of the same bytes by the
@@ -162,9 +155,7 @@ def load_temperature_trace(
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-        table = _load_bulk(text, t_min_c, t_max_c)
-        if table is None:
-            table = _load_per_line(path, text, t_min_c, t_max_c)
+        table = _load_per_line(path, text, t_min_c, t_max_c)
         if cache_path is not None:
             _write_trace_cache(cache_path, table)
     return TemperatureProcess(
@@ -290,70 +281,10 @@ def _write_trace_cache(path: str, table: TraceTable) -> None:
                 os.unlink(tmp)
 
 
-# The bulk path takes only this header followed by the lines "n,r,<temp>\n"
-# for n < N, r < R in node-major order, indices written as str(int).
-_BULK_HEADER = ",".join(TRACE_HEADER) + "\n"
-# str.translate table deleting every ASCII character but "," and the line
-# breaks str.splitlines() honours, so the separators of a slice can be
-# compared with ",,\n" per line; a non-ASCII character is kept, so it fails too.
-_SEPARATORS_ONLY = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n\r\x0b\x0c\x1c\x1d\x1e")
-# Characters per slice, ending at a line break: bounds the per-slice field lists.
-_SLICE_CHARS = 1 << 15
-
-
-def _load_bulk(text: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
-    """The table of a canonical node-major file, or None for any other file.
-
-    R is the line offset of the first ``1,0,`` line (all lines when there is
-    none), so the shape comes from line positions and a stray huge index
-    allocates nothing. Each slice of whole lines must have exactly the
-    expected separators and index strings, and the lines must end on a whole
-    node; the temperatures are parsed column-wise and range-checked once.
-    Text with no final line break or with trailing blank lines is declined
-    before any slice. This path never names an error: the per-line loader
-    reports every file declined here.
-    """
-    if not text.startswith(_BULK_HEADER) or not text.endswith("\n") or text.endswith("\n\n"):
-        return None
-    start = len(_BULK_HEADER)
-    second_node = text.find("\n1,0,", start - 1)
-    n_rounds = text.count("\n", start, None if second_node < 0 else second_node + 1)
-    if not n_rounds:
-        return None
-    node_names = chain.from_iterable(map(repeat, map(str, count()), repeat(n_rounds)))
-    round_names = cycle(list(map(str, range(n_rounds))))
-    temps: list[float] = []
-    while start < len(text):
-        end = text.rfind("\n", start, start + _SLICE_CHARS) + 1
-        if not end:
-            return None
-        chunk = text[start:end]
-        start = end
-        separators = chunk.translate(_SEPARATORS_ONLY)
-        n_lines = len(separators) // 3
-        if separators != ",,\n" * n_lines:
-            return None
-        fields = chunk.replace("\n", ",").split(",")
-        fields.pop()  # the empty field after the slice's last line break
-        nodes, rounds = list(islice(node_names, n_lines)), list(islice(round_names, n_lines))
-        if fields[0::3] != nodes or fields[1::3] != rounds:
-            return None
-        try:
-            temps.extend(map(float, fields[2::3]))
-        except ValueError:
-            return None
-    if len(temps) % n_rounds or not (t_min_c <= min(temps) and max(temps) <= t_max_c):
-        return None
-    if not math.isfinite(sum(temps)):  # min and max can step over a NaN
-        return None
-    return TraceTable(tuple(tuple(temps[r::n_rounds]) for r in range(n_rounds)))
-
-
 def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> TraceTable:
     """The table of a trace's decoded text, read line by line in any row order.
 
-    The only loader that names errors: a ``DataError`` names the first bad
-    row of the file.
+    A ``DataError`` names the first bad row of the file.
     """
     lines = text.splitlines()
     if not lines:

@@ -58,6 +58,10 @@ MUTANTS = [
      "if any(config.prr_sampled for config in configs):", "if configs[0].prr_sampled:"),
     ("walk never clamped", "src/eastsim/engine.py",
      "t = t_min if t_min > t else (t_max if t_max < t else t)", "pass"),
+    ("desired neighbor counts read in the wrong region order", "src/eastsim/engine.py",
+     "n_desired = [desired[r] for r in REGIONS]", "n_desired = [desired[r] for r in reversed(REGIONS)]"),
+    ("rule (ii) starts one death late", "src/eastsim/engine.py",
+     "n_desired = [desired[r] for r in REGIONS]", "n_desired = [desired[r] - 1 for r in REGIONS]"),
     ("desired neighbor count floored at 0, not 1", "src/eastsim/protocol.py",
      "DESIRED_NEIGHBOR_DEFICIT, 1)", "DESIRED_NEIGHBOR_DEFICIT, 0)"),
     ("classical: one ACK short each round", "src/eastsim/engine.py",
@@ -70,10 +74,12 @@ MUTANTS = [
      "if _shared_inputs(group[0]) == _shared_inputs(member):", "if True:"),
     ("sweep runs two values that make the same config", "src/eastsim/cli.py",
      "if digest in seen:", "if False:"),
-    ("bulk trace load: index columns never compared", "src/eastsim/topology.py",
-     "if fields[0::3] != nodes or fields[1::3] != rounds:", "if False:"),
-    ("bulk trace load: no NaN/inf guard", "src/eastsim/topology.py",
-     "if not math.isfinite(sum(temps)):", "if False:"),
+    ("trace load: <= becomes < at t_max_c", "src/eastsim/topology.py",
+     "if not (t_min_c <= temp <= t_max_c):", "if not (t_min_c <= temp < t_max_c):"),
+    ("trace load: dense rows never detect a duplicate", "src/eastsim/topology.py",
+     "if row[node_id] is None:", "if True:"),
+    ("trace load: sparse indices keep growing the dense rows", "src/eastsim/topology.py",
+     "if seen is None and n_nodes * n_rounds > limit:", "if False:"),
     ("trace cache hit skips the range check", "src/eastsim/topology.py",
      "if not (t_min_c <= lo and hi <= t_max_c):", "if False:"),
     ("trace cache checksum never compared", "src/eastsim/topology.py",

@@ -66,7 +66,7 @@ def reference_run(cfg):
     temp = dict(base_temp)
     if trace is not None:
         for i in range(n):
-            temp[i] = trace[(i, 0)]
+            temp[i] = trace.rows[0][i]
     battery = {i: en.initial_battery_j for i in range(n)}
     alive = {i: True for i in range(n)}
     level = {i: 0.0 for i in range(n)}
@@ -84,7 +84,7 @@ def reference_run(cfg):
 
         if trace is not None:
             for i in live:
-                temp[i] = trace[(i, rnd)]
+                temp[i] = trace.rows[rnd][i]
         elif rnd > 0:
             for i in live:
                 t = temp[i] + sigma * walks[i].gauss(0.0, 1.0)

@@ -8,19 +8,24 @@ such configs as one lockstep group, differing in everything but the seed,
 nodes, area and temperature source, and checks every member against the
 reference executor. A third runs 2-4 twins, members that also share every
 controller input, on batteries that let a death end their sharing mid-run.
+A fourth draws larger networks crowded into one region and drained mid-run,
+so that rule (ii) of the east controller sets levels, and counts how often.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from eastsim import engine
 from eastsim.config import SimConfig
 from eastsim.engine import Lockstep, run_simulation
-from eastsim.protocol import REGIONS, Region, RegionConfig
+from eastsim.protocol import REGIONS, Region, RegionConfig, east_assign
+from eastsim.radio import rssi_loss_from_temperature
 from eastsim.topology import TemperatureProcess, TraceTable
 
 from oracle import record_as_dict, records_equal, reference_run
@@ -121,6 +126,14 @@ def staggered_drain():
     return cfg
 
 
+def assert_matches_oracle(cfg, result):
+    engine_records = [record_as_dict(r) for r in result.records]
+    reference = reference_run(cfg)
+    assert len(engine_records) == len(reference)
+    for got, expected in zip(engine_records, reference):
+        assert records_equal(got, expected), got["round"]
+
+
 def _subset_sums(counts):
     return {sum(c) for k in range(len(counts) + 1) for c in combinations(counts, k)}
 
@@ -131,12 +144,7 @@ def _subset_sums(counts):
 @example(staggered_drain())
 def test_engine_matches_oracle_and_invariants(cfg):
     result = run_simulation(cfg)
-
-    engine = [record_as_dict(r) for r in result.records]
-    reference = reference_run(cfg)
-    assert len(engine) == len(reference)
-    for got, expected in zip(engine, reference):
-        assert records_equal(got, expected), got["round"]
+    assert_matches_oracle(cfg, result)
 
     batteries = result.batteries_j
     assert all(b >= 0.0 for b in batteries)
@@ -204,12 +212,7 @@ def extinct_beside_survivor():
 def assert_members_match_oracle(members):
     group = Lockstep(members)
     for cfg in members:
-        result = run_simulation(cfg, lockstep=group)
-        engine = [record_as_dict(r) for r in result.records]
-        reference = reference_run(cfg)
-        assert len(engine) == len(reference)
-        for got, expected in zip(engine, reference):
-            assert records_equal(got, expected), got["round"]
+        assert_matches_oracle(cfg, run_simulation(cfg, lockstep=group))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -290,3 +293,96 @@ def death_only_beside_twins():
 @example(death_only_beside_twins())
 def test_twin_members_match_oracle(members):
     assert_members_match_oracle(members)
+
+
+@st.composite
+def crowded_drains(draw):
+    """20-40 east nodes over 10-30 rounds, most of them in one drawn region
+    and many above its threshold, with a steep link budget and a battery
+    that distant nodes drain first. Once six or more of the crowded region's
+    nodes have died, its next exchange leaves its neighbor count below the
+    desired count, and rule (ii) sets the survivors' levels."""
+    t_min = draw(st.floats(-10.0, 20.0))
+    t_max = t_min + draw(st.floats(10.0, 40.0))
+    low_loss, high_loss = rssi_loss_from_temperature(t_min), rssi_loss_from_temperature(t_max)
+    span = high_loss - low_loss
+    # The crowded region takes this share of the loss range, where base
+    # temperatures are uniform; the others share the rest.
+    share = draw(st.floats(0.75, 0.95))
+    gap = draw(st.floats(0.1, 2.0))
+    crowded = draw(st.sampled_from(REGIONS))
+    if crowded is Region.A:
+        high = high_loss - share * span
+        low = high - gap
+    elif crowded is Region.B:
+        low, high = low_loss + (1.0 - share) / 2.0 * span, high_loss - (1.0 - share) / 2.0 * span
+    else:
+        low = low_loss + share * span
+        high = low + gap
+    cfg = SimConfig(
+        node_count=draw(st.integers(20, 40)),
+        rounds=draw(st.integers(10, 30)),
+        seed=draw(st.integers(0, 2**32)),
+        area_side_m=draw(st.floats(100.0, 200.0)),
+        prr_sampled=draw(st.booleans()),
+    )
+    cfg.regions = RegionConfig(
+        boundary_high_dbm=high,
+        boundary_low_dbm=low,
+        threshold_loss_dbm={r: low_loss + draw(st.floats(0.0, 0.5)) * span for r in REGIONS},
+    )
+    top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
+    cfg.level_cap_dbm = top_level + draw(st.floats(0.0, 10.0))
+    cfg.temperature = TemperatureProcess(
+        t_min_c=t_min, t_max_c=t_max, walk_sigma_c=draw(st.floats(0.0, 2.0))
+    )
+    cfg.link_budget = replace(cfg.link_budget, eb_n0_db=draw(st.floats(20.0, 30.0)))
+    cfg.cadence = replace(
+        cfg.cadence,
+        period_rounds=draw(st.integers(1, 5)),
+        drift_dbm=draw(st.floats(0.0, 2.0)),
+    )
+    cfg.energy = replace(cfg.energy, initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.0)))
+    return cfg
+
+
+def run_counting_rules(cfg):
+    """run_simulation(cfg), with how many east_assign calls took each rule."""
+    rules = Counter()
+
+    def counting(level_dbm, loss_dbm, threshold_loss_dbm, threshold_level_dbm, n_current, n_desired):
+        if loss_dbm < threshold_loss_dbm:
+            rules["iii"] += 1
+        else:
+            rules["i" if n_current >= n_desired else "ii"] += 1
+        return east_assign(level_dbm, loss_dbm, threshold_loss_dbm, threshold_level_dbm,
+                           n_current, n_desired)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "east_assign", counting)
+        return run_simulation(cfg), rules
+
+
+CROWDED_DRAINS = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+@CROWDED_DRAINS
+@given(crowded_drains())
+def test_crowded_drains_match_oracle(cfg):
+    result, rules = run_counting_rules(cfg)
+    for rule in ("i", "ii", "iii"):  # shown by pytest --hypothesis-show-statistics
+        event(f"rule ({rule}) node-rounds", "0" if not rules[rule] else "<50" if rules[rule] < 50 else "50+")
+    assert_matches_oracle(cfg, result)
+
+
+def test_crowded_drains_reach_rule_ii():
+    reached = []
+
+    @CROWDED_DRAINS
+    @given(crowded_drains())
+    def count(cfg):
+        reached.append(run_counting_rules(cfg)[1]["ii"] > 0)
+
+    count()
+    # Rule (ii) set levels in 42 of these 100 examples when this was written.
+    assert sum(reached) >= len(reached) // 4, f"rule (ii) reached in {sum(reached)} of {len(reached)}"

@@ -21,8 +21,7 @@ from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
 from eastsim.topology import (
     Position,
-    _load_bulk,
-    _load_per_line,
+    TraceTable,
     deploy_random,
     distance,
     load_temperature_trace,
@@ -177,8 +176,8 @@ def inside_value(lines, i, char):
     return lines[:i] + [f"{node},{rnd},{temp[:1]}{char}{temp[1:]}"] + lines[i + 1 :]
 
 
-# Files that look like a canonical node-major trace but are not one: each
-# maps (data lines, a line index) to the text of the file.
+# Variants of a node-major trace's text: each maps (data lines, a line
+# index) to the text of the file.
 PERTURBATIONS = {
     "crlf": lambda lines, i: trace_text(lines, "\r\n"),
     "blank_line": lambda lines, i: trace_text(lines[:i] + [""] + lines[i:]),
@@ -202,29 +201,28 @@ PERTURBATIONS = {
 }
 
 
-def load_outcome(load):
-    """The table a loader returns, or the message of the DataError it raises."""
-    try:
-        return load()
-    except DataError as exc:
-        return str(exc)
-
-
-def assert_loaders_agree(path, text):
-    """Writes ``text`` to ``path`` and checks that load_temperature_trace gives
-    what the per-line loader gives; returns what the bulk path gave."""
+def load_text(path, text):
+    """Writes ``text`` to ``path`` and loads it with the default bounds: the
+    table, or the DataError's message with the path stripped."""
     path.write_bytes(text.encode("utf-8"))
-    loaded = load_outcome(lambda: load_temperature_trace(str(path)).trace)
-    assert loaded == load_outcome(lambda: _load_per_line(str(path), text, -10.0, 53.0))
-    return _load_bulk(text, -10.0, 53.0)
+    try:
+        return load_temperature_trace(str(path)).trace
+    except DataError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+
+
+def grid_table(n_nodes, n_rounds):
+    """The table of node_major_lines(n_nodes, n_rounds)."""
+    return TraceTable(
+        tuple(tuple(20.0 + n + 0.25 * r for n in range(n_nodes)) for r in range(n_rounds))
+    )
 
 
 @st.composite
 def perturbed_node_major_traces(draw):
     """A node-major grid of 1-6 x 1-6 with values in and just outside the
-    default bounds, and at most one perturbation; with whether the bulk path
-    must take the file, or None where a perturbation may leave it canonical
-    (a dropped last line of a one-round grid)."""
+    default bounds, and at most one perturbation; with the grid's per-round
+    rows where the file is unperturbed and every value in range, else None."""
     n_nodes, n_rounds = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     temperature = st.one_of(
         st.floats(-10.5, 53.5),
@@ -235,7 +233,9 @@ def perturbed_node_major_traces(draw):
     lines = [f"{n},{r},{t!r}" for (n, r), t in zip(cells, temps)]
     perturbation = draw(st.sampled_from([None, *PERTURBATIONS]))
     if perturbation is None:
-        return trace_text(lines), all(-10.0 <= t <= 53.0 for t in temps)
+        in_range = all(-10.0 <= t <= 53.0 for t in temps)
+        rows = tuple(tuple(temps[n * n_rounds + r] for n in range(n_nodes)) for r in range(n_rounds))
+        return trace_text(lines), rows if in_range else None
     return PERTURBATIONS[perturbation](lines, draw(st.integers(0, len(lines) - 1))), None
 
 
@@ -249,7 +249,7 @@ class TestLoadTemperatureTrace:
         assert len(proc.trace) == 6
         assert len(proc.trace.rows[0]) == 2
         assert len(proc.trace.rows) == 3
-        assert proc.trace[(1, 2)] == 23.0
+        assert proc.trace.rows[2][1] == 23.0
 
     def test_missing_entry_identified(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -302,7 +302,7 @@ class TestLoadTemperatureTrace:
             assert loaded[name].trace == loaded["node_major"].trace
             rows = loaded[name].trace.rows
             assert (len(rows[0]), len(rows)) == (3, 4)
-        assert loaded["shuffled"].trace[(2, 3)] == 22.75
+        assert loaded["shuffled"].trace.rows[3][2] == 22.75
 
     @pytest.mark.parametrize(
         "rows, named",
@@ -367,71 +367,59 @@ class TestLoadTemperatureTrace:
         assert all(records_equal(a, b) for a, b in zip(*records))
 
     @pytest.mark.parametrize(
-        "n_nodes, n_rounds, perturbation, line, accepted",
+        "n_nodes, n_rounds, perturbation, line, error",
         [
-            pytest.param(3, 4, None, 0, True, id="canonical"),
-            pytest.param(1, 5, None, 0, True, id="one_node"),
-            pytest.param(5, 1, None, 0, True, id="one_round"),
+            pytest.param(3, 4, None, 0, None, id="canonical"),
+            pytest.param(1, 5, None, 0, None, id="one_node"),
+            pytest.param(5, 1, None, 0, None, id="one_round"),
             *(
-                pytest.param(3, 4, name, line, False, id=name)
-                for name, line in [
-                    ("crlf", 0),
-                    ("blank_line", 6),
-                    ("two_trailing_newlines", 0),
-                    ("plus_index", 0),
-                    ("zero_padded_index", 0),
-                    ("space_before_index", 0),
-                    ("nan", 11),
-                    ("inf", 11),
-                    ("overflow", 11),
-                    ("out_of_range", 11),
-                    ("line_dropped", 11),
-                    ("line_duplicated", 11),
-                    ("lines_swapped", 5),
-                    ("round_major", 0),
-                    ("vertical_tab_in_value", 5),
-                    ("file_separator_in_value", 5),
-                    ("no_trailing_newline", 0),
+                pytest.param(3, 4, name, line, error, id=name)
+                for name, line, error in [
+                    ("crlf", 0, None),
+                    ("blank_line", 6, None),
+                    ("two_trailing_newlines", 0, None),
+                    ("plus_index", 0, None),
+                    ("zero_padded_index", 0, None),
+                    ("space_before_index", 0, None),
+                    ("nan", 11, "row 13: temperature nan outside declared range [-10.0, 53.0]"),
+                    ("inf", 11, "row 13: temperature inf outside declared range [-10.0, 53.0]"),
+                    ("overflow", 11, "row 13: temperature inf outside declared range [-10.0, 53.0]"),
+                    ("out_of_range", 11, "row 13: temperature 60.0 outside declared range [-10.0, 53.0]"),
+                    ("line_dropped", 11, "missing entry for node 2, round 3"),
+                    ("line_duplicated", 11, "row 14: duplicate entry for (2, 3)"),
+                    ("lines_swapped", 5, None),
+                    ("round_major", 0, None),
+                    ("vertical_tab_in_value", 5, "row 8: expected 3 fields, got 1"),
+                    ("file_separator_in_value", 5, "row 8: expected 3 fields, got 1"),
+                    ("no_trailing_newline", 0, None),
                 ]
             ),
         ],
     )
     def test_bulk_path_declines_all_but_canonical_files(
-        self, tmp_path, n_nodes, n_rounds, perturbation, line, accepted
+        self, tmp_path, n_nodes, n_rounds, perturbation, line, error
     ):
+        """Each variant of a node-major file loads the table of its grid, or
+        fails with exactly the message given. (The name is kept from when
+        these cases checked a node-major fast path, so the case ids stay
+        comparable across versions.)"""
         lines = node_major_lines(n_nodes, n_rounds)
         if perturbation is None:
             text = trace_text(lines)
         else:
             text = PERTURBATIONS[perturbation](lines, line)
-        bulk = assert_loaders_agree(tmp_path / "trace.csv", text)
-        assert (bulk is not None) == accepted
+        expected = grid_table(n_nodes, n_rounds) if error is None else error
+        assert load_text(tmp_path / "trace.csv", text) == expected
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(perturbed_node_major_traces())
-    def test_bulk_and_per_line_loaders_agree(self, tmp_path_factory, drawn):
-        text, accepted = drawn
-        bulk = assert_loaders_agree(tmp_path_factory.mktemp("trace") / "trace.csv", text)
-        if accepted is not None:
-            assert (bulk is not None) == accepted
-
-    def test_bulk_load_peaks_below_per_line_loader(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        temps = [20.0 + 0.01 * ((n * 7 + r * 13) % 3000) for n in range(200) for r in range(100)]
-        write_trace(path, [f"{n},{r},{t}" for (n, r), t in zip(product(range(200), range(100)), temps)])
-        text = path.read_text(encoding="utf-8")
-        peaks, tables = [], []
-        # Both loaders parse the same decoded text, so the peaks differ only
-        # by what each parse holds at once.
-        for load in (_load_bulk, lambda *args: _load_per_line(str(path), *args)):
-            tracemalloc.start()
-            try:
-                tables.append(load(text, -10.0, 53.0))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert tables[0] is not None and tables[0] == tables[1]
-        assert peaks[0] < peaks[1]
+    def test_drawn_node_major_grids_load_as_drawn(self, tmp_path_factory, drawn):
+        text, rows = drawn
+        loaded = load_text(tmp_path_factory.mktemp("trace") / "trace.csv", text)
+        if rows is not None:
+            assert loaded == TraceTable(rows)
+        else:  # perturbed or out of range: a table or a named error, nothing else
+            assert isinstance(loaded, (TraceTable, str))
 
     def test_two_loads_compare_equal(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -467,18 +455,15 @@ def write_cells(path, node_major=True):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """How many times a trace's text was parsed by either loader."""
+    """How many times a trace's text was parsed."""
     calls = []
+    real = topology._load_per_line
 
-    def counted(real):
-        def load(*args):
-            calls.append(real.__name__)
-            return real(*args)
+    def load(*args):
+        calls.append(args[0])
+        return real(*args)
 
-        return load
-
-    for name in ("_load_bulk", "_load_per_line"):
-        monkeypatch.setattr(topology, name, counted(getattr(topology, name)))
+    monkeypatch.setattr(topology, "_load_per_line", load)
     return calls
 
 
@@ -512,11 +497,11 @@ DAMAGED_CACHE = {
 # Appended to a copy of topology.py: a loader change that shifts every value.
 SHIFTED_LOADER = """
 
-_unshifted_load_bulk = _load_bulk
+_unshifted_load_per_line = _load_per_line
 
 
-def _load_bulk(text, t_min_c, t_max_c):
-    table = _unshifted_load_bulk(text, t_min_c, t_max_c)
+def _load_per_line(path, text, t_min_c, t_max_c):
+    table = _unshifted_load_per_line(path, text, t_min_c, t_max_c)
     return TraceTable(tuple(tuple(temp + 1.0 for temp in row) for row in table.rows))
 """
 
@@ -526,21 +511,21 @@ class TestTraceCache:
     def test_warm_load_equals_cold_load(self, tmp_path, trace_cache_home, parses, node_major):
         path = write_cells(tmp_path / "trace.csv", node_major)
         cold = load_temperature_trace(path)
-        assert len(parses) == (1 if node_major else 2)  # the bulk path declines round-major
+        assert len(parses) == 1
         assert os.listdir(trace_cache_home) == [cold.trace_sha256]
         warm = load_temperature_trace(path)
-        assert len(parses) == (1 if node_major else 2)  # nothing parsed: a hit
+        assert len(parses) == 1  # nothing parsed: a hit
         assert warm == cold
         assert repr(warm.trace.rows) == repr(cold.trace.rows)  # -0.0 stays -0.0
         assert all(type(row) is tuple for row in warm.trace.rows)
-        assert [warm.trace[cell] for cell in CACHE_CELLS] == list(CACHE_CELLS.values())
+        assert [warm.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
 
     def test_narrower_range_names_first_bad_row_on_warm_cache(self, tmp_path, monkeypatch, parses):
         path = write_cells(tmp_path / "trace.csv")
         load_temperature_trace(path)
         with pytest.raises(DataError) as warm:
             load_temperature_trace(path, t_max_c=50.0)
-        assert len(parses) == 3  # the narrower range missed and parsed again
+        assert len(parses) == 2  # the narrower range missed and parsed again
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty-cache"))
         with pytest.raises(DataError) as cold:
             load_temperature_trace(path, t_max_c=50.0)
