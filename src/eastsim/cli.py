@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .config import SWEEPABLE_KEYS, SimConfig, fingerprint, parse_config
+from .config import SWEEPABLE_KEYS, SimConfig, apply_overrides, fingerprint, parse_config, validate
 from .engine import Lockstep, SimResult, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import REGIONS
@@ -243,12 +243,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("sweep needs at least one value")
     # Every value is checked before the first run writes anything, and two
     # values that make the same config (a repeat, a key the seed override or
-    # a trace discards) are refused. Values that leave the temperature
-    # source alone share one loaded trace.
+    # a trace discards) are refused. Only the first value, and each value of
+    # a temperature key (whose bounds the trace load checks), parses the
+    # config; every other value is applied to a copy of the first, so the
+    # trace is loaded once and shared.
     configs: list[SimConfig] = []
     seen: dict[str, str] = {}
     for raw in values:
-        config = parse_config(args.config, [*args.set, f"{key}={raw}"])
+        override = f"{key}={raw}"
+        if not configs or key.startswith("temperature."):
+            config = parse_config(args.config, [*args.set, override])
+        else:
+            config = apply_overrides(dataclasses.replace(configs[0]), [override])
+            validate(config)
         _resolve_seed(config, args.seed)
         _check_figure_round(args.figure_round, config)
         digest = fingerprint(config)

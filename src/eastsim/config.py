@@ -8,7 +8,6 @@ a 100 m square, 1200 rounds, temperatures in [-10, 53] C.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from .radio import (
     free_space_base_requirement,
     rssi_loss_from_temperature,
 )
-from .topology import TemperatureProcess, load_temperature_trace
+from .topology import TemperatureProcess, lean_sha256, load_temperature_trace
 
 CONTROLLERS = ("east", "classical")
 
@@ -289,4 +288,4 @@ def fingerprint(config: SimConfig, exclude: tuple[str, ...] = ()) -> str:
             # A run depends on the trace's contents, not on where they were read.
             value = f"sha256:{config.temperature.trace_sha256}"
         parts.append(f"{key}={value}")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    return lean_sha256("\n".join(parts).encode("utf-8")).hexdigest()

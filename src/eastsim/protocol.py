@@ -156,4 +156,8 @@ def needs_closed_loop(
     if round_idx - last_round >= cadence.period_rounds:
         return True
     drift = cadence.drift_dbm
-    return any(abs(predicted_loss_dbm[i] - last_estimated_loss_dbm[i]) > drift for i in members)
+    # A plain loop: any() over a generator costs more per scanned member.
+    for i in members:
+        if abs(predicted_loss_dbm[i] - last_estimated_loss_dbm[i]) > drift:
+            return True
+    return False

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import math
 import os
 import random
@@ -21,13 +20,26 @@ from typing import Optional
 
 from .errors import ConfigError, DataError
 
+# sha256 for short strings (substream keys, config fingerprints) from the
+# interpreter's builtin module, as CPython's random.py takes its sha512: the
+# same digests, without the OpenSSL that ``import hashlib`` maps. Only the
+# functions that hash file contents import hashlib, whose OpenSSL sha256 is
+# several times faster on megabytes.
+try:
+    from _sha2 import sha256 as lean_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as lean_sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as lean_sha256
+
 TRACE_HEADER = ["node", "round", "temp_c"]
 
 
 def substream(seed: int, *labels: object) -> random.Random:
     """Independent RNG stream for (seed, purpose label, ...)."""
     key = ":".join([str(seed), *(str(label) for label in labels)])
-    digest = hashlib.sha256(key.encode("ascii")).digest()
+    digest = lean_sha256(key.encode("ascii")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -142,6 +154,8 @@ def load_temperature_trace(
     same package source reads that file instead of parsing, when every
     check on it passes.
     """
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -174,7 +188,7 @@ def load_temperature_trace(
 _CACHE_MAGIC = b"eastsim-trace-cache-v2\n"
 _CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}sc32sQQdd")
 _BYTE_ORDER = "<" if sys.byteorder == "little" else ">"
-_CACHE_DIGEST_SIZE = hashlib.sha256().digest_size
+_CACHE_DIGEST_SIZE = 32  # a sha256 digest
 # Writing a cache file deletes all but this many most recently written ones.
 _CACHE_FILES = 8
 
@@ -188,6 +202,8 @@ def _cache_row(n_nodes: int) -> struct.Struct:
 def _source_digest() -> Optional[bytes]:
     """The sha256 of this package's source files, so that a cache file
     written by other loader code is a miss; None when they cannot be read."""
+    import hashlib
+
     package = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     try:
@@ -219,6 +235,8 @@ def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[Tra
     """The table a cache file holds, or None unless it passes every check:
     header (including the package source digest), length, checksum, and
     values inside [t_min_c, t_max_c]."""
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -246,6 +264,8 @@ def _write_trace_cache(path: str, table: TraceTable) -> None:
     """Writes the cache file of a loaded table through a temporary file, then
     deletes the oldest files beyond ``_CACHE_FILES``; a location that cannot
     be written only means nothing is cached."""
+    import hashlib
+
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory, exist_ok=True)

@@ -84,6 +84,8 @@ MUTANTS = [
      "if not (t_min_c <= lo and hi <= t_max_c):", "if False:"),
     ("trace cache checksum never compared", "src/eastsim/topology.py",
      "if hashlib.sha256(payload).digest() != blob[end:]:", "if False:"),
+    ("topology imports hashlib, and so OpenSSL, at module level", "src/eastsim/topology.py",
+     "import contextlib", "import contextlib\nimport hashlib"),
     ("trace cache ignores the package source", "src/eastsim/topology.py",
      "if source != _source_digest():", "if False:"),
     ("trace cache never evicts", "src/eastsim/topology.py",

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from eastsim import cli
+from eastsim import cli, topology
 from eastsim.cli import main
 from eastsim.config import (
     CONFIG_KEYS,
@@ -37,6 +37,14 @@ def recorded_runs(monkeypatch):
 
     monkeypatch.setattr(cli, "run_simulation", recording_run)
     return results
+
+
+def assert_same_files(member, solo, value):
+    """A sweep member's directory holds the same files, byte for byte, as a solo run's."""
+    files = sorted(p.relative_to(solo) for p in solo.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(member) for p in member.rglob("*") if p.is_file())
+    for name in files:
+        assert (member / name).read_bytes() == (solo / name).read_bytes(), (value, name)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -548,10 +556,7 @@ class TestCmdSweep:
             solo = tmp_path / f"run-{value}"
             assert main(["run", "--out", str(solo), *argv, "--set", f"{key}={value}"]) == 0
             member = out / f"{key}={value}"
-            files = sorted(p.relative_to(solo) for p in solo.rglob("*") if p.is_file())
-            assert files == sorted(p.relative_to(member) for p in member.rglob("*") if p.is_file())
-            for name in files:
-                assert (member / name).read_bytes() == (solo / name).read_bytes(), (value, name)
+            assert_same_files(member, solo, value)
 
     def test_failed_rerun_leaves_no_stale_summary(self, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -613,6 +618,34 @@ class TestCmdSweep:
                      "--key", "cadence.period_rounds", "--values", "1,2"]) == 0
         first, second = (result.config for result in recorded_runs)
         assert first.temperature is second.temperature
+
+    def test_trace_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        # with no writable cache every load parses, so the count is the loads
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        parses = []
+        real = topology._load_per_line
+
+        def counting_load(*args):
+            parses.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(topology, "_load_per_line", counting_load)
+        trace = tmp_path / "trace.csv"
+        rows = [f"{n},{r},{20.0 + n + r / 10}" for n in range(15) for r in range(12)]
+        trace.write_text("node,round,temp_c\n" + "\n".join(rows) + "\n")
+        argv = [*SMALL, "--set", f"temperature.trace_path={trace}", "--figure-round", "3"]
+        values = ["1", "2", "5"]
+        assert main(["sweep", "--out", str(tmp_path / "s"), *argv,
+                     "--key", "cadence.period_rounds", "--values", ",".join(values)]) == 0
+        assert parses == [str(trace)]
+        for value in values:
+            solo = tmp_path / f"run-{value}"
+            assert main(["run", "--out", str(solo), *argv,
+                         "--set", f"cadence.period_rounds={value}"]) == 0
+            member = tmp_path / "s" / f"cadence.period_rounds={value}"
+            assert_same_files(member, solo, value)
 
     @pytest.mark.parametrize(
         "key, values, extra, env_seed",

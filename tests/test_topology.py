@@ -1,6 +1,7 @@
 """Tests for deployment, distance geometry and the temperature process."""
 
 import hashlib
+import importlib.util
 import os
 import random
 import shutil
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from eastsim import topology
 from eastsim.cli import main
-from eastsim.config import SimConfig
+from eastsim import config as config_mod
+from eastsim.config import SimConfig, fingerprint, parse_config
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
 from eastsim.topology import (
@@ -24,6 +26,7 @@ from eastsim.topology import (
     TraceTable,
     deploy_random,
     distance,
+    lean_sha256,
     load_temperature_trace,
     walk_stream,
 )
@@ -92,6 +95,47 @@ class TestDistance:
             assert distance(a, b) == distance(b, a)
             assert distance(a, a) == 0.0
             assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+
+
+HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+# Runs run, compare and sweep without a trace, then reports whether
+# OpenSSL's sha256 (the _hashlib module behind hashlib) was ever imported.
+LEAN_COMMANDS = """
+import sys
+from eastsim.cli import main
+small = ["--set", "nodes=5", "--set", "rounds=3", "--out"]
+for command, *extra in (["run"], ["compare"], ["sweep", "--key", "cadence.period_rounds", "--values", "1,2"]):
+    assert main([command, *extra, *small, sys.argv[1] + "/" + command]) == 0, command
+print("_hashlib" in sys.modules)
+"""
+
+
+class TestLeanSha256:
+    def test_digests_equal_hashlib(self, monkeypatch):
+        for seed, *labels in [(1, "deploy", 0), (1, "base-temp", 999), (2**70, "temp-walk", 3)]:
+            key = ":".join([str(seed), *(str(label) for label in labels)]).encode("ascii")
+            assert lean_sha256(key).digest() == hashlib.sha256(key).digest()
+        payloads = []
+
+        def recording_sha256(data):
+            payloads.append(data)
+            return lean_sha256(data)
+
+        monkeypatch.setattr(config_mod, "lean_sha256", recording_sha256)
+        digest = fingerprint(parse_config(None, ["controller=classical"]))
+        assert digest == hashlib.sha256(payloads[-1]).hexdigest()
+        assert b"controller=classical" in payloads[-1]
+
+    @pytest.mark.skipif(not HAS_BUILTIN_SHA256, reason="no builtin _sha2 or _sha256 module")
+    def test_trace_free_commands_do_not_load_openssl(self, tmp_path):
+        # -S keeps site-packages' start-up hooks from importing hashlib themselves
+        source = os.path.dirname(os.path.dirname(topology.__file__))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", LEAN_COMMANDS, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=source), capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 def walk_temps(nodes, rounds, seed, sigma):
