@@ -262,8 +262,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if digest in seen:
             raise UsageError(f"{key} values {seen[digest]!r} and {raw!r} make the same config")
         seen[digest] = raw
-        if configs and config.temperature == configs[0].temperature:
-            config.temperature = configs[0].temperature
         configs.append(config)
     # Values that share the deployment and temperatures run in lockstep.
     # Every result is in hand, and every figure round checked, before the

@@ -15,7 +15,8 @@ as one lockstep group: the deployment and each node's temperatures, losses
 and random draws are made once per round for the whole group, and each
 member runs the rest of the round on them. Members that also share every
 controller input are twins: until the group's first death or last round,
-the first of them assigns the levels and scores the PRR for all of them.
+their levels keep their set-up values, and the first of them scores the PRR
+for all of them.
 
 Per-node state lives in flat lists indexed by node id, and regions in the
 kernel are the indices 0/1/2 of ``REGIONS``.
@@ -174,19 +175,23 @@ def _shared_inputs(config: SimConfig) -> tuple:
 
 def _controller_inputs(config: SimConfig) -> tuple:
     """The inputs that, within one group, fix every level and PRR value
-    until a node dies. The other inputs (cadence, energy model, link budget,
-    rounds) reach the levels only through a region's neighbor count, which
-    changes only at an exchange after a death."""
+    until a node dies: until then each level keeps its set-up value. The
+    other inputs (cadence, energy model, link budget, rounds) reach the
+    levels only through a region's neighbor count, which changes only at an
+    exchange after a death."""
     return (config.controller, config.level_cap_dbm, config.regions, config.prr,
             config.prr_sampled)
 
 
 class _TwinRound:
-    """What the first member of a twin set computes for the others: its
-    levels list, which it alone writes, and the current round's region and
-    mean PRR."""
+    """What the first member of a twin set computes for the others: the
+    current round's region and mean PRR; ``split`` is set once the set stops
+    sharing."""
 
-    __slots__ = ("levels", "region_prr", "prr_mean")
+    __slots__ = ("region_prr", "prr_mean", "split")
+
+    def __init__(self) -> None:
+        self.split = False
 
 
 def run_simulation(
@@ -221,9 +226,9 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     Twins, members with equal ``_controller_inputs``, also share the control
     part until the first round in which some member has a death or runs its
     last round: only the first twin in config order assigns levels and
-    scores PRR, and the others read its levels list and PRR averages. After
-    that round each twin takes its own levels before any member starts the
-    next round.
+    scores PRR, and the others read its region and mean PRR. After that
+    round every twin set is marked split, and each twin runs the control
+    part on its own from the next round on.
     """
     for config in configs:
         config_mod.validate(config)
@@ -265,8 +270,6 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
                        twins.get(leader[k]), leader[k] != k)
         for k, config in enumerate(configs)
     ]
-    # handoff[k]: the levels list member k runs on once its twin set splits
-    handoff: dict[int, list[float]] = {}
 
     sigma = proc.walk_sigma_c
     t_min, t_max = proc.t_min_c, proc.t_max_c
@@ -316,7 +319,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         dropped = False
         for k, run in active:
             try:
-                dropped |= run.send(handoff.pop(k, None))
+                dropped |= next(run)
             except StopIteration as stop:
                 results[k] = stop.value
                 dropped = True
@@ -325,14 +328,8 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
             if not active:
                 break
             live = [i for i in live if refs[i]]
-            if twins:
-                # The first twin keeps its list; the others copy it now,
-                # before it changes in the next round.
-                for k, _ in active:
-                    twin = twins.get(leader[k])
-                    if twin is not None:
-                        handoff[k] = twin.levels if leader[k] == k else twin.levels[:]
-                twins = {}
+            for twin in twins.values():
+                twin.split = True
     return results
 
 
@@ -347,16 +344,16 @@ def _member_rounds(
     refs: list[int],
     twin: Optional[_TwinRound],
     follows: bool,
-) -> Generator[bool, Optional[list[float]], SimResult]:
-    """One member's rounds: each ``send()`` runs one round on the shared
+) -> Generator[bool, None, SimResult]:
+    """One member's rounds: each ``next()`` runs one round on the shared
     values of that round, yields whether any of its nodes died, and the
     generator returns the member's SimResult after its last round.
 
     The deployment and the shared lists are read, never written, except
     ``refs``, which counts down as this member's nodes die or its run ends.
-    A member of a twin set publishes its control part to ``twin`` or, when
-    it ``follows``, reads it from there, until a ``send()`` hands it the
-    levels list it runs on from then on.
+    A member of a twin set publishes its region and mean PRR to ``twin`` or,
+    when it ``follows``, reads them from there and its levels from its own
+    set-up list, until the set is marked split.
     """
     nodes = deployment.nodes
     n = len(nodes)
@@ -378,16 +375,16 @@ def _member_rounds(
     last_estimated = [0.0] * n
     cap = config.level_cap_dbm
     is_east = config.controller == "east"
-    if follows:
-        levels = twin.levels
+    # A following twin reads its own levels, which cannot move before the
+    # split: until a death no neighbor count falls below its desired count
+    # (the initial count minus 5, floored at 1), so rule (ii) cannot fire,
+    # and rule (i) gives the threshold level, which validate keeps at or
+    # below the cap.
+    if is_east:
+        levels = [min(threshold_level[k], cap) for k in region_of]
     else:
-        if is_east:
-            levels = [min(threshold_level[k], cap) for k in region_of]
-        else:
-            # The baseline's level never changes: the worst-case compensation.
-            levels = [min(classical_assign(config.temperature.t_max_c), cap)] * n
-        if twin is not None:
-            twin.levels = levels
+        # The baseline's level never changes: the worst-case compensation.
+        levels = [min(classical_assign(config.temperature.t_max_c), cap)] * n
     # Transmit power and the ACK/data tx costs it fixes; the costs are
     # recomputed only when a node's power changes.
     pt = [math.nan] * n
@@ -419,10 +416,10 @@ def _member_rounds(
     for round_idx in range(config.rounds):
         if round_idx > 0:
             # Hand back the round just run; resume once the shared pass of
-            # this round is done, on a list of its own if the twin set split.
-            own = yield died
-            if own is not None:
-                levels, twin, follows = own, None, False
+            # this round is done, on its own if the twin set split.
+            yield died
+            if twin is not None and twin.split:
+                twin, follows = None, False
 
         # (2) closed-loop schedule
         if is_east:

@@ -150,9 +150,9 @@ def load_temperature_trace(
     [t_min_c, t_max_c]. The table is held as per-round rows.
 
     A loaded table is cached in a file named by the sha256 of the trace's
-    bytes (see ``_trace_cache_path``); a later load of the same bytes by the
-    same package source reads that file instead of parsing, when every
-    check on it passes.
+    bytes and of the package source (see ``_trace_cache_path``); a later
+    load of the same bytes by the same package source reads that file
+    instead of parsing, when every check on it passes.
     """
     import hashlib
 
@@ -219,8 +219,11 @@ def _source_digest() -> Optional[bytes]:
 
 def _trace_cache_path(sha256: str) -> Optional[str]:
     """The cache file of the trace with this sha256, or None where nothing is
-    cached: under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``."""
-    if _source_digest() is None:
+    cached: under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``. The
+    name holds the source digest too, so checkouts of other source that
+    share the directory keep their own files."""
+    source = _source_digest()
+    if source is None:
         return None
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
@@ -228,7 +231,7 @@ def _trace_cache_path(sha256: str) -> Optional[str]:
         if not os.path.isabs(home):
             return None
         root = os.path.join(home, ".cache")
-    return os.path.join(root, "eastsim", "traces", sha256)
+    return os.path.join(root, "eastsim", "traces", f"{sha256}-{source.hex()}")
 
 
 def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:

@@ -95,9 +95,21 @@ MUTANTS = [
     ("sweep keeps an earlier sweep's summary", "src/eastsim/cli.py",
      "os.remove(summary_path)", "pass"),
     ("twins never dissolve", "src/eastsim/engine.py",
-     "handoff[k] = twin.levels if leader[k] == k else twin.levels[:]", "pass"),
+     "twin.split = True", "pass"),
+    ("a follower keeps following after the split", "src/eastsim/engine.py",
+     "twin, follows = None, False", "pass"),
     ("the twin key omits prr", "src/eastsim/engine.py",
      "config.regions, config.prr,", "config.regions,"),
+    ("trace cache file named without the source digest", "src/eastsim/topology.py",
+     'f"{sha256}-{source.hex()}"', "sha256"),
+    ("report rejects a 1-round run", "src/eastsim/cli.py",
+     "len(round_lines) < 2", "len(round_lines) <= 2"),
+    ("east_dominates at a tie in control packets", "src/eastsim/report.py",
+     "self.control_packets_delta < 0", "self.control_packets_delta <= 0"),
+    ("east_dominates at a tie in energy", "src/eastsim/report.py",
+     "self.energy_delta_j < 0", "self.energy_delta_j <= 0"),
+    ("summarize: a loss at the threshold counts as below", "src/eastsim/report.py",
+     "final.losses_dbm[i] >= threshold_loss", "final.losses_dbm[i] > threshold_loss"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")

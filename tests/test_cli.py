@@ -545,6 +545,10 @@ class TestCmdSweep:
             ("rounds", ["12", "4"]),
             # different seeds split into one-member groups
             ("seed", ["1", "2"]),
+            # temperature keys parse once per value and split into
+            # one-member groups, each on its own temperature process
+            ("temperature.t_max_c", ["50", "60"]),
+            ("temperature.walk_sigma_c", ["0.5", "2"]),
         ],
     )
     def test_sweep_members_match_solo_runs(self, tmp_path, key, values):
@@ -697,6 +701,13 @@ class TestCmdReport:
         assert len(lines) == 8
         assert lines[0].startswith("Number of Nodes (A,B,C)")
         assert "Nodes after 12 Rounds" in lines[2]
+
+    def test_renders_a_single_round_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--set", "nodes=15", "--set", "rounds=1"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        assert "Nodes after 1 Rounds" in capsys.readouterr().out
 
     def test_rerender_identical(self, tmp_path, capsys):
         out = tmp_path / "out"

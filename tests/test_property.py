@@ -9,7 +9,10 @@ nodes, area and temperature source, and checks every member against the
 reference executor. A third runs 2-4 twins, members that also share every
 controller input, on batteries that let a death end their sharing mid-run.
 A fourth draws larger networks crowded into one region and drained mid-run,
-so that rule (ii) of the east controller sets levels, and counts how often.
+so that rule (ii) of the east controller sets levels, and counts how often;
+a fifth runs 3-4 twins of such a network, which rule (ii) sets apart after
+their sharing ends. Every lockstep member's levels keep their set-up values
+until its first death, which is what lets twins share no levels.
 """
 
 import random
@@ -148,6 +151,7 @@ def test_engine_matches_oracle_and_invariants(cfg):
 
     batteries = result.batteries_j
     assert all(b >= 0.0 for b in batteries)
+    assert_levels_fixed_until_first_death(result)
     drop = cfg.node_count * cfg.energy.initial_battery_j - sum(batteries)
     assert drop == pytest.approx(result.ledger.tx_j + result.ledger.rx_j, rel=1e-9)
 
@@ -209,10 +213,21 @@ def extinct_beside_survivor():
     return [doomed, sampled_classical, expected_east]
 
 
+def assert_levels_fixed_until_first_death(result):
+    """Rule (ii) needs a death: up to a run's first death every level keeps
+    its set-up value (records kept on every round)."""
+    for rec in result.records:
+        assert rec.levels_dbm == result.records[0].levels_dbm, rec.round_index
+        if not all(rec.alive):
+            break
+
+
 def assert_members_match_oracle(members):
     group = Lockstep(members)
     for cfg in members:
-        assert_matches_oracle(cfg, run_simulation(cfg, lockstep=group))
+        result = run_simulation(cfg, lockstep=group)
+        assert_matches_oracle(cfg, result)
+        assert_levels_fixed_until_first_death(result)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -386,3 +401,59 @@ def test_crowded_drains_reach_rule_ii():
     count()
     # Rule (ii) set levels in 42 of these 100 examples when this was written.
     assert sum(reached) >= len(reached) // 4, f"rule (ii) reached in {sum(reached)} of {len(reached)}"
+
+
+@st.composite
+def crowded_twins(draw):
+    """3-4 twins of one crowded_drains network, on their own cadences and
+    batteries: the first death ends their sharing while the crowded region
+    still drains, and the twins that go on reach rule (ii) in different
+    rounds, so their levels part."""
+    base = draw(crowded_drains())
+    return [
+        replace(
+            base,
+            cadence=replace(base.cadence, period_rounds=draw(st.integers(1, 5))),
+            energy=replace(base.energy, initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.5))),
+        )
+        for _ in range(draw(st.integers(3, 4)))
+    ]
+
+
+def followers_part_after_split(members):
+    """Whether two or more followers (twins after the first) run on after
+    the round that ends the sharing, and two of them then hold different
+    levels in some later round."""
+    records = [run_simulation(cfg).records for cfg in members]
+    split = min(
+        next((rec.round_index for rec in recs if not all(rec.alive)), len(recs) - 1)
+        for recs in records
+    )
+    later = [
+        [rec.levels_dbm for rec in recs[split + 1 :]] for recs in records[1:] if len(recs) > split + 1
+    ]
+    return any(
+        a[r] != b[r] for a, b in combinations(later, 2) for r in range(min(len(a), len(b)))
+    )
+
+
+CROWDED_TWINS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@CROWDED_TWINS
+@given(crowded_twins())
+def test_crowded_twins_match_oracle(members):
+    assert_members_match_oracle(members)
+
+
+def test_crowded_twins_part_after_split():
+    parted = []
+
+    @CROWDED_TWINS
+    @given(crowded_twins())
+    def count(members):
+        parted.append(followers_part_after_split(members))
+
+    count()
+    # Followers parted in 36 of these 40 examples when this was written.
+    assert sum(parted) >= len(parted) // 4, f"followers parted in {sum(parted)} of {len(parted)}"

@@ -10,6 +10,7 @@ from eastsim.engine import run_simulation
 from eastsim.errors import DataError, UsageError
 from eastsim.protocol import REGIONS, Region, classical_assign
 from eastsim.report import (
+    ComparisonReport,
     compare_runs,
     emit_figure_data,
     render_summary_table,
@@ -57,6 +58,18 @@ class TestSummarize:
             ]
             above = sum(1 for i in members if final.losses_dbm[i] >= row.threshold_loss_dbm)
             assert row.nodes_above_threshold == above
+
+    def test_loss_at_the_threshold_counts_as_above(self):
+        result = run()
+        final = result.records[-1]
+        region = result.partition.assignment[0]
+        members = [i for i, r in result.partition.assignment.items() if r is region]
+        lowest = min(final.losses_dbm[i] for i in members)
+        thresholds = {**result.config.regions.threshold_loss_dbm, region: lowest}
+        regions = replace(result.config.regions, threshold_loss_dbm=thresholds)
+        result.config = replace(result.config, regions=regions)
+        row = {row.region: row for row in summarize(result)}[region]
+        assert (row.nodes_above_threshold, row.nodes_below_threshold) == (len(members), 0)
 
     def test_prr_band_orders(self):
         for row in summarize(run()):
@@ -107,6 +120,16 @@ class TestCompareRuns:
         assert report.control_packets_delta < 0
         assert report.energy_delta_j < 0.0
         assert report.east_dominates
+
+    @pytest.mark.parametrize("packets, energy_j", [(100, 1.0), (90, 2.0)], ids=["packets", "energy"])
+    def test_a_tie_is_no_dominance(self, packets, energy_j):
+        report = ComparisonReport(
+            east_control_packets=packets, classical_control_packets=100,
+            east_energy_j=energy_j, classical_energy_j=2.0,
+            east_survivors=5, classical_survivors=5,
+            east_mean_prr=0.9, classical_mean_prr=0.9,
+        )
+        assert not report.east_dominates
 
     def test_antisymmetry(self):
         east = run()

@@ -511,6 +511,11 @@ def parses(monkeypatch):
     return calls
 
 
+def cache_name(sha256):
+    """The cache file name of the trace with this sha256, for this source."""
+    return f"{sha256}-{topology._source_digest().hex()}"
+
+
 def reseal(blob):
     """A cache file's bytes with its checksum made to match the rest again."""
     return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
@@ -556,7 +561,7 @@ class TestTraceCache:
         path = write_cells(tmp_path / "trace.csv", node_major)
         cold = load_temperature_trace(path)
         assert len(parses) == 1
-        assert os.listdir(trace_cache_home) == [cold.trace_sha256]
+        assert os.listdir(trace_cache_home) == [cache_name(cold.trace_sha256)]
         warm = load_temperature_trace(path)
         assert len(parses) == 1  # nothing parsed: a hit
         assert warm == cold
@@ -587,15 +592,15 @@ class TestTraceCache:
     def test_damaged_cache_file_is_a_miss_and_rewritten(self, tmp_path, trace_cache_home, parses, damage):
         path = write_cells(tmp_path / "trace.csv")
         cold = load_temperature_trace(path)
-        cache_file = trace_cache_home / cold.trace_sha256
+        cache_file = trace_cache_home / cache_name(cold.trace_sha256)
         valid = cache_file.read_bytes()
         cache_file.write_bytes(DAMAGED_CACHE[damage](valid))
         assert load_temperature_trace(path) == cold
         assert len(parses) == 2
         assert cache_file.read_bytes() == valid
-        assert os.listdir(trace_cache_home) == [cold.trace_sha256]  # no temporary file left
+        assert os.listdir(trace_cache_home) == [cache_name(cold.trace_sha256)]  # no temporary file left
 
-    def test_changed_package_source_misses_cache(self, tmp_path, trace_cache_home):
+    def test_changed_package_source_misses_cache(self, tmp_path, trace_cache_home, parses):
         package = tmp_path / "copy" / "eastsim"
         shutil.copytree(
             os.path.dirname(topology.__file__), package, ignore=shutil.ignore_patterns("__pycache__")
@@ -622,7 +627,19 @@ class TestTraceCache:
         shifted = tuple(tuple(temp + 1.0 for temp in row) for row in rows)
         assert load_with_copy() == repr(shifted)  # the edited loader ran
         assert load_temperature_trace(str(trace)).trace.rows == rows
-        assert len(os.listdir(trace_cache_home)) == 1
+        assert len(parses) == 1  # the edited copy wrote a file of its own
+        assert len(os.listdir(trace_cache_home)) == 2
+
+    def test_two_sources_sharing_a_directory_keep_their_own_files(
+        self, tmp_path, trace_cache_home, monkeypatch, parses
+    ):
+        path = write_cells(tmp_path / "trace.csv")
+        sources = [b"\x01" * 32, b"\x02" * 32]
+        for source in sources + sources:
+            monkeypatch.setattr(topology, "_source_digest", lambda source=source: source)
+            sha256 = load_temperature_trace(path).trace_sha256
+        assert len(parses) == 2  # each source parsed once; both later loads were hits
+        assert sorted(os.listdir(trace_cache_home)) == [f"{sha256}-{source.hex()}" for source in sources]
 
     def test_write_keeps_only_the_most_recently_written_files(self, tmp_path, trace_cache_home):
         trace_cache_home.mkdir(parents=True)
@@ -633,7 +650,7 @@ class TestTraceCache:
             os.utime(cache_file, ns=(i * 10**9, i * 10**9))
             older.append(cache_file.name)
         sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
-        assert sorted(os.listdir(trace_cache_home)) == sorted(older[1:] + [sha256])
+        assert sorted(os.listdir(trace_cache_home)) == sorted(older[1:] + [cache_name(sha256)])
 
     def test_cache_home_on_a_regular_file_only_disables_caching(self, tmp_path, monkeypatch, parses):
         blocker = tmp_path / "blocker"
@@ -649,7 +666,7 @@ class TestTraceCache:
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         monkeypatch.chdir(tmp_path)
         sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
-        assert os.listdir(tmp_path / "home" / ".cache" / "eastsim" / "traces") == [sha256]
+        assert os.listdir(tmp_path / "home" / ".cache" / "eastsim" / "traces") == [cache_name(sha256)]
         assert not (tmp_path / "relative").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
