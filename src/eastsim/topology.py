@@ -15,6 +15,7 @@ import random
 import struct
 import sys
 import tempfile
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,11 +59,14 @@ def distance(a: Position, b: Position) -> float:
 class TraceTable:
     """A dense temperature trace held as per-round rows: ``rows[round][node]``.
 
-    Every row has the same width. ``len(table)`` counts the (node, round)
-    cells, as many as the file has data rows.
+    Each row is an ``array('d')``, whether the table was parsed or read from
+    the trace cache, and every row has the same width. Tables compare equal
+    elementwise; arrays make them unhashable, and nothing writes a row.
+    ``len(table)`` counts the (node, round) cells, as many as the file has
+    data rows.
     """
 
-    rows: tuple[tuple[float, ...], ...]
+    rows: tuple[array, ...]
 
     def __len__(self) -> int:
         return len(self.rows) * len(self.rows[0])
@@ -193,11 +197,6 @@ _CACHE_DIGEST_SIZE = 32  # a sha256 digest
 _CACHE_FILES = 8
 
 
-def _cache_row(n_nodes: int) -> struct.Struct:
-    """One round's values in a cache file: ``n_nodes`` doubles."""
-    return struct.Struct(f"{_BYTE_ORDER}{n_nodes}d")
-
-
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> Optional[bytes]:
     """The sha256 of this package's source files, so that a cache file
@@ -260,7 +259,9 @@ def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[Tra
         return None
     if not (t_min_c <= lo and hi <= t_max_c):
         return None
-    return TraceTable(tuple(_cache_row(n_nodes).iter_unpack(payload[_CACHE_HEADER.size :])))
+    values = array("d")
+    values.frombytes(payload[_CACHE_HEADER.size :])
+    return TraceTable(tuple(values[r * n_nodes : (r + 1) * n_nodes] for r in range(n_rounds)))
 
 
 def _write_trace_cache(path: str, table: TraceTable) -> None:
@@ -280,17 +281,15 @@ def _write_trace_cache(path: str, table: TraceTable) -> None:
     header = _CACHE_HEADER.pack(
         _CACHE_MAGIC, _BYTE_ORDER.encode(), _source_digest(), n_nodes, len(rows), lo, hi
     )
-    row = _cache_row(n_nodes)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with open(fd, "wb") as fh:
             checksum = hashlib.sha256(header)
             fh.write(header)
-            for temps in rows:  # one round at a time, so no copy of the whole table is held
-                packed = row.pack(*temps)
-                checksum.update(packed)
-                fh.write(packed)
+            for row in rows:  # each row's own bytes: native-order doubles
+                checksum.update(row)
+                fh.write(row)
             fh.write(checksum.digest())
         os.replace(tmp, path)
         tmp = None
@@ -381,7 +380,7 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
             for round_idx in range(n_rounds):
                 if (node_id, round_idx) not in seen:
                     raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
-    return TraceTable(tuple(map(tuple, rows)))
+    return TraceTable(tuple(array("d", row) for row in rows))
 
 
 def _cells_read(rows: list[list[Optional[float]]]) -> set[tuple[int, int]]:

@@ -1,6 +1,12 @@
-"""Fixtures shared by every test module."""
+"""Fixtures and Hypothesis profiles shared by every test module."""
 
 import pytest
+from hypothesis import Phase, settings
+
+# For tests/mutants.py, which needs only whether the suite fails: a failing
+# property stops at its first failing example instead of shrinking it, which
+# runs the reference executor again on every candidate.
+settings.register_profile("no-shrink", phases=[phase for phase in Phase if phase != Phase.shrink])
 
 
 @pytest.fixture(autouse=True)

@@ -8,7 +8,8 @@ Each mutant is applied on its own to a fresh copy of the repository in a
 temporary directory; its anchor text must occur exactly once in its file,
 and only files under ``src/`` are mutated, so the suite's own reference
 (``tests/oracle.py``) and its comparison against it stay intact. The suite
-runs on each copy with ``-x``, after one run on an unmutated copy that must
+runs on each copy with ``-x`` under the ``no-shrink`` Hypothesis profile
+(see ``tests/conftest.py``), after one run on an unmutated copy that must
 pass. Exits 1 unless every mutant is killed. pytest does not collect this
 file: its name does not start with ``test_``.
 """
@@ -110,6 +111,19 @@ MUTANTS = [
      "self.energy_delta_j < 0", "self.energy_delta_j <= 0"),
     ("summarize: a loss at the threshold counts as below", "src/eastsim/report.py",
      "final.losses_dbm[i] >= threshold_loss", "final.losses_dbm[i] > threshold_loss"),
+    ("the shared pass writes into a trace row", "src/eastsim/engine.py",
+     "t = row[i]", "t = row[i]; row[i] = t + 0.5"),
+    ("validate accepts t_min_c == t_max_c", "src/eastsim/config.py",
+     "if not (temp.t_min_c < temp.t_max_c):", "if not (temp.t_min_c <= temp.t_max_c):"),
+    ("validate accepts equal region boundaries", "src/eastsim/config.py",
+     "if not (regions.boundary_low_dbm < regions.boundary_high_dbm):",
+     "if not (regions.boundary_low_dbm <= regions.boundary_high_dbm):"),
+    ("validate accepts a threshold loss of exactly -40 dB", "src/eastsim/config.py",
+     "if loss <= -40.0:", "if loss < -40.0:"),
+    ("validate accepts a loss of exactly -40 dB at t_min_c", "src/eastsim/config.py",
+     "if min_loss <= -40.0:", "if min_loss < -40.0:"),
+    ("validate rejects an integer equal to the largest float", "src/eastsim/config.py",
+     "abs(value) > sys.float_info.max", "abs(value) >= sys.float_info.max"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")
@@ -121,7 +135,8 @@ def run_suite(copy: str) -> bool:
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(copy, "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-profile", "no-shrink", "tests"]
     done = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
     return done.returncode == 0

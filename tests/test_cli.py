@@ -4,6 +4,8 @@ import json
 import os
 import random
 import re
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from eastsim.config import (
     _get,
     fingerprint,
     parse_config,
+    validate,
 )
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError
@@ -45,6 +48,23 @@ def assert_same_files(member, solo, value):
     assert files == sorted(p.relative_to(member) for p in member.rglob("*") if p.is_file())
     for name in files:
         assert (member / name).read_bytes() == (solo / name).read_bytes(), (value, name)
+
+
+def draining_trace_argv(tmp_path):
+    """A 15-node x 30-round trace config with sampled PRR on a draining
+    battery, as command-line options."""
+    rng = random.Random(3)
+    rows = []
+    for n in range(15):
+        temp = rng.uniform(-10.0, 53.0)
+        for r in range(30):
+            rows.append(f"{n},{r},{temp}")
+            temp = min(max(temp + rng.gauss(0.0, 3.0), -10.0), 53.0)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("node,round,temp_c\n" + "\n".join(rows) + "\n")
+    return ["--set", "nodes=15", "--set", "rounds=30", "--set", "prr.sampled=true",
+            "--set", "energy.initial_battery_j=0.004",
+            "--set", f"temperature.trace_path={trace}"]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -144,6 +164,37 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["temperature.t_min_c=20", "temperature.t_max_c=20"],
+             "temperature.t_min_c/temperature.t_max_c: require t_min_c < t_max_c, got 20.0 >= 20.0"),
+            (["regions.boundary_low_dbm=2", "regions.boundary_high_dbm=2"],
+             "regions.boundary_low_dbm/regions.boundary_high_dbm: require "
+             "boundary_low < boundary_high, got 2.0 >= 2.0"),
+            (["regions.threshold_loss_a_dbm=-40"],
+             "regions.threshold_loss_a_dbm: must exceed -40 dB, got -40.0"),
+            # 0.1996 * (t_min_c - 25) is exactly -40.0 at this t_min_c
+            (["temperature.t_min_c=-175.40080160320642"],
+             "temperature.t_min_c: its loss -40.0 dB must exceed -40 dB, got -175.40080160320642"),
+        ],
+        ids=["equal_temperature_bounds", "equal_region_boundaries", "threshold_loss_at_-40",
+             "loss_at_t_min_at_-40"],
+    )
+    def test_equality_at_a_strict_bound_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(None, overrides)
+        assert str(excinfo.value) == message
+
+    def test_bit_count_equal_to_the_largest_float_accepted(self):
+        # checked by validate alone: a run with this many bits is never made
+        config = parse_config(None)
+        config.energy = replace(config.energy, data_bits=int(sys.float_info.max))
+        validate(config)
+        config.energy = replace(config.energy, data_bits=int(sys.float_info.max) + 1)
+        with pytest.raises(ConfigError, match="energy.data_bits: must fit a float"):
+            validate(config)
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_rejected(self, key):
@@ -472,19 +523,7 @@ class TestCmdCompare:
         assert int(rows["control_packets"][3]) == 0
 
     def test_lockstep_compare_matches_solo_runs(self, tmp_path, monkeypatch, recorded_runs):
-        # a sampled-PRR trace run on a draining battery
-        rng = random.Random(3)
-        rows = []
-        for n in range(15):
-            temp = rng.uniform(-10.0, 53.0)
-            for r in range(30):
-                rows.append(f"{n},{r},{temp}")
-                temp = min(max(temp + rng.gauss(0.0, 3.0), -10.0), 53.0)
-        trace = tmp_path / "trace.csv"
-        trace.write_text("node,round,temp_c\n" + "\n".join(rows) + "\n")
-        argv = ["--set", "nodes=15", "--set", "rounds=30", "--set", "prr.sampled=true",
-                "--set", "energy.initial_battery_j=0.004",
-                "--set", f"temperature.trace_path={trace}"]
+        argv = draining_trace_argv(tmp_path)
         assert main(["compare", "--out", str(tmp_path / "lockstep"), *argv]) == 0
         east, classical = recorded_runs
 
@@ -501,6 +540,15 @@ class TestCmdCompare:
         assert main(["compare", "--out", str(tmp_path / "solo"), *argv]) == 0
         lockstep_csv = (tmp_path / "lockstep" / "compare.csv").read_bytes()
         assert lockstep_csv == (tmp_path / "solo" / "compare.csv").read_bytes()
+
+    def test_runs_leave_the_trace_rows_as_loaded(self, tmp_path, monkeypatch, recorded_runs):
+        # the rows are mutable arrays, shared by both controllers' runs
+        argv = draining_trace_argv(tmp_path)
+        assert main(["compare", "--out", str(tmp_path / "o"), *argv]) == 0
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh-cache"))
+        fresh = topology.load_temperature_trace(str(tmp_path / "trace.csv")).trace
+        assert len(recorded_runs) == 2
+        assert all(result.config.temperature.trace == fresh for result in recorded_runs)
 
     def test_controller_override_rejected(self, tmp_path, capsys):
         code = main(["compare", "--out", str(tmp_path / "o"), "--set", "controller=east"])

@@ -16,12 +16,13 @@ until its first death, which is what lets twins share no levels.
 """
 
 import random
+from array import array
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given, seed, settings
 from hypothesis import strategies as st
 
 from eastsim import engine
@@ -50,7 +51,7 @@ def _trace(trace_seed, nodes, rounds, t_min, t_max):
         t_min_c=t_min,
         t_max_c=t_max,
         walk_sigma_c=0.0,
-        trace=TraceTable(tuple(zip(*columns))),
+        trace=TraceTable(tuple(array("d", row) for row in zip(*columns))),
     )
 
 
@@ -378,9 +379,13 @@ def run_counting_rules(cfg):
         return run_simulation(cfg), rules
 
 
+# Each oracle test and its counting twin below run one explicit seed, which
+# overrides derandomize: both then see the same examples, and the count
+# cannot move with an edit to either test function.
 CROWDED_DRAINS = settings(max_examples=100, derandomize=True, deadline=None)
 
 
+@seed(1)
 @CROWDED_DRAINS
 @given(crowded_drains())
 def test_crowded_drains_match_oracle(cfg):
@@ -393,13 +398,14 @@ def test_crowded_drains_match_oracle(cfg):
 def test_crowded_drains_reach_rule_ii():
     reached = []
 
+    @seed(1)
     @CROWDED_DRAINS
     @given(crowded_drains())
     def count(cfg):
         reached.append(run_counting_rules(cfg)[1]["ii"] > 0)
 
     count()
-    # Rule (ii) set levels in 42 of these 100 examples when this was written.
+    # Rule (ii) set levels in 68 of these 100 examples when this was written.
     assert sum(reached) >= len(reached) // 4, f"rule (ii) reached in {sum(reached)} of {len(reached)}"
 
 
@@ -440,6 +446,7 @@ def followers_part_after_split(members):
 CROWDED_TWINS = settings(max_examples=40, derandomize=True, deadline=None)
 
 
+@seed(1)
 @CROWDED_TWINS
 @given(crowded_twins())
 def test_crowded_twins_match_oracle(members):
@@ -449,11 +456,12 @@ def test_crowded_twins_match_oracle(members):
 def test_crowded_twins_part_after_split():
     parted = []
 
+    @seed(1)
     @CROWDED_TWINS
     @given(crowded_twins())
     def count(members):
         parted.append(followers_part_after_split(members))
 
     count()
-    # Followers parted in 36 of these 40 examples when this was written.
+    # Followers parted in 31 of these 40 examples when this was written.
     assert sum(parted) >= len(parted) // 4, f"followers parted in {sum(parted)} of {len(parted)}"

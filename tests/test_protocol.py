@@ -1,6 +1,7 @@
 """Tests for the region controller: partition, feedback rules, cadence."""
 
 import random
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -54,7 +55,7 @@ class TestRegionConfig:
 def one_round_run(temps, controller="east"):
     """Run one round with node i held at ``temps[i]`` degrees C."""
     cfg = SimConfig(node_count=len(temps), rounds=1, seed=1, controller=controller)
-    cfg.temperature = TemperatureProcess(trace=TraceTable((tuple(temps),)))
+    cfg.temperature = TemperatureProcess(trace=TraceTable((array("d", temps),)))
     return run_simulation(cfg)
 
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from itertools import product
 
@@ -255,11 +256,14 @@ def load_text(path, text):
         return str(exc).removeprefix(f"{path}: ")
 
 
+def trace_table(rows):
+    """The table whose per-round rows hold these values, as a load builds it."""
+    return TraceTable(tuple(array("d", row) for row in rows))
+
+
 def grid_table(n_nodes, n_rounds):
     """The table of node_major_lines(n_nodes, n_rounds)."""
-    return TraceTable(
-        tuple(tuple(20.0 + n + 0.25 * r for n in range(n_nodes)) for r in range(n_rounds))
-    )
+    return trace_table([20.0 + n + 0.25 * r for n in range(n_nodes)] for r in range(n_rounds))
 
 
 @st.composite
@@ -461,7 +465,7 @@ class TestLoadTemperatureTrace:
         text, rows = drawn
         loaded = load_text(tmp_path_factory.mktemp("trace") / "trace.csv", text)
         if rows is not None:
-            assert loaded == TraceTable(rows)
+            assert loaded == trace_table(rows)
         else:  # perturbed or out of range: a table or a named error, nothing else
             assert isinstance(loaded, (TraceTable, str))
 
@@ -551,7 +555,7 @@ _unshifted_load_per_line = _load_per_line
 
 def _load_per_line(path, text, t_min_c, t_max_c):
     table = _unshifted_load_per_line(path, text, t_min_c, t_max_c)
-    return TraceTable(tuple(tuple(temp + 1.0 for temp in row) for row in table.rows))
+    return TraceTable(tuple(array("d", [temp + 1.0 for temp in row]) for row in table.rows))
 """
 
 
@@ -566,8 +570,23 @@ class TestTraceCache:
         assert len(parses) == 1  # nothing parsed: a hit
         assert warm == cold
         assert repr(warm.trace.rows) == repr(cold.trace.rows)  # -0.0 stays -0.0
-        assert all(type(row) is tuple for row in warm.trace.rows)
+        for loaded in (cold, warm):
+            assert all(type(row) is array and row.typecode == "d" for row in loaded.trace.rows)
         assert [warm.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
+
+    def test_warm_load_retains_eight_bytes_a_cell(self, tmp_path, parses):
+        # 200 x 100 doubles, 8 B a cell; boxed floats in tuples took 32
+        path = tmp_path / "trace.csv"
+        write_trace(path, node_major_lines(200, 100))
+        load_temperature_trace(str(path), t_max_c=250.0)
+        tracemalloc.start()
+        try:
+            warm = load_temperature_trace(str(path), t_max_c=250.0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(parses) == 1
+        assert retained <= 12 * len(warm.trace), f"{retained / len(warm.trace):.1f} B per cell"
 
     def test_narrower_range_names_first_bad_row_on_warm_cache(self, tmp_path, monkeypatch, parses):
         path = write_cells(tmp_path / "trace.csv")
@@ -624,7 +643,7 @@ class TestTraceCache:
         assert load_with_copy() == repr(rows)  # the same source: a hit
         with open(package / "topology.py", "a", encoding="utf-8") as fh:
             fh.write(SHIFTED_LOADER)
-        shifted = tuple(tuple(temp + 1.0 for temp in row) for row in rows)
+        shifted = trace_table([temp + 1.0 for temp in row] for row in rows).rows
         assert load_with_copy() == repr(shifted)  # the edited loader ran
         assert load_temperature_trace(str(trace)).trace.rows == rows
         assert len(parses) == 1  # the edited copy wrote a file of its own
