@@ -15,7 +15,6 @@ import random
 import struct
 import sys
 import tempfile
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,10 +59,10 @@ class TraceTable:
     """A dense temperature trace held as per-round rows: ``rows[round][node]``.
 
     Each row is an ``array('d')``, whether the table was parsed or read from
-    the trace cache, and every row has the same width. Tables compare equal
-    elementwise; arrays make them unhashable, and nothing writes a row.
-    ``len(table)`` counts the (node, round) cells, as many as the file has
-    data rows.
+    the trace cache, and every row has the same width; only the functions
+    that build rows import ``array``. Tables compare equal elementwise;
+    arrays make them unhashable, and nothing writes a row. ``len(table)``
+    counts the (node, round) cells, as many as the file has data rows.
     """
 
     rows: tuple[array, ...]
@@ -173,6 +172,7 @@ def load_temperature_trace(
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        del data  # the parse reads only the text
         table = _load_per_line(path, text, t_min_c, t_max_c)
         if cache_path is not None:
             _write_trace_cache(cache_path, table)
@@ -235,33 +235,31 @@ def _trace_cache_path(sha256: str) -> Optional[str]:
 
 def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
     """The table a cache file holds, or None unless it passes every check:
-    header (including the package source digest), length, checksum, and
-    values inside [t_min_c, t_max_c]."""
+    header (a short one raises struct.error), package source digest, length,
+    value range and checksum. The rows are read one at a time, as written."""
     import hashlib
+    from array import array
 
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return None
-    if len(blob) < _CACHE_HEADER.size + _CACHE_DIGEST_SIZE:
-        return None
-    magic, byte_order, source, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack_from(blob)
-    if magic != _CACHE_MAGIC or byte_order != _BYTE_ORDER.encode() or not (n_nodes and n_rounds):
-        return None
-    if source != _source_digest():
-        return None
-    end = _CACHE_HEADER.size + 8 * n_nodes * n_rounds
-    if len(blob) != end + _CACHE_DIGEST_SIZE:
-        return None
-    payload = memoryview(blob)[:end]
-    if hashlib.sha256(payload).digest() != blob[end:]:
-        return None
-    if not (t_min_c <= lo and hi <= t_max_c):
-        return None
-    values = array("d")
-    values.frombytes(payload[_CACHE_HEADER.size :])
-    return TraceTable(tuple(values[r * n_nodes : (r + 1) * n_nodes] for r in range(n_rounds)))
+    with contextlib.suppress(OSError, struct.error), open(path, "rb") as fh:
+        header = fh.read(_CACHE_HEADER.size)
+        magic, byte_order, source, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack(header)
+        if magic != _CACHE_MAGIC or byte_order != _BYTE_ORDER.encode() or not (n_nodes and n_rounds):
+            return None
+        if source != _source_digest():
+            return None
+        # The length is checked before anything of the header's N and R is allocated.
+        if os.fstat(fh.fileno()).st_size != len(header) + 8 * n_nodes * n_rounds + _CACHE_DIGEST_SIZE:
+            return None
+        if not (t_min_c <= lo and hi <= t_max_c):
+            return None
+        rows = tuple(array("d", [0.0]) * n_nodes for _ in range(n_rounds))
+        checksum = hashlib.sha256(header)
+        for row in rows:
+            fh.readinto(row)  # a file cut short since the fstat fails the digest test
+            checksum.update(row)
+        if checksum.digest() == fh.read(_CACHE_DIGEST_SIZE):
+            return TraceTable(rows)
+    return None
 
 
 def _write_trace_cache(path: str, table: TraceTable) -> None:
@@ -308,6 +306,8 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
 
     A ``DataError`` names the first bad row of the file.
     """
+    from array import array
+
     lines = text.splitlines()
     if not lines:
         raise DataError(f"{path}: empty trace file")
@@ -315,12 +315,12 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
     if header != TRACE_HEADER:
         raise DataError(f"{path}: expected header {','.join(TRACE_HEADER)!r}, got {lines[0]!r}")
 
-    # One pass in file order, so the first bad row is the one named. A
-    # cell not yet read holds None. Once the indices seen span more cells
-    # than the file has data lines, the table cannot be dense: the rows stop
-    # growing and a set of the cells read takes over the duplicate check.
+    # One pass in file order, so the first bad row is the one named. A cell
+    # not yet read holds NaN, which the range check keeps out of the values.
+    # Indices spanning more cells than the file has lines cannot be dense:
+    # then the rows stop growing and a set of the cells read checks duplicates.
     limit = len(lines) - 1
-    rows: list[list[Optional[float]]] = []
+    rows: list[array] = []
     seen: Optional[set[tuple[int, int]]] = None
     n_nodes = n_rounds = count = 0
     for line_no, line in enumerate(lines[1:], start=2):
@@ -350,7 +350,7 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
             if seen is None and n_nodes * n_rounds > limit:
                 seen = _cells_read(rows)
             if seen is None:
-                rows.extend([] for _ in range(n_rounds - len(rows)))
+                rows.extend(array("d") for _ in range(n_rounds - len(rows)))
         if seen is not None:
             if (node_id, round_idx) not in seen:
                 seen.add((node_id, round_idx))
@@ -362,10 +362,10 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
                 row.append(temp)
                 continue
             if node_id > width:
-                row.extend([None] * (node_id - width))
+                row.extend([math.nan] * (node_id - width))
                 row.append(temp)
                 continue
-            if row[node_id] is None:
+            if math.isnan(row[node_id]):
                 row[node_id] = temp
                 continue
         raise DataError(f"{path}: row {line_no}: duplicate entry for ({node_id}, {round_idx})")
@@ -380,14 +380,14 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
             for round_idx in range(n_rounds):
                 if (node_id, round_idx) not in seen:
                     raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
-    return TraceTable(tuple(array("d", row) for row in rows))
+    return TraceTable(tuple(rows))
 
 
-def _cells_read(rows: list[list[Optional[float]]]) -> set[tuple[int, int]]:
+def _cells_read(rows: list[array]) -> set[tuple[int, int]]:
     """The (node, round) cells of partly filled per-round rows that hold a value."""
     return {
         (node_id, round_idx)
         for round_idx, row in enumerate(rows)
         for node_id, temp in enumerate(row)
-        if temp is not None
+        if not math.isnan(temp)
     }

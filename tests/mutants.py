@@ -78,15 +78,22 @@ MUTANTS = [
     ("trace load: <= becomes < at t_max_c", "src/eastsim/topology.py",
      "if not (t_min_c <= temp <= t_max_c):", "if not (t_min_c <= temp < t_max_c):"),
     ("trace load: dense rows never detect a duplicate", "src/eastsim/topology.py",
-     "if row[node_id] is None:", "if True:"),
+     "if math.isnan(row[node_id]):", "if True:"),
     ("trace load: sparse indices keep growing the dense rows", "src/eastsim/topology.py",
      "if seen is None and n_nodes * n_rounds > limit:", "if False:"),
     ("trace cache hit skips the range check", "src/eastsim/topology.py",
      "if not (t_min_c <= lo and hi <= t_max_c):", "if False:"),
     ("trace cache checksum never compared", "src/eastsim/topology.py",
-     "if hashlib.sha256(payload).digest() != blob[end:]:", "if False:"),
+     "if checksum.digest() == fh.read(_CACHE_DIGEST_SIZE):", "if True:"),
+    ("trace cache ignores the file's length", "src/eastsim/topology.py",
+     "if os.fstat(fh.fileno()).st_size != len(header) + 8 * n_nodes * n_rounds + _CACHE_DIGEST_SIZE:",
+     "if False:"),
+    ("trace cache lets a short header's struct.error escape", "src/eastsim/topology.py",
+     "contextlib.suppress(OSError, struct.error)", "contextlib.suppress(OSError)"),
     ("topology imports hashlib, and so OpenSSL, at module level", "src/eastsim/topology.py",
      "import contextlib", "import contextlib\nimport hashlib"),
+    ("topology imports array at module level", "src/eastsim/topology.py",
+     "import contextlib", "import contextlib\nfrom array import array"),
     ("trace cache ignores the package source", "src/eastsim/topology.py",
      "if source != _source_digest():", "if False:"),
     ("trace cache never evicts", "src/eastsim/topology.py",

@@ -101,14 +101,15 @@ class TestDistance:
 HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 # Runs run, compare and sweep without a trace, then reports whether
-# OpenSSL's sha256 (the _hashlib module behind hashlib) was ever imported.
+# OpenSSL's sha256 (the _hashlib module behind hashlib) and the array module,
+# which only trace rows need, were ever imported.
 LEAN_COMMANDS = """
 import sys
 from eastsim.cli import main
 small = ["--set", "nodes=5", "--set", "rounds=3", "--out"]
 for command, *extra in (["run"], ["compare"], ["sweep", "--key", "cadence.period_rounds", "--values", "1,2"]):
     assert main([command, *extra, *small, sys.argv[1] + "/" + command]) == 0, command
-print("_hashlib" in sys.modules)
+print("_hashlib" in sys.modules, "array" in sys.modules)
 """
 
 
@@ -136,7 +137,7 @@ class TestLeanSha256:
             [sys.executable, "-S", "-c", LEAN_COMMANDS, str(tmp_path)],
             env=dict(os.environ, PYTHONPATH=source), capture_output=True, text=True, check=True,
         )
-        assert done.stdout.splitlines()[-1] == "False"
+        assert done.stdout.splitlines()[-1] == "False False"
 
 
 def walk_temps(nodes, rounds, seed, sigma):
@@ -529,6 +530,13 @@ def with_byte(blob, offset, value):
     return blob[:offset] + bytes([value]) + blob[offset + 1 :]
 
 
+def with_doubled_node_count(blob):
+    """A cache file's bytes with the N of its header doubled."""
+    fields = list(topology._CACHE_HEADER.unpack_from(blob))
+    fields[3] *= 2
+    return topology._CACHE_HEADER.pack(*fields) + blob[topology._CACHE_HEADER.size :]
+
+
 MAGIC = topology._CACHE_MAGIC
 # Damaged cache files: each maps the bytes of a valid one to a file that
 # must be a miss. The version and byte-order cases carry a valid checksum,
@@ -545,6 +553,11 @@ DAMAGED_CACHE = {
     "other_package_source": lambda blob: reseal(
         with_byte(blob, len(MAGIC) + 1, blob[len(MAGIC) + 1] ^ 0x01)
     ),
+    "short_header": lambda blob: blob[: topology._CACHE_HEADER.size - 1],
+    "trailing_bytes": lambda blob: blob + b"\x00",
+    # 6 x 4 cells claimed for 3 x 4 held: small, so that no reader, even one
+    # that skips the length check, allocates much for what a header claims.
+    "header_claims_more_cells": lambda blob: reseal(with_doubled_node_count(blob)),
 }
 
 # Appended to a copy of topology.py: a loader change that shifts every value.
@@ -554,6 +567,8 @@ _unshifted_load_per_line = _load_per_line
 
 
 def _load_per_line(path, text, t_min_c, t_max_c):
+    from array import array
+
     table = _unshifted_load_per_line(path, text, t_min_c, t_max_c)
     return TraceTable(tuple(array("d", [temp + 1.0 for temp in row]) for row in table.rows))
 """
@@ -575,7 +590,8 @@ class TestTraceCache:
         assert [warm.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
 
     def test_warm_load_retains_eight_bytes_a_cell(self, tmp_path, parses):
-        # 200 x 100 doubles, 8 B a cell; boxed floats in tuples took 32
+        # 200 x 100 doubles, 8 B a cell plus each row's header (8.5 B); boxed
+        # floats in tuples took 32, and rows over-allocated by fromfile 9.1
         path = tmp_path / "trace.csv"
         write_trace(path, node_major_lines(200, 100))
         load_temperature_trace(str(path), t_max_c=250.0)
@@ -586,7 +602,29 @@ class TestTraceCache:
         finally:
             tracemalloc.stop()
         assert len(parses) == 1
-        assert retained <= 12 * len(warm.trace), f"{retained / len(warm.trace):.1f} B per cell"
+        assert retained <= 8.75 * len(warm.trace), f"{retained / len(warm.trace):.2f} B per cell"
+
+    def test_cold_and_warm_load_peaks_per_cell(self, tmp_path, parses):
+        # 200 x 100 cells. A cold load holds the text, its lines and the rows
+        # being filled (98 B a cell; 135 B when list rows were copied into
+        # arrays at the end, 111 B with the file's bytes kept through the
+        # parse). A warm load holds the file's bytes and the rows (21 B; 38 B
+        # when the cache file was read whole, then copied and sliced).
+        path = tmp_path / "trace.csv"
+        write_trace(path, node_major_lines(200, 100))
+        topology._source_digest()  # cached before the first measurement
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                trace = load_temperature_trace(str(path), t_max_c=250.0).trace
+                peaks.append(tracemalloc.get_traced_memory()[1] / len(trace))
+            finally:
+                tracemalloc.stop()
+        assert len(parses) == 1
+        cold, warm = peaks
+        assert cold <= 110, f"cold load peaks at {cold:.1f} B per cell"
+        assert warm <= 28, f"warm load peaks at {warm:.1f} B per cell"
 
     def test_narrower_range_names_first_bad_row_on_warm_cache(self, tmp_path, monkeypatch, parses):
         path = write_cells(tmp_path / "trace.csv")
