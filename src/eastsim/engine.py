@@ -2,21 +2,21 @@
 
 Set-up runs once, before the first round: deploy the nodes, take their
 round-0 temperatures and losses, partition them into regions, derive the
-desired neighbor counts and give every node its region's capped threshold
-level. Each round then runs a fixed sequence: advance temperatures (from
-round 1 on), decide which regions run a closed-loop exchange, then in one
-pass over the alive nodes in id order assign each node's level (region-based
-feedback or max-power baseline) and transmit power, score its data packet,
-debit its energy and retire it if depleted, and finally record metrics.
-Identical (config, seed) pairs produce identical output, record for record.
+desired neighbor counts and give every node its level (region-based feedback
+or max-power baseline), transmit power and tx costs. Each round then runs a
+fixed sequence: advance temperatures (from round 1 on), decide which regions
+run a closed-loop exchange, reassign the levels in each region short of
+neighbors, then in one pass over the alive nodes in id order score each
+node's data packet, debit its energy and retire it if depleted, and finally
+record metrics. Identical (config, seed) pairs produce identical output,
+record for record.
 
 Configs that share the seed, node count, area and temperature source can run
 as one lockstep group: the deployment and each node's temperatures, losses
 and random draws are made once per round for the whole group, and each
 member runs the rest of the round on them. Members that also share every
-controller input are twins: until the group's first death or last round,
-their levels keep their set-up values, and the first of them scores the PRR
-for all of them.
+controller input are twins: until the group's first death or last round, the
+first of them scores the PRR for all of them.
 
 Per-node state lives in flat lists indexed by node id, and regions in the
 kernel are the indices 0/1/2 of ``REGIONS``.
@@ -223,12 +223,11 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     round while alive, so a node alive in a member at round r has drawn the
     same values there as in a run on its own.
 
-    Twins, members with equal ``_controller_inputs``, also share the control
-    part until the first round in which some member has a death or runs its
-    last round: only the first twin in config order assigns levels and
-    scores PRR, and the others read its region and mean PRR. After that
-    round every twin set is marked split, and each twin runs the control
-    part on its own from the next round on.
+    Twins, members with equal ``_controller_inputs``, also share the PRR
+    scoring until the first round in which some member has a death or runs
+    its last round: only the first twin in config order scores PRR, and the
+    others read its region and mean PRR. After that round every twin set is
+    marked split, and each twin scores its own PRR from the next round on.
     """
     for config in configs:
         config_mod.validate(config)
@@ -352,8 +351,8 @@ def _member_rounds(
     The deployment and the shared lists are read, never written, except
     ``refs``, which counts down as this member's nodes die or its run ends.
     A member of a twin set publishes its region and mean PRR to ``twin`` or,
-    when it ``follows``, reads them from there and its levels from its own
-    set-up list, until the set is marked split.
+    when it ``follows``, reads them from there instead of scoring PRR, until
+    the set is marked split.
     """
     nodes = deployment.nodes
     n = len(nodes)
@@ -375,22 +374,18 @@ def _member_rounds(
     last_estimated = [0.0] * n
     cap = config.level_cap_dbm
     is_east = config.controller == "east"
-    # A following twin reads its own levels, which cannot move before the
-    # split: until a death no neighbor count falls below its desired count
-    # (the initial count minus 5, floored at 1), so rule (ii) cannot fire,
-    # and rule (i) gives the threshold level, which validate keeps at or
-    # below the cap.
     if is_east:
         levels = [min(threshold_level[k], cap) for k in region_of]
     else:
         # The baseline's level never changes: the worst-case compensation.
         levels = [min(classical_assign(config.temperature.t_max_c), cap)] * n
     # Transmit power and the ACK/data tx costs it fixes; the costs are
-    # recomputed only when a node's power changes.
-    pt = [math.nan] * n
-    ack_tx_j = [0.0] * n
-    data_tx_j = [0.0] * n
-    batteries = [config.energy.initial_battery_j] * n
+    # recomputed only when the level step moves a node's level.
+    energy = config.energy
+    pt = [base + level for base, level in zip(base_dbm, levels)]
+    ack_tx_j = [tx_energy(power, energy.ack_bits, energy) for power in pt]
+    data_tx_j = [tx_energy(power, energy.data_bits, energy) for power in pt]
+    batteries = [energy.initial_battery_j] * n
     alive = [True] * n
     alive_flags = tuple(alive)
     live = list(range(n))
@@ -401,7 +396,6 @@ def _member_rounds(
     # move on while the node lives in another member.
     frozen: dict[int, tuple[float, float]] = {}
 
-    energy = config.energy
     beacon_rx_j = rx_energy(energy.beacon_bits, energy)
     neg_alpha = -config.prr.alpha_per_db
     beta = config.prr.beta_db
@@ -421,7 +415,7 @@ def _member_rounds(
             if twin is not None and twin.split:
                 twin, follows = None, False
 
-        # (2) closed-loop schedule
+        # (2) closed-loop schedule and levels
         if is_east:
             exchanging = [
                 needs_closed_loop(round_idx, last_round[k], cadence, losses, last_estimated, members[k])
@@ -435,6 +429,21 @@ def _member_rounds(
                     for i in members[k]:
                         last_estimated[i] = losses[i]
                     n_current[k] = len(members[k])
+                # Levels, powers and tx costs move only here. A region's
+                # neighbor count only falls; until it is short of the desired
+                # count, rule (i) gives the threshold level, which validate
+                # keeps at or below the cap, and rule (iii) keeps the level,
+                # so the set-up levels hold and only short regions assign.
+                if n_current[k] < n_desired[k]:
+                    for i in members[k]:
+                        level = east_assign(levels[i], losses[i], threshold_loss[k],
+                                            threshold_level[k], n_current[k], n_desired[k])
+                        level = cap if cap < level else level
+                        if level != levels[i]:
+                            levels[i] = level
+                            pt[i] = power = base_dbm[i] + level
+                            ack_tx_j[i] = tx_energy(power, energy.ack_bits, energy)
+                            data_tx_j[i] = tx_energy(power, energy.data_bits, energy)
             beacons_this = 1 if any(exchanging) else 0
         else:
             # Baseline: full beacon/ACK exchange every round.
@@ -444,12 +453,12 @@ def _member_rounds(
         traffic.beacons_sent += beacons_this
         traffic.acks_sent += acks_this
 
-        # (3) one pass over the alive nodes in id order: level and one data
-        # packet's reception quality (the control part, which a following
-        # twin reads instead), power, the beacon rx, ACK tx and data tx
-        # debits, each capped at the remaining battery so draw always equals
-        # tx + rx exactly, and death on an empty battery. The caps are
-        # conditionals that pick what min() would, without a call per debit.
+        # (3) one pass over the alive nodes in id order: one data packet's
+        # reception quality (which a following twin reads instead), the
+        # beacon rx, ACK tx and data tx debits, each capped at the remaining
+        # battery so draw always equals tx + rx exactly, and death on an
+        # empty battery. The caps are conditionals that pick what min()
+        # would, without a call per debit.
         prr_all = []
         prr_by_region: list[list[float]] = [[], [], []]
         tx_this = 0.0
@@ -457,30 +466,16 @@ def _member_rounds(
         died = False
         for i in live:
             k = region_of[i]
-            if follows:
-                level = levels[i]
-            else:
-                if is_east:
-                    level = east_assign(levels[i], losses[i], threshold_loss[k],
-                                        threshold_level[k], n_current[k], n_desired[k])
-                    levels[i] = level = cap if cap < level else level
-                else:
-                    level = levels[i]
-                # prr_from_margin written out; level and comp[i] are finite.
+            if not follows:
+                # prr_from_margin written out; both operands are finite.
                 try:
-                    prr = 1.0 / (1.0 + exp(neg_alpha * (level - comp[i] - beta)))
+                    prr = 1.0 / (1.0 + exp(neg_alpha * (levels[i] - comp[i] - beta)))
                 except OverflowError:
                     prr = 0.0
                 if sampled is not None:
                     prr = 1.0 if sampled[i] < prr else 0.0
                 prr_all.append(prr)
                 prr_by_region[k].append(prr)
-
-            power = base_dbm[i] + level
-            if power != pt[i]:
-                pt[i] = power
-                ack_tx_j[i] = tx_energy(power, energy.ack_bits, energy)
-                data_tx_j[i] = tx_energy(power, energy.data_bits, energy)
 
             battery = batteries[i]
             if exchanging[k]:

@@ -11,6 +11,10 @@ each node's level follows three rules:
         level, never decreasing
   (iii) loss <  threshold                            -> level unchanged
 
+A region's neighbor count only falls, and until it falls below the desired
+count, rule (i) gives the threshold level a node starts at and rule (iii)
+keeps the level: only rule (ii) moves a level off its start.
+
 The baseline assigns every node the worst-case compensation level and
 re-estimates losses every round.
 """

@@ -28,7 +28,13 @@ MUTANTS = [
     ("exchange leaves the region's neighbor count stale", "src/eastsim/engine.py",
      "n_current[k] = len(members[k])", "pass"),
     ("tx-cost cache filled once, never refreshed", "src/eastsim/engine.py",
-     "if power != pt[i]:", "if pt[i] != pt[i]:"),
+     "pt[i] = power = base_dbm[i] + level", "pt[i] = power = base_dbm[i] + level; continue"),
+    ("the controller never runs", "src/eastsim/engine.py",
+     "if n_current[k] < n_desired[k]:", "if False:"),
+    ("the controller runs in every region", "src/eastsim/engine.py",
+     "if n_current[k] < n_desired[k]:", "if True:"),
+    ("followers score their own PRR", "src/eastsim/engine.py",
+     "if not follows:", "if True:"),
     ("east_assign: >= becomes > at the threshold loss", "src/eastsim/protocol.py",
      "if loss_dbm >= threshold_loss_dbm:", "if loss_dbm > threshold_loss_dbm:"),
     ("needs_closed_loop: > becomes >= at the drift bound", "src/eastsim/protocol.py",

@@ -1,11 +1,12 @@
 """Tests for the discrete-round executor."""
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
 
-from eastsim import engine, protocol
+from eastsim import engine, protocol, radio
 from eastsim.cli import main, write_run_outputs
 from eastsim.config import SimConfig
 from eastsim.engine import Lockstep, run_simulation
@@ -120,6 +121,42 @@ class TestRoundSemantics:
             for region in REGIONS:
                 members = [i for i, r in assignment.items() if r is region and rec.alive[i]]
                 assert rec.region_alive[region] == len(members)
+
+
+class TestLevelStep:
+    @staticmethod
+    def count_calls(monkeypatch, name, real):
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+        return calls
+
+    def test_run_without_deaths_never_assigns(self, monkeypatch):
+        # No region falls short of neighbors before a death, so the
+        # controller never runs.
+        calls = self.count_calls(monkeypatch, "east_assign", protocol.east_assign)
+        result = run_simulation(small_config(rounds=40))
+        assert result.survivors == 12
+        assert calls[0] == 0
+
+    def test_tx_costs_refresh_only_when_a_level_moves(self, monkeypatch):
+        # 30 nodes in one region, drained: rule (ii) raises levels once six
+        # have died. Each node's two costs are computed at set-up and again
+        # each time its level moves.
+        calls = self.count_calls(monkeypatch, "tx_energy", radio.tx_energy)
+        cfg = SimConfig(node_count=30, rounds=40, seed=1)
+        cfg.energy = replace(cfg.energy, initial_battery_j=0.002)
+        cfg.regions = replace(cfg.regions, boundary_high_dbm=10.0, boundary_low_dbm=-10.0)
+        cfg.cadence = replace(cfg.cadence, drift_dbm=0.3)
+        records = run_simulation(cfg).records
+        moves = sum(a != b for prev, rec in zip(records, records[1:])
+                    for a, b in zip(prev.levels_dbm, rec.levels_dbm))
+        assert moves > 0
+        assert calls[0] == 2 * (30 + moves) == 104
 
 
 class TestEnergyAndDeath:
@@ -281,28 +318,29 @@ class TestLockstep:
 
 class TestTwins:
     @pytest.fixture
-    def east_calls(self, monkeypatch):
+    def prr_scorings(self, monkeypatch):
+        # Only the member pass's PRR line calls the engine's exp.
         calls = [0]
 
-        def counting_east_assign(*args):
+        def counting_exp(x):
             calls[0] += 1
-            return protocol.east_assign(*args)
+            return math.exp(x)
 
-        monkeypatch.setattr(engine, "east_assign", counting_east_assign)
+        monkeypatch.setattr(engine, "exp", counting_exp)
         return calls
 
-    def test_sweep_without_deaths_assigns_levels_once(self, tmp_path, east_calls):
+    def test_sweep_without_deaths_scores_prr_once(self, tmp_path, prr_scorings):
         out = tmp_path / "sweep"
         assert main(["sweep", "--out", str(out), "--key", "cadence.period_rounds",
                      "--values", "1,5,10,20", "--set", "nodes=15", "--set", "rounds=12"]) == 0
         survivors = [line.split(",")[6] for line in
                      (out / "sweep_summary.csv").read_text().splitlines()[1:]]
         assert survivors == ["15"] * 4
-        assert east_calls[0] == 15 * 12
+        assert prr_scorings[0] == 15 * 12
 
-    def test_drained_member_ends_the_sharing(self, east_calls):
+    def test_drained_member_ends_the_sharing(self, prr_scorings):
         # The first member loses a node in round 19; from round 20 on every
-        # member assigns its own levels.
+        # member scores its own PRR.
         base = SimConfig(node_count=8, rounds=30, seed=11, area_side_m=90.0)
         base.temperature = replace(base.temperature, walk_sigma_c=2.0)
         configs = [replace(base, cadence=replace(base.cadence, period_rounds=p))
@@ -313,7 +351,7 @@ class TestTwins:
         death = next(r.round_index for r in results[0].records if not all(r.alive))
         assert death == 19
         alive_after = sum(sum(rec.alive) for result in results for rec in result.records[19:-1])
-        assert east_calls[0] == 8 * 20 + alive_after
+        assert prr_scorings[0] == 8 * 20 + alive_after
         assert same_as_solo_runs(configs, results)
 
     @pytest.mark.parametrize(
@@ -328,13 +366,13 @@ class TestTwins:
         ],
         ids=["alpha", "beta", "sampled", "cap", "regions"],
     )
-    def test_members_differing_in_a_controller_input_are_not_twins(self, change, east_calls):
+    def test_members_differing_in_a_controller_input_are_not_twins(self, change, prr_scorings):
         base = SimConfig(node_count=8, rounds=15, seed=5, controller="classical")
         configs = [base, replace(base, **change)]
         configs += [replace(cfg, controller="east") for cfg in configs]
         batch = Lockstep(configs)
         results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
-        assert east_calls[0] == 2 * 8 * 15
+        assert prr_scorings[0] == 4 * 8 * 15
         assert same_as_solo_runs(configs, results)
 
 
