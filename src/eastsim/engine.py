@@ -15,8 +15,8 @@ Configs that share the seed, node count, area and temperature source can run
 as one lockstep group: the deployment and each node's temperatures, losses
 and random draws are made once per round for the whole group, and each
 member runs the rest of the round on them. Members that also share every
-controller input are twins: until the group's first death or last round, the
-first of them scores the PRR for all of them.
+controller input are twins: until one of them has a death or runs its last
+round, the first of them scores the PRR for all of them.
 
 Per-node state lives in flat lists indexed by node id, and regions in the
 kernel are the indices 0/1/2 of ``REGIONS``.
@@ -186,7 +186,7 @@ def _controller_inputs(config: SimConfig) -> tuple:
 class _TwinRound:
     """What the first member of a twin set computes for the others: the
     current round's region and mean PRR; ``split`` is set once the set stops
-    sharing."""
+    sharing (see ``_member_rounds``)."""
 
     __slots__ = ("region_prr", "prr_mean", "split")
 
@@ -215,19 +215,18 @@ def run_simulation(
 def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list[SimResult]:
     """Advance every config one round at a time.
 
-    Each round makes one shared pass over the nodes alive in any unfinished
-    member: the temperature step (walk draw or trace row), its loss, the
-    compensation level of that loss and, if any member samples PRR, the
-    node's uniform draw. Each member's own pass then reads those values.
-    Sharing is exact because a node draws from its own streams once per
-    round while alive, so a node alive in a member at round r has drawn the
-    same values there as in a run on its own.
+    Each round makes one shared pass over every node: the temperature step
+    (walk draw or trace row), its loss, the compensation level of that loss
+    and, if any member samples PRR, the node's uniform draw. Then each
+    unfinished member runs its round on those values. Sharing is exact
+    because every node draws from its own streams once per round, in a
+    group just as in a run on its own; a member reads a node's values only
+    while the node is alive there.
 
     Twins, members with equal ``_controller_inputs``, also share the PRR
-    scoring until the first round in which some member has a death or runs
-    its last round: only the first twin in config order scores PRR, and the
-    others read its region and mean PRR. After that round every twin set is
-    marked split, and each twin scores its own PRR from the next round on.
+    scoring: only the first twin in config order scores PRR, and the others
+    read its region and mean PRR. Each twin set ends its own sharing (see
+    ``_member_rounds``); this loop only steps the members.
     """
     for config in configs:
         config_mod.validate(config)
@@ -258,14 +257,12 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         draws = [stream.random() for stream in prr_streams]
     else:
         prr_streams = draws = None
-    # refs[i]: the unfinished members in which node i is alive.
-    refs = [len(configs)] * n
 
     keys = [_controller_inputs(config) for config in configs]
     leader = [keys.index(key) for key in keys]
     twins = {k: _TwinRound() for k in set(leader) if leader.count(k) > 1}
     runs = [
-        _member_rounds(config, keep, deployment, temps, losses, comp, draws, refs,
+        _member_rounds(config, keep, deployment, temps, losses, comp, draws,
                        twins.get(leader[k]), leader[k] != k)
         for k, config in enumerate(configs)
     ]
@@ -277,7 +274,8 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     two_pi = 2.0 * math.pi
     results: list[Optional[SimResult]] = [None] * len(configs)
     active = list(enumerate(runs))
-    live = list(range(n))
+    # One id list for every round: range(n) would allocate each id above 256.
+    ids = list(range(n))
     for round_idx in range(max(config.rounds for config in configs)):
         # (1) the shared pass; round 0 used the set-up values. The loss and
         # compensation level are rssi_loss_from_temperature and
@@ -287,7 +285,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         # above -40 dB at t_min_c and the level finite at t_max_c.
         if round_idx > 0:
             row = trace_rows[round_idx] if trace_rows is not None else None
-            for i in live:
+            for i in ids:
                 if row is not None:
                     t = row[i]
                 else:
@@ -311,24 +309,18 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
                 losses[i] = loss
                 comp[i] = ((loss + offset) / scale) ** exponent
             if prr_streams is not None:
-                for i in live:
+                for i in ids:
                     draws[i] = prr_streams[i].random()
 
         # (2)-(4) in each member, which yields once the round is done
-        dropped = False
         for k, run in active:
             try:
-                dropped |= next(run)
+                next(run)
             except StopIteration as stop:
                 results[k] = stop.value
-                dropped = True
-        if dropped:
-            active = [(k, run) for k, run in active if results[k] is None]
-            if not active:
-                break
-            live = [i for i in live if refs[i]]
-            for twin in twins.values():
-                twin.split = True
+        active = [(k, run) for k, run in active if results[k] is None]
+        if not active:
+            break
     return results
 
 
@@ -340,19 +332,21 @@ def _member_rounds(
     losses: list[float],
     comp: list[float],
     draws: Optional[list[float]],
-    refs: list[int],
     twin: Optional[_TwinRound],
     follows: bool,
-) -> Generator[bool, None, SimResult]:
+) -> Generator[None, None, SimResult]:
     """One member's rounds: each ``next()`` runs one round on the shared
-    values of that round, yields whether any of its nodes died, and the
-    generator returns the member's SimResult after its last round.
+    values of that round, and the generator returns the member's SimResult
+    after its last round. The deployment and the shared lists are read,
+    never written.
 
-    The deployment and the shared lists are read, never written, except
-    ``refs``, which counts down as this member's nodes die or its run ends.
     A member of a twin set publishes its region and mean PRR to ``twin`` or,
-    when it ``follows``, reads them from there instead of scoring PRR, until
-    the set is marked split.
+    when it ``follows``, reads them from there instead of scoring PRR. A
+    twin that has a death or runs its last round marks the set split, and
+    each twin leaves the set at the end of the first round that finds the
+    mark. The first twin runs each round first, so it leaves last, and
+    while a twin follows, neither it nor the first twin has had a death:
+    their levels and alive nodes agree.
     """
     nodes = deployment.nodes
     n = len(nodes)
@@ -410,10 +404,8 @@ def _member_rounds(
     for round_idx in range(config.rounds):
         if round_idx > 0:
             # Hand back the round just run; resume once the shared pass of
-            # this round is done, on its own if the twin set split.
-            yield died
-            if twin is not None and twin.split:
-                twin, follows = None, False
+            # this round is done.
+            yield
 
         # (2) closed-loop schedule and levels
         if is_east:
@@ -502,7 +494,6 @@ def _member_rounds(
                 alive[i] = False
                 died = True
                 frozen[i] = (temps[i], losses[i])
-                refs[i] -= 1
 
         # (4) record; the region and mean PRR sum each round's values in id
         # order
@@ -523,6 +514,9 @@ def _member_rounds(
             members = [[i for i in m if alive[i]] for m in members]
             alive_flags = tuple(alive)
         final = not live or round_idx == config.rounds - 1
+        if twin is not None and (died or final or twin.split):
+            twin.split = True
+            twin, follows = None, False
         kept = keep is None or final or round_idx in keep
         if kept:
             kept_temps = temps[:]
@@ -551,8 +545,6 @@ def _member_rounds(
             result.extinction_round = round_idx
             break
 
-    for i in live:
-        refs[i] -= 1
     result.ledger.tx_j = ledger_tx
     result.ledger.rx_j = ledger_rx
     return result

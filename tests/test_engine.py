@@ -16,6 +16,7 @@ from eastsim.radio import free_space_base_requirement
 from eastsim.topology import distance, walk_stream
 
 from oracle import record_as_dict, records_equal, reference_run
+from test_property import death_only_beside_twins
 
 
 def small_config(**kwargs):
@@ -262,10 +263,11 @@ class TestLockstep:
         assert results[0].deployment is results[1].deployment
         assert same_as_solo_runs((drained, kept), results)
 
-    def test_dead_node_stops_drawing_its_walk(self, monkeypatch):
-        # Once a node is dead in every member, the shared pass stops walking
-        # it: node 0 dies in round 27 after 27 Gaussian steps, which take 28
-        # uniform draws (14 Box-Muller pairs), not the 40 of a full run.
+    def test_dead_node_keeps_its_values_while_its_walk_goes_on(self, monkeypatch):
+        # The shared pass steps every node every round, so node 0's walk
+        # draws as often as in a run without deaths: 39 Gaussian steps take
+        # 40 uniform draws (20 Box-Muller pairs). Its records keep the
+        # temperature and loss it had in round 27, when it died.
         draws = {}
 
         class CountingRandom(random.Random):
@@ -281,12 +283,21 @@ class TestLockstep:
             return stream
 
         monkeypatch.setattr(engine, "walk_stream", counting_stream)
+        kept = run_simulation(SimConfig(node_count=4, rounds=40, seed=2))
+        assert all(all(r.alive) for r in kept.records)
+        kept_draws = draws[0]
         cfg = SimConfig(node_count=4, rounds=40, seed=2)
         cfg.energy = replace(cfg.energy, initial_battery_j=0.004)
         result = run_simulation(cfg)
         death = next(r.round_index for r in result.records if not r.alive[0])
         assert death == 27
-        assert draws[0] == 28
+        assert draws[0] == kept_draws == 40
+        at_death = result.records[death]
+        assert at_death.temps_c[0] == kept.records[death].temps_c[0]
+        for later in result.records[death + 1:]:
+            assert (later.temps_c[0], later.losses_dbm[0]) == (at_death.temps_c[0],
+                                                               at_death.losses_dbm[0])
+        assert result.records[-1].temps_c[0] != kept.records[-1].temps_c[0]
 
     def test_batch_groups_members_by_shared_inputs(self):
         # Two seeds, interleaved: the batch splits them into two groups.
@@ -352,6 +363,20 @@ class TestTwins:
         assert death == 19
         alive_after = sum(sum(rec.alive) for result in results for rec in result.records[19:-1])
         assert prr_scorings[0] == 8 * 20 + alive_after
+        assert same_as_solo_runs(configs, results)
+
+    def test_death_beside_twins_leaves_their_sharing(self, prr_scorings):
+        # The drained classical member is no twin of the two east twins after
+        # it, so its deaths do not end their sharing: it scores its alive
+        # nodes of each round, and the first twin scores for both twins.
+        configs = death_only_beside_twins()
+        batch = Lockstep(configs)
+        results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
+        drained = results[0].records
+        at_start = [(True,) * 8] + [r.alive for r in drained[:-1]]
+        assert sum(sum(alive) for alive in at_start) == 129
+        assert all(all(r.alive) for result in results[1:] for r in result.records)
+        assert prr_scorings[0] == 129 + 8 * 30
         assert same_as_solo_runs(configs, results)
 
     @pytest.mark.parametrize(

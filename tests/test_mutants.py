@@ -1,0 +1,25 @@
+"""The mutation check's list must apply to today's source: each mutant
+mutates a file under ``src/`` at an anchor that occurs exactly once there.
+
+``tests/mutants.py`` raises on a stale anchor only when it reaches that
+mutant, minutes into its run; this test finds one in the tier-1 suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+
+_spec = importlib.util.spec_from_file_location("mutants", TESTS / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+@pytest.mark.parametrize("name, path, anchor, replacement", mutants.MUTANTS,
+                         ids=[entry[0] for entry in mutants.MUTANTS])
+def test_anchor_occurs_once_under_src(name, path, anchor, replacement):
+    assert path.startswith("src/")
+    assert (ROOT / path).read_text(encoding="utf-8").count(anchor) == 1
