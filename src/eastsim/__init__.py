@@ -4,7 +4,7 @@ in wireless sensor networks."""
 __version__ = "0.1.0"
 
 from .config import SimConfig, fingerprint, parse_config, validate
-from .engine import EnergyLedger, RoundRecord, SimResult, run_simulation
+from .engine import RoundRecord, SimResult, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import (
     CadenceParams,

@@ -65,15 +65,6 @@ from .topology import (
 
 
 @dataclass
-class EnergyLedger:
-    """Cumulative energy accounting. The reference node is mains powered, so
-    battery draw splits exactly into node-side tx and rx."""
-
-    tx_j: float = 0.0
-    rx_j: float = 0.0
-
-
-@dataclass
 class RoundRecord:
     """Everything observed in one executed round.
 
@@ -106,9 +97,16 @@ class SimResult:
     # each node's battery after its last round, by node id
     batteries_j: list[float]
     records: list[RoundRecord] = field(default_factory=list)
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
-    traffic: ControlTraffic = field(default_factory=ControlTraffic)
-    extinction_round: Optional[int] = None
+
+    # Every total is read off the records, the run's only account.
+    @property
+    def traffic(self) -> ControlTraffic:
+        return ControlTraffic(sum(r.beacons for r in self.records), sum(r.acks for r in self.records))
+
+    @property
+    def extinction_round(self) -> Optional[int]:
+        final = self.records[-1]
+        return None if any(final.alive) else final.round_index
 
     @property
     def survivors(self) -> int:
@@ -116,11 +114,12 @@ class SimResult:
 
     @property
     def control_packets(self) -> int:
-        return self.traffic.beacons_sent + self.traffic.acks_sent
+        return sum(r.beacons + r.acks for r in self.records)
 
     @property
     def total_energy_j(self) -> float:
-        return self.ledger.tx_j + self.ledger.rx_j
+        # battery draw, all node-side tx and rx: the reference node is mains powered
+        return sum(r.tx_energy_j for r in self.records) + sum(r.rx_energy_j for r in self.records)
 
     @property
     def mean_prr(self) -> float:
@@ -395,11 +394,9 @@ def _member_rounds(
     beta = config.prr.beta_db
     cadence = config.cadence
     sampled = draws if config.prr_sampled else None
-    ledger_tx = ledger_rx = 0.0
 
     result = SimResult(config=config, deployment=deployment, partition=partition, desired=desired,
                        batteries_j=batteries)
-    traffic = result.traffic
 
     for round_idx in range(config.rounds):
         if round_idx > 0:
@@ -442,8 +439,6 @@ def _member_rounds(
             exchanging = [True, True, True]
             beacons_this = 1
             acks_this = len(live)
-        traffic.beacons_sent += beacons_this
-        traffic.acks_sent += acks_this
 
         # (3) one pass over the alive nodes in id order: one data packet's
         # reception quality (which a following twin reads instead), the
@@ -475,19 +470,16 @@ def _member_rounds(
                 if battery < spend:
                     spend = battery
                 battery -= spend
-                ledger_rx += spend
                 rx_this += spend
                 spend = ack_tx_j[i]
                 if battery < spend:
                     spend = battery
                 battery -= spend
-                ledger_tx += spend
                 tx_this += spend
             spend = data_tx_j[i]
             if battery < spend:
                 spend = battery
             battery -= spend
-            ledger_tx += spend
             tx_this += spend
             batteries[i] = battery
             if battery <= 0.0:
@@ -542,9 +534,5 @@ def _member_rounds(
             )
         )
         if not live:
-            result.extinction_round = round_idx
             break
-
-    result.ledger.tx_j = ledger_tx
-    result.ledger.rx_j = ledger_rx
     return result

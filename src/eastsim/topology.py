@@ -155,19 +155,27 @@ def load_temperature_trace(
     A loaded table is cached in a file named by the sha256 of the trace's
     bytes and of the package source (see ``_trace_cache_path``); a later
     load of the same bytes by the same package source reads that file
-    instead of parsing, when every check on it passes.
+    instead of parsing, when every check on it passes. The file is hashed
+    in 64 KB chunks and read whole only on a miss, whose bytes, hashed
+    again, name the cache file and ``trace_sha256``: both name what was parsed.
     """
     import hashlib
 
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            digest = hashlib.sha256()
+            while chunk := fh.read(1 << 16):
+                digest.update(chunk)
+            cache_path = _trace_cache_path(digest.hexdigest())
+            table = None if cache_path is None else _read_trace_cache(cache_path, t_min_c, t_max_c)
+            if table is None:
+                fh.seek(0)
+                data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
-    sha256 = hashlib.sha256(data).hexdigest()
-    cache_path = _trace_cache_path(sha256)
-    table = None if cache_path is None else _read_trace_cache(cache_path, t_min_c, t_max_c)
     if table is None:
+        digest = hashlib.sha256(data)
+        cache_path = _trace_cache_path(digest.hexdigest())
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -181,7 +189,7 @@ def load_temperature_trace(
         t_max_c=t_max_c,
         walk_sigma_c=0.0,
         trace=table,
-        trace_sha256=sha256,
+        trace_sha256=digest.hexdigest(),
     )
 
 

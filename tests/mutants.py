@@ -76,6 +76,14 @@ MUTANTS = [
      "acks_this = len(live)", "acks_this = len(live) - 1"),
     ("east: a beacon every round", "src/eastsim/engine.py",
      "beacons_this = 1 if any(exchanging) else 0", "beacons_this = 1"),
+    ("traffic omits round 0's beacon", "src/eastsim/engine.py",
+     "sum(r.beacons for r in self.records)", "sum(r.beacons for r in self.records[1:])"),
+    ("control packets omit the ACKs", "src/eastsim/engine.py",
+     "sum(r.beacons + r.acks for r in self.records)", "sum(r.beacons for r in self.records)"),
+    ("total energy omits rx", "src/eastsim/engine.py",
+     " + sum(r.rx_energy_j for r in self.records)", ""),
+    ("a run with any node dead counts as extinct", "src/eastsim/engine.py",
+     "any(final.alive)", "all(final.alive)"),
     ("a dead node's kept values are not frozen", "src/eastsim/engine.py",
      "frozen[i] = (temps[i], losses[i])", "pass"),
     ("a batch runs all its members as one group", "src/eastsim/engine.py",

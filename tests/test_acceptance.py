@@ -208,8 +208,7 @@ def test_criterion_8_determinism_and_conservation(
     for config, result in _TRACKED:
         initial = config.node_count * config.energy.initial_battery_j
         drop = initial - sum(result.batteries_j)
-        total = result.ledger.tx_j + result.ledger.rx_j
-        assert drop == pytest.approx(total, rel=1e-9)
+        assert drop == pytest.approx(result.total_energy_j, rel=1e-9)
 
 
 @criterion(9, "link budget spot value -26.45 dBm at 100 m (within 0.1) and the 6.0206 dB "

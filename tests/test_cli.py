@@ -1,5 +1,6 @@
 """Tests for the command-line surface: config parsing, subcommands, exit codes."""
 
+import csv
 import json
 import os
 import random
@@ -558,21 +559,40 @@ class TestCmdCompare:
 
 class TestCmdSweep:
     def test_sweep_layout(self, tmp_path):
-        out = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep", "--out", str(out), "--key", "cadence.period_rounds",
-                "--values", "1,3,6", *SMALL,
-            ]
-        )
-        assert code == 0
-        for value in ("1", "3", "6"):
-            assert (out / f"cadence.period_rounds={value}" / "rounds.csv").is_file()
-        lines = (out / "sweep_summary.csv").read_text().splitlines()
-        assert lines[0] == "key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"
-        assert len(lines) == 4
-        totals = [int(line.split(",")[4]) for line in lines[1:]]
-        assert totals == sorted(totals, reverse=True)
+        # The drained sweep dies out in round 10 at period 1 and loses nodes
+        # at periods 3 and 6. Each summary row is the sum of its run's rounds.
+        for name, drain in (("sweep", []), ("drained", ["--set", "energy.initial_battery_j=0.0008"])):
+            out = tmp_path / name
+            code = main(
+                [
+                    "sweep", "--out", str(out), "--key", "cadence.period_rounds",
+                    "--values", "1,3,6", *SMALL, *drain,
+                ]
+            )
+            assert code == 0
+            for value in ("1", "3", "6"):
+                assert (out / f"cadence.period_rounds={value}" / "rounds.csv").is_file()
+            lines = (out / "sweep_summary.csv").read_text().splitlines()
+            assert lines[0] == "key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"
+            assert len(lines) == 4
+            totals = [int(line.split(",")[4]) for line in lines[1:]]
+            assert totals == sorted(totals, reverse=True)
+            last_rounds = []
+            for line in lines[1:]:
+                key, value, beacons, acks, control, energy, survivors, _ = line.split(",")
+                with open(out / f"{key}={value}" / "rounds.csv", newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert int(beacons) == sum(int(row["beacons"]) for row in rows)
+                assert int(acks) == sum(int(row["acks"]) for row in rows)
+                assert int(control) == int(beacons) + int(acks)
+                assert int(survivors) == int(rows[-1]["alive"])
+                # each rounds.csv value and the total are rounded to 1e-6
+                spent = sum(float(row["tx_energy_j"]) + float(row["rx_energy_j"]) for row in rows)
+                assert abs(float(energy) - spent) <= 1e-6 * (len(rows) + 1)
+                last_rounds.append((int(rows[-1]["round"]), int(survivors)))
+            if drain:
+                assert last_rounds[0] == (10, 0)
+                assert all(last == 11 and 0 < alive < 15 for last, alive in last_rounds[1:])
 
     def test_single_value_sweep_matches_run(self, tmp_path):
         out_sweep = tmp_path / "sweep"

@@ -166,7 +166,7 @@ class TestEnergyAndDeath:
         result = run_simulation(cfg)
         initial = cfg.node_count * cfg.energy.initial_battery_j
         drop = initial - total_battery(result)
-        assert drop == pytest.approx(result.ledger.tx_j + result.ledger.rx_j, rel=1e-9)
+        assert drop == pytest.approx(result.total_energy_j, rel=1e-9)
 
     def test_batteries_never_negative(self):
         cfg = small_config(rounds=200)
@@ -195,9 +195,7 @@ class TestEnergyAndDeath:
         assert result.survivors == 0
         # conservation still holds with capped final debits
         initial = cfg.node_count * cfg.energy.initial_battery_j
-        assert initial - total_battery(result) == pytest.approx(
-            result.ledger.tx_j + result.ledger.rx_j, rel=1e-9
-        )
+        assert initial - total_battery(result) == pytest.approx(result.total_energy_j, rel=1e-9)
 
 
 class TestOracleEquivalence:

@@ -154,7 +154,7 @@ def test_engine_matches_oracle_and_invariants(cfg):
     assert all(b >= 0.0 for b in batteries)
     assert_levels_fixed_until_first_death(result)
     drop = cfg.node_count * cfg.energy.initial_battery_j - sum(batteries)
-    assert drop == pytest.approx(result.ledger.tx_j + result.ledger.rx_j, rel=1e-9)
+    assert drop == pytest.approx(result.total_energy_j, rel=1e-9)
 
     assignment = result.partition.assignment
     alive_before = [True] * cfg.node_count
