@@ -15,8 +15,8 @@ Configs that share the seed, node count, area and temperature source can run
 as one lockstep group: the deployment and each node's temperatures, losses
 and random draws are made once per round for the whole group, and each
 member runs the rest of the round on them. Members that also share every
-controller input are twins: until one of them has a death or runs its last
-round, the first of them scores the PRR for all of them.
+controller input are twins, and twins that have lost no node share a
+round's PRR scoring.
 
 Per-node state lives in flat lists indexed by node id, and regions in the
 kernel are the indices 0/1/2 of ``REGIONS``.
@@ -182,17 +182,6 @@ def _controller_inputs(config: SimConfig) -> tuple:
             config.prr_sampled)
 
 
-class _TwinRound:
-    """What the first member of a twin set computes for the others: the
-    current round's region and mean PRR; ``split`` is set once the set stops
-    sharing (see ``_member_rounds``)."""
-
-    __slots__ = ("region_prr", "prr_mean", "split")
-
-    def __init__(self) -> None:
-        self.split = False
-
-
 def run_simulation(
     config: SimConfig,
     keep_rounds: Optional[Collection[int]] = None,
@@ -222,10 +211,10 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     group just as in a run on its own; a member reads a node's values only
     while the node is alive there.
 
-    Twins, members with equal ``_controller_inputs``, also share the PRR
-    scoring: only the first twin in config order scores PRR, and the others
-    read its region and mean PRR. Each twin set ends its own sharing (see
-    ``_member_rounds``); this loop only steps the members.
+    Members with equal ``_controller_inputs`` that have lost no node share
+    a round's scoring: each member gets the scoring cell of the first config
+    with its controller inputs (see ``_member_rounds``). This loop only steps
+    the members.
     """
     for config in configs:
         config_mod.validate(config)
@@ -258,12 +247,10 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         prr_streams = draws = None
 
     keys = [_controller_inputs(config) for config in configs]
-    leader = [keys.index(key) for key in keys]
-    twins = {k: _TwinRound() for k in set(leader) if leader.count(k) > 1}
+    cells = [[None, None, None] for _ in configs]
     runs = [
-        _member_rounds(config, keep, deployment, temps, losses, comp, draws,
-                       twins.get(leader[k]), leader[k] != k)
-        for k, config in enumerate(configs)
+        _member_rounds(config, keep, deployment, temps, losses, comp, draws, cells[keys.index(key)])
+        for config, key in zip(configs, keys)
     ]
 
     sigma = proc.walk_sigma_c
@@ -331,21 +318,21 @@ def _member_rounds(
     losses: list[float],
     comp: list[float],
     draws: Optional[list[float]],
-    twin: Optional[_TwinRound],
-    follows: bool,
+    scored: list,
 ) -> Generator[None, None, SimResult]:
     """One member's rounds: each ``next()`` runs one round on the shared
     values of that round, and the generator returns the member's SimResult
     after its last round. The deployment and the shared lists are read,
     never written.
 
-    A member of a twin set publishes its region and mean PRR to ``twin`` or,
-    when it ``follows``, reads them from there instead of scoring PRR. A
-    twin that has a death or runs its last round marks the set split, and
-    each twin leaves the set at the end of the first round that finds the
-    mark. The first twin runs each round first, so it leaves last, and
-    while a twin follows, neither it nor the first twin has had a death:
-    their levels and alive nodes agree.
+    ``scored`` is the ``[round, region_prr, prr_mean]`` cell this member
+    shares with its twins. Members with equal controller inputs that have
+    lost no node share a round's scoring: such a member reads the round's
+    region and mean PRR from the cell when a twin has written it this round,
+    else scores PRR itself and writes the cell. A member that has lost a
+    node scores its own and leaves the cell alone. A member that has lost no
+    node still has every node alive and its set-up levels (see the level
+    step), so any two such twins score a round alike, in whatever order.
     """
     nodes = deployment.nodes
     n = len(nodes)
@@ -441,11 +428,13 @@ def _member_rounds(
             acks_this = len(live)
 
         # (3) one pass over the alive nodes in id order: one data packet's
-        # reception quality (which a following twin reads instead), the
+        # reception quality (unless the member follows its cell), the
         # beacon rx, ACK tx and data tx debits, each capped at the remaining
         # battery so draw always equals tx + rx exactly, and death on an
         # empty battery. The caps are conditionals that pick what min()
         # would, without a call per debit.
+        pristine = len(live) == n
+        follows = pristine and scored[0] == round_idx
         prr_all = []
         prr_by_region: list[list[float]] = [[], [], []]
         tx_this = 0.0
@@ -490,25 +479,21 @@ def _member_rounds(
         # (4) record; the region and mean PRR sum each round's values in id
         # order
         if follows:
-            region_prr = dict(twin.region_prr)
-            prr_mean = twin.prr_mean
+            region_prr = dict(scored[1])
+            prr_mean = scored[2]
         else:
             region_prr = {
                 r: sum(values) / len(values) if values else math.nan
                 for r, values in zip(REGIONS, prr_by_region)
             }
             prr_mean = sum(prr_all) / len(prr_all)
-            if twin is not None:
-                twin.region_prr = region_prr
-                twin.prr_mean = prr_mean
+            if pristine:
+                scored[:] = round_idx, region_prr, prr_mean
         if died:
             live = [i for i in live if alive[i]]
             members = [[i for i in m if alive[i]] for m in members]
             alive_flags = tuple(alive)
         final = not live or round_idx == config.rounds - 1
-        if twin is not None and (died or final or twin.split):
-            twin.split = True
-            twin, follows = None, False
         kept = keep is None or final or round_idx in keep
         if kept:
             kept_temps = temps[:]

@@ -117,16 +117,12 @@ MUTANTS = [
      "os.remove(manifest_path)", "pass"),
     ("sweep keeps an earlier sweep's summary", "src/eastsim/cli.py",
      "os.remove(summary_path)", "pass"),
-    ("twins never dissolve", "src/eastsim/engine.py",
-     "twin.split = True", "pass"),
-    ("a follower keeps following after the split", "src/eastsim/engine.py",
-     "twin, follows = None, False", "pass"),
-    ("a twin set shares past a twin's last round", "src/eastsim/engine.py",
-     "(died or final or twin.split)", "(died or twin.split)"),
-    ("a twin set shares past a twin's death", "src/eastsim/engine.py",
-     "(died or final or twin.split)", "(final or twin.split)"),
-    ("a twin ignores a split that another twin marked", "src/eastsim/engine.py",
-     "(died or final or twin.split)", "(died or final)"),
+    ("a member that has lost a node still follows", "src/eastsim/engine.py",
+     "follows = pristine and scored[0] == round_idx", "follows = scored[0] == round_idx"),
+    ("a member that has lost a node still writes the scoring cell", "src/eastsim/engine.py",
+     "if pristine:", "if True:"),
+    ("a member follows a stale round's scoring", "src/eastsim/engine.py",
+     "scored[0] == round_idx", "scored[0] is not None"),
     ("the twin key omits prr", "src/eastsim/engine.py",
      "config.regions, config.prr,", "config.regions,"),
     ("trace cache file named without the source digest", "src/eastsim/topology.py",

@@ -16,7 +16,7 @@ from eastsim.radio import free_space_base_requirement
 from eastsim.topology import distance, walk_stream
 
 from oracle import record_as_dict, records_equal, reference_run
-from test_property import death_only_beside_twins
+from test_property import death_only_beside_twins, first_twin_drains_beside_intact_twins
 
 
 def small_config(**kwargs):
@@ -348,19 +348,30 @@ class TestTwins:
         assert prr_scorings[0] == 15 * 12
 
     def test_drained_member_ends_the_sharing(self, prr_scorings):
-        # The first member loses a node in round 19; from round 20 on every
-        # member scores its own PRR.
-        base = SimConfig(node_count=8, rounds=30, seed=11, area_side_m=90.0)
-        base.temperature = replace(base.temperature, walk_sigma_c=2.0)
-        configs = [replace(base, cadence=replace(base.cadence, period_rounds=p))
-                   for p in (1, 5, 10, 20)]
-        configs[0].energy = replace(base.energy, initial_battery_j=0.004)
+        # The first of four twins loses a node in round 19. It scores for
+        # all four in rounds 0-19; from round 20 on it scores its own 65
+        # alive node-rounds, and the second twin scores for the other three.
+        configs = first_twin_drains_beside_intact_twins()
         batch = Lockstep(configs)
         results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
-        death = next(r.round_index for r in results[0].records if not all(r.alive))
+        drained = results[0].records
+        death = next(r.round_index for r in drained if not all(r.alive))
         assert death == 19
-        alive_after = sum(sum(rec.alive) for result in results for rec in result.records[19:-1])
-        assert prr_scorings[0] == 8 * 20 + alive_after
+        assert sum(sum(r.alive) for r in drained[19:-1]) == 65
+        assert all(all(r.alive) for result in results[1:] for r in result.records)
+        assert prr_scorings[0] == 8 * 20 + 65 + 8 * 10
+        assert same_as_solo_runs(configs, results)
+
+    def test_last_twin_drains_while_the_first_scores_for_the_others(self, prr_scorings):
+        # The same twins in reverse order: the drained twin follows the first
+        # until its death in round 19, then scores its own alive nodes while
+        # the first goes on scoring for the other two.
+        configs = first_twin_drains_beside_intact_twins()[::-1]
+        batch = Lockstep(configs)
+        results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
+        drained = results[-1].records
+        assert next(r.round_index for r in drained if not all(r.alive)) == 19
+        assert prr_scorings[0] == 8 * 30 + 65
         assert same_as_solo_runs(configs, results)
 
     def test_death_beside_twins_leaves_their_sharing(self, prr_scorings):

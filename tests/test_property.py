@@ -7,12 +7,13 @@ executor plus the engine's accounting invariants. A second test runs 2-3
 such configs as one lockstep group, differing in everything but the seed,
 nodes, area and temperature source, and checks every member against the
 reference executor. A third runs 2-4 twins, members that also share every
-controller input, on batteries that let a death end their sharing mid-run.
-A fourth draws larger networks crowded into one region and drained mid-run,
-so that rule (ii) of the east controller sets levels, and counts how often;
-a fifth runs 3-4 twins of such a network, which rule (ii) sets apart after
-their sharing ends. Every lockstep member's levels keep their set-up values
-until its first death, which is what lets twins share no levels.
+controller input, on batteries that let a twin lose a node mid-run: a twin
+shares a round's PRR scoring only while it has lost no node. A fourth draws
+larger networks crowded into one region and drained mid-run, so that rule
+(ii) of the east controller sets levels, and counts how often; a fifth runs
+3-4 twins of such a network, which rule (ii) sets apart once they lose
+nodes. Every lockstep member's levels keep their set-up values until its
+first death, which is what lets twins share no levels.
 """
 
 import random
@@ -255,7 +256,7 @@ def twin_groups(draw):
                 drift_dbm=draw(st.floats(0.0, 2.0)),
             ),
             link_budget=replace(base.link_budget, eb_n0_db=draw(st.floats(0.0, 20.0))),
-            # Log-uniform, so a death often ends the sharing mid-run.
+            # Log-uniform, so a twin often loses a node mid-run.
             energy=replace(
                 base.energy,
                 initial_battery_j=10.0 ** draw(st.floats(-4.0, -1.0)),
@@ -279,8 +280,8 @@ def _with_battery(cfg, battery_j):
 
 
 def first_twin_dies_first():
-    """The first twin, which computes the others' levels, loses a node
-    mid-run while the second keeps all of its nodes."""
+    """The first twin, which scores PRR for the second until then, loses a
+    node mid-run while the second keeps all of its nodes."""
     base = _twin_base()
     fast = replace(base, cadence=replace(base.cadence, period_rounds=1))
     return [_with_battery(fast, 0.004), _with_battery(base, 2.0)]
@@ -292,6 +293,16 @@ def first_twin_ends_first():
     return [replace(base, rounds=4),
             replace(base, cadence=replace(base.cadence, period_rounds=1)),
             replace(base, link_budget=replace(base.link_budget, eb_n0_db=12.0))]
+
+
+def first_twin_drains_beside_intact_twins():
+    """The first of four cadence twins loses a node in round 19 while the
+    other three lose none: from round 20 on the second scores PRR for the
+    third and fourth."""
+    base = _twin_base()
+    members = [replace(base, cadence=replace(base.cadence, period_rounds=p)) for p in (1, 5, 10, 20)]
+    members[0] = _with_battery(members[0], 0.004)
+    return members
 
 
 def death_only_beside_twins():
@@ -306,6 +317,7 @@ def death_only_beside_twins():
 @given(twin_groups())
 @example(first_twin_dies_first())
 @example(first_twin_ends_first())
+@example(first_twin_drains_beside_intact_twins())
 @example(death_only_beside_twins())
 def test_twin_members_match_oracle(members):
     assert_members_match_oracle(members)
@@ -415,9 +427,9 @@ def test_crowded_drains_reach_rule_ii():
 @st.composite
 def crowded_twins(draw):
     """3-4 twins of one crowded_drains network, on their own cadences and
-    batteries: the first death ends their sharing while the crowded region
-    still drains, and the twins that go on reach rule (ii) in different
-    rounds, so their levels part."""
+    batteries: each stops sharing the PRR scoring at its first death while
+    the crowded region still drains, and the twins that go on reach rule
+    (ii) in different rounds, so their levels part."""
     base = draw(crowded_drains())
     return [
         replace(
@@ -430,9 +442,11 @@ def crowded_twins(draw):
 
 
 def followers_part_after_split(members):
-    """Whether two or more followers (twins after the first) run on after
-    the round that ends the sharing, and two of them then hold different
-    levels in some later round."""
+    """Whether two or more twins after the first run on after the split,
+    the first round in which some twin has a death or runs its last round,
+    and two of them then hold different levels in some later round. A twin's
+    levels move only after its own first death, so by then at least one of
+    the two scores its own PRR."""
     records = [run_simulation(cfg).records for cfg in members]
     split = min(
         next((rec.round_index for rec in recs if not all(rec.alive)), len(recs) - 1)
@@ -466,5 +480,6 @@ def test_crowded_twins_part_after_split():
         parted.append(followers_part_after_split(members))
 
     count()
-    # Followers parted in 31 of these 40 examples when this was written.
-    assert sum(parted) >= len(parted) // 4, f"followers parted in {sum(parted)} of {len(parted)}"
+    # Twins after the first parted in 31 of these 40 examples when this was
+    # written.
+    assert sum(parted) >= len(parted) // 4, f"twins parted in {sum(parted)} of {len(parted)}"
