@@ -2,14 +2,16 @@
 
 Set-up runs once, before the first round: deploy the nodes, take their
 round-0 temperatures and losses, partition them into regions, derive the
-desired neighbor counts and give every node its level (region-based feedback
-or max-power baseline), transmit power and tx costs. Each round then runs a
-fixed sequence: advance temperatures (from round 1 on), decide which regions
-run a closed-loop exchange, reassign the levels in each region short of
-neighbors, then in one pass over the alive nodes in id order score each
-node's data packet, debit its energy and retire it if depleted, and finally
-record metrics. Identical (config, seed) pairs produce identical output,
-record for record.
+desired neighbor counts and give every node its level (its region's
+threshold level, or the baseline's worst-case level) and tx costs. Each round
+then runs a fixed sequence: advance temperatures (from round 1 on), decide
+which regions run a closed-loop exchange, reassign the levels in each east
+region short of neighbors, then in one pass over the alive nodes in id order
+score each node's data packet, debit its energy and retire it if depleted,
+and finally record metrics. The baseline runs the same per-region step, with
+every region exchanging every round at the worst-case level, which no rule
+moves. Identical (config, seed) pairs produce identical output, record for
+record.
 
 Configs that share the seed, node count, area and temperature source can run
 as one lockstep group: the deployment and each node's temperatures, losses
@@ -349,22 +351,22 @@ def _member_rounds(
     n_desired = [desired[r] for r in REGIONS]
     n_current = [partition.counts[r] for r in REGIONS]
     threshold_loss = [config.regions.threshold_loss_dbm[r] for r in REGIONS]
-    threshold_level = [config.regions.threshold_level_dbm(r) for r in REGIONS]
-    last_round: list[Optional[int]] = [None, None, None]
-    last_estimated = [0.0] * n
-    cap = config.level_cap_dbm
     is_east = config.controller == "east"
-    if is_east:
-        levels = [min(threshold_level[k], cap) for k in region_of]
-    else:
-        # The baseline's level never changes: the worst-case compensation.
-        levels = [min(classical_assign(config.temperature.t_max_c), cap)] * n
-    # Transmit power and the ACK/data tx costs it fixes; the costs are
-    # recomputed only when the level step moves a node's level.
+    # The baseline's level in every region is the worst-case compensation.
+    threshold_level = ([config.regions.threshold_level_dbm(r) for r in REGIONS] if is_east
+                       else [classical_assign(config.temperature.t_max_c)] * 3)
+    # Each region's last exchange round and the losses it measured then.
+    last_round: list[Optional[int]] = [None, None, None]
+    estimated: list[Optional[list[float]]] = [None, None, None]
+    cap = config.level_cap_dbm
+    levels = [min(threshold_level[k], cap) for k in region_of]
+    # The ACK/data tx costs fixed by each transmit power, base + level; the
+    # costs are recomputed only when the level step moves a node's level.
     energy = config.energy
-    pt = [base + level for base, level in zip(base_dbm, levels)]
-    ack_tx_j = [tx_energy(power, energy.ack_bits, energy) for power in pt]
-    data_tx_j = [tx_energy(power, energy.data_bits, energy) for power in pt]
+    ack_tx_j = [tx_energy(base + level, energy.ack_bits, energy)
+                for base, level in zip(base_dbm, levels)]
+    data_tx_j = [tx_energy(base + level, energy.data_bits, energy)
+                 for base, level in zip(base_dbm, levels)]
     batteries = [energy.initial_battery_j] * n
     alive = [True] * n
     alive_flags = tuple(alive)
@@ -391,41 +393,36 @@ def _member_rounds(
             # this round is done.
             yield
 
-        # (2) closed-loop schedule and levels
-        if is_east:
-            exchanging = [
-                needs_closed_loop(round_idx, last_round[k], cadence, losses, last_estimated, members[k])
-                for k in range(3)
-            ]
-            acks_this = 0
-            for k in range(3):
-                if exchanging[k]:
-                    last_round[k] = round_idx
-                    acks_this += len(members[k])
-                    for i in members[k]:
-                        last_estimated[i] = losses[i]
-                    n_current[k] = len(members[k])
-                # Levels, powers and tx costs move only here. A region's
-                # neighbor count only falls; until it is short of the desired
-                # count, rule (i) gives the threshold level, which validate
-                # keeps at or below the cap, and rule (iii) keeps the level,
-                # so the set-up levels hold and only short regions assign.
-                if n_current[k] < n_desired[k]:
-                    for i in members[k]:
-                        level = east_assign(levels[i], losses[i], threshold_loss[k],
-                                            threshold_level[k], n_current[k], n_desired[k])
-                        level = cap if cap < level else level
-                        if level != levels[i]:
-                            levels[i] = level
-                            pt[i] = power = base_dbm[i] + level
-                            ack_tx_j[i] = tx_energy(power, energy.ack_bits, energy)
-                            data_tx_j[i] = tx_energy(power, energy.data_bits, energy)
-            beacons_this = 1 if any(exchanging) else 0
-        else:
-            # Baseline: full beacon/ACK exchange every round.
-            exchanging = [True, True, True]
-            beacons_this = 1
-            acks_this = len(live)
+        # (2) closed-loop schedule and levels: the baseline exchanges in
+        # every region every round.
+        exchanging = [not is_east or needs_closed_loop(round_idx, last_round[k], cadence, losses,
+                                                       estimated[k], members[k])
+                      for k in range(3)]
+        acks_this = 0
+        for k in range(3):
+            if exchanging[k]:
+                last_round[k] = round_idx
+                acks_this += len(members[k])
+                estimated[k] = losses[:]
+                n_current[k] = len(members[k])
+            # Levels and tx costs move only here. A region's neighbor count
+            # only falls; until it is short of the desired count, rule (i)
+            # gives the threshold level, which validate keeps at or below the
+            # cap, and rule (iii) keeps the level, so the set-up levels hold
+            # and only short regions assign. The baseline's regions skip the
+            # step: rule (ii) would keep its level, the compensation of the
+            # loss at t_max_c, which no loss exceeds, under the same cap.
+            if is_east and n_current[k] < n_desired[k]:
+                for i in members[k]:
+                    level = east_assign(levels[i], losses[i], threshold_loss[k],
+                                        threshold_level[k], n_current[k], n_desired[k])
+                    level = cap if cap < level else level
+                    if level != levels[i]:
+                        levels[i] = level
+                        power = base_dbm[i] + level
+                        ack_tx_j[i] = tx_energy(power, energy.ack_bits, energy)
+                        data_tx_j[i] = tx_energy(power, energy.data_bits, energy)
+        beacons_this = 1 if any(exchanging) else 0
 
         # (3) one pass over the alive nodes in id order: one data packet's
         # reception quality (unless the member follows its cell), the
@@ -511,7 +508,7 @@ def _member_rounds(
                 temps_c=kept_temps if kept else None,
                 losses_dbm=kept_losses if kept else None,
                 levels_dbm=levels[:] if kept else None,
-                pt_dbm=pt[:] if kept else None,
+                pt_dbm=[base + level for base, level in zip(base_dbm, levels)] if kept else None,
                 alive=alive_flags,
                 region_alive={r: len(m) for r, m in zip(REGIONS, members)},
                 region_prr=region_prr,

@@ -15,8 +15,8 @@ A region's neighbor count only falls, and until it falls below the desired
 count, rule (i) gives the threshold level a node starts at and rule (iii)
 keeps the level: only rule (ii) moves a level off its start.
 
-The baseline assigns every node the worst-case compensation level and
-re-estimates losses every round.
+The baseline runs the same per-region step, with every region exchanging
+every round at the worst-case compensation level, which no rule moves.
 """
 
 from __future__ import annotations

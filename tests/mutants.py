@@ -29,11 +29,24 @@ MUTANTS = [
     ("exchange leaves the region's neighbor count stale", "src/eastsim/engine.py",
      "n_current[k] = len(members[k])", "pass"),
     ("tx-cost cache filled once, never refreshed", "src/eastsim/engine.py",
-     "pt[i] = power = base_dbm[i] + level", "pt[i] = power = base_dbm[i] + level; continue"),
+     "power = base_dbm[i] + level", "power = base_dbm[i] + level; continue"),
     ("the controller never runs", "src/eastsim/engine.py",
-     "if n_current[k] < n_desired[k]:", "if False:"),
+     "if is_east and n_current[k] < n_desired[k]:", "if False:"),
     ("the controller runs in every region", "src/eastsim/engine.py",
-     "if n_current[k] < n_desired[k]:", "if True:"),
+     "if is_east and n_current[k] < n_desired[k]:", "if is_east:"),
+    ("the baseline follows the cadence", "src/eastsim/engine.py",
+     "not is_east or needs_closed_loop(", "needs_closed_loop("),
+    ("the baseline's levels move in a short region", "src/eastsim/engine.py",
+     "is_east and ", ""),
+    ("the baseline's level is a region threshold", "src/eastsim/engine.py",
+     "[classical_assign(config.temperature.t_max_c)] * 3",
+     "[config.regions.threshold_level_dbm(r) for r in REGIONS]"),
+    ("a region's last-exchange losses alias the shared list", "src/eastsim/engine.py",
+     "estimated[k] = losses[:]", "estimated[k] = losses"),
+    ("an exchange refreshes every region's snapshot", "src/eastsim/engine.py",
+     "estimated[k] = losses[:]", "estimated[:] = [losses[:]] * 3"),
+    ("kept pt omits the level", "src/eastsim/engine.py",
+     "pt_dbm=[base + level for base, level in zip(base_dbm, levels)]", "pt_dbm=list(base_dbm)"),
     ("followers score their own PRR", "src/eastsim/engine.py",
      "if not follows:", "if True:"),
     ("east_assign: >= becomes > at the threshold loss", "src/eastsim/protocol.py",
@@ -72,8 +85,6 @@ MUTANTS = [
      "n_desired = [desired[r] for r in REGIONS]", "n_desired = [desired[r] - 1 for r in REGIONS]"),
     ("desired neighbor count floored at 0, not 1", "src/eastsim/protocol.py",
      "DESIRED_NEIGHBOR_DEFICIT, 1)", "DESIRED_NEIGHBOR_DEFICIT, 0)"),
-    ("classical: one ACK short each round", "src/eastsim/engine.py",
-     "acks_this = len(live)", "acks_this = len(live) - 1"),
     ("east: a beacon every round", "src/eastsim/engine.py",
      "beacons_this = 1 if any(exchanging) else 0", "beacons_this = 1"),
     ("traffic omits round 0's beacon", "src/eastsim/engine.py",

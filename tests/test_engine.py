@@ -159,6 +159,21 @@ class TestLevelStep:
         assert moves > 0
         assert calls[0] == 2 * (30 + moves) == 104
 
+    def test_drained_baseline_exchanges_every_round_and_never_assigns(self, monkeypatch):
+        # Deaths leave regions short of neighbors, where the east controller
+        # would run, yet the baseline neither asks the cadence nor assigns:
+        # every region exchanges every round at the worst-case level.
+        assigns = self.count_calls(monkeypatch, "east_assign", protocol.east_assign)
+        schedules = self.count_calls(monkeypatch, "needs_closed_loop", protocol.needs_closed_loop)
+        cfg = SimConfig(node_count=40, rounds=300, seed=1, controller="classical")
+        cfg.energy = replace(cfg.energy, initial_battery_j=0.01)
+        result = run_simulation(cfg)
+        assert result.extinction_round == 121
+        assert assigns[0] == schedules[0] == 0
+        alive_at_start = [40] + [sum(rec.alive) for rec in result.records[:-1]]
+        assert [rec.beacons for rec in result.records] == [1] * 122
+        assert [rec.acks for rec in result.records] == alive_at_start
+
 
 class TestEnergyAndDeath:
     def test_conservation(self):
