@@ -1,7 +1,7 @@
 """Command-line entry point: run, compare, sweep and report subcommands.
 
-All numeric CSV output uses fixed 6-decimal formatting so that identical
-(config, seed) pairs produce byte-identical files. Exit codes: 0 success,
+Every real-valued CSV cell uses fixed 6-decimal formatting so that
+identical (config, seed) pairs produce byte-identical files. Exit codes: 0 success,
 2 configuration or usage error, 3 I/O error.
 """
 
@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .config import SWEEPABLE_KEYS, SimConfig, apply_overrides, fingerprint, parse_config, validate
@@ -23,28 +23,38 @@ from .report import compare_runs, emit_figure_data, render_summary_table, summar
 
 SEED_ENV_VAR = "EAST_SEED"
 
+# Each CSV's header and the %-format of its data rows: %d for counts and
+# flags, %.6f for every real number, %s for names.
 ROUNDS_HEADER = (
     "round,controller,beacons,acks,tx_energy_j,rx_energy_j,"
     "alive,alive_A,alive_B,alive_C,prr_A,prr_B,prr_C"
 )
+ROUNDS_ROW = "%d,%s,%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f"
 NODES_HEADER = (
     "node,x_m,y_m,region,final_temp_c,final_loss_dbm,"
     "final_level_dbm,final_pt_dbm,battery_j,alive"
 )
+NODES_ROW = "%d,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d"
 SUMMARY_HEADER = (
     "region,initial_count,desired,survivors,threshold_level_dbm,"
     "nodes_above_threshold,nodes_below_threshold,prr_min_pct,prr_max_pct,"
     "threshold_loss_dbm"
 )
+SUMMARY_ROW = "%s,%d,%d,%d,%.6f,%d,%d,%.6f,%.6f,%.6f"
+PER_NODE_ROW = "%d,%.6f"
+PER_REGION_ROW = "%s,%.6f"
+COMPARE_HEADER = "metric,east,classical,delta"
+SWEEP_HEADER = "key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"
+SWEEP_ROW = "%s,%s,%d,%d,%d,%.6f,%d,%.6f"
 
 
-def _f6(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _write_text(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(out_dir: str, name: str, header: str, row: str, rows: Iterable[tuple]) -> str:
+    """Write ``out_dir/name``: the header, then ``row % values`` for each
+    tuple of ``rows``. Returns ``name``, the file's path relative to
+    ``out_dir``."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([header, *[row % values for values in rows]]) + "\n")
+    return name
 
 
 def _read_lines(path: str) -> list[str]:
@@ -91,74 +101,29 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
     os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
-    outputs: list[str] = []
     controller = result.config.controller
-
-    lines = [ROUNDS_HEADER]
-    for rec in result.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.round_index),
-                    controller,
-                    str(rec.beacons),
-                    str(rec.acks),
-                    _f6(rec.tx_energy_j),
-                    _f6(rec.rx_energy_j),
-                    str(sum(rec.alive)),
-                    *(str(rec.region_alive[r]) for r in REGIONS),
-                    *(_f6(rec.region_prr[r]) for r in REGIONS),
-                ]
-            )
-        )
-    _write_text(os.path.join(out_dir, "rounds.csv"), lines)
-    outputs.append("rounds.csv")
-
     final = result.records[-1]
     assignment = result.partition.assignment
-    lines = [NODES_HEADER]
-    for node in result.deployment.nodes:
-        i = node.node_id
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _f6(node.pos.x_m),
-                    _f6(node.pos.y_m),
-                    assignment[i].value,
-                    _f6(final.temps_c[i]),
-                    _f6(final.losses_dbm[i]),
-                    _f6(final.levels_dbm[i]),
-                    _f6(final.pt_dbm[i]),
-                    _f6(result.batteries_j[i]),
-                    "1" if final.alive[i] else "0",
-                ]
-            )
-        )
-    _write_text(os.path.join(out_dir, "nodes.csv"), lines)
-    outputs.append("nodes.csv")
-
-    lines = [SUMMARY_HEADER]
-    for row in summarize(result):
-        lines.append(
-            ",".join(
-                [
-                    row.region.value,
-                    str(row.initial_count),
-                    str(row.desired),
-                    str(row.survivors),
-                    _f6(row.threshold_level_dbm),
-                    str(row.nodes_above_threshold),
-                    str(row.nodes_below_threshold),
-                    _f6(row.prr_min_pct),
-                    _f6(row.prr_max_pct),
-                    _f6(row.threshold_loss_dbm),
-                ]
-            )
-        )
-    _write_text(os.path.join(out_dir, "summary.csv"), lines)
-    outputs.append("summary.csv")
-
+    outputs = [
+        _write_csv(out_dir, "rounds.csv", ROUNDS_HEADER, ROUNDS_ROW, (
+            (rec.round_index, controller, rec.beacons, rec.acks, rec.tx_energy_j,
+             rec.rx_energy_j, sum(rec.alive), *[rec.region_alive[r] for r in REGIONS],
+             *[rec.region_prr[r] for r in REGIONS])
+            for rec in result.records
+        )),
+        _write_csv(out_dir, "nodes.csv", NODES_HEADER, NODES_ROW, (
+            (i, node.pos.x_m, node.pos.y_m, assignment[i].value, final.temps_c[i],
+             final.losses_dbm[i], final.levels_dbm[i], final.pt_dbm[i], result.batteries_j[i],
+             final.alive[i])
+            for i, node in enumerate(result.deployment.nodes)
+        )),
+        _write_csv(out_dir, "summary.csv", SUMMARY_HEADER, SUMMARY_ROW, (
+            (row.region.value, row.initial_count, row.desired, row.survivors,
+             row.threshold_level_dbm, row.nodes_above_threshold, row.nodes_below_threshold,
+             row.prr_min_pct, row.prr_max_pct, row.threshold_loss_dbm)
+            for row in summarize(result)
+        )),
+    ]
     per_node = [
         ("temp_per_node.csv", "temp_c", series.temp_per_node),
         ("loss_per_node.csv", "loss_dbm", series.loss_per_node),
@@ -166,19 +131,15 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
         ("pt_per_node.csv", "pt_dbm", series.pt_per_node),
     ]
     for name, column, values in per_node:
-        lines = [f"node,{column}"]
-        lines.extend(f"{i},{_f6(v)}" for i, v in enumerate(values))
-        _write_text(os.path.join(out_dir, "figures", name), lines)
-        outputs.append(f"figures/{name}")
+        outputs.append(_write_csv(out_dir, f"figures/{name}", f"node,{column}", PER_NODE_ROW,
+                                  enumerate(values)))
     per_region = [
         ("level_per_region_baseline.csv", series.region_level_baseline),
         ("level_per_region_assigned.csv", series.region_level_assigned),
     ]
     for name, mapping in per_region:
-        lines = ["region,level_dbm"]
-        lines.extend(f"{r.value},{_f6(mapping[r])}" for r in REGIONS)
-        _write_text(os.path.join(out_dir, "figures", name), lines)
-        outputs.append(f"figures/{name}")
+        outputs.append(_write_csv(out_dir, f"figures/{name}", "region,level_dbm", PER_REGION_ROW,
+                                  ((r.value, mapping[r]) for r in REGIONS)))
 
     manifest = {
         "fingerprint": fingerprint(result.config),
@@ -216,18 +177,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     east, classical = (run_simulation(c, keep_rounds=(), lockstep=group) for c in configs)
     report = compare_runs(east, classical)
     os.makedirs(args.out, exist_ok=True)
+    # Each metric's row has its own cell formats.
     rows = [
-        ("control_packets", str, report.east_control_packets,
+        ("control_packets,%d,%d,%d", report.east_control_packets,
          report.classical_control_packets, report.control_packets_delta),
-        ("energy_j", _f6, report.east_energy_j, report.classical_energy_j, report.energy_delta_j),
-        ("survivors", str, report.east_survivors, report.classical_survivors,
+        ("energy_j,%.6f,%.6f,%.6f", report.east_energy_j, report.classical_energy_j,
+         report.energy_delta_j),
+        ("survivors,%d,%d,%d", report.east_survivors, report.classical_survivors,
          report.survivors_delta),
-        ("mean_prr", _f6, report.east_mean_prr, report.classical_mean_prr,
+        ("mean_prr,%.6f,%.6f,%.6f", report.east_mean_prr, report.classical_mean_prr,
          report.mean_prr_delta),
     ]
-    lines = ["metric,east,classical,delta"]
-    lines.extend(",".join([name, *map(fmt, values)]) for name, fmt, *values in rows)
-    _write_text(os.path.join(args.out, "compare.csv"), lines)
+    _write_csv(args.out, "compare.csv", COMPARE_HEADER, "%s",
+               [(fmt % tuple(values),) for fmt, *values in rows])
     print(f"east_dominates={'1' if report.east_dominates else '0'}")
     return 0
 
@@ -278,25 +240,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary_path = os.path.join(args.out, "sweep_summary.csv")
     if os.path.lexists(summary_path):
         os.remove(summary_path)
-    summary_lines = ["key,value,beacons,acks,control_packets,energy_j,survivors,mean_prr"]
+    summary_rows = []
     for raw, result in zip(values, results):
-        run_dir = os.path.join(args.out, f"{key}={raw}")
-        write_run_outputs(result, run_dir, args.figure_round)
-        summary_lines.append(
-            ",".join(
-                [
-                    key,
-                    raw,
-                    str(result.traffic.beacons_sent),
-                    str(result.traffic.acks_sent),
-                    str(result.control_packets),
-                    _f6(result.total_energy_j),
-                    str(result.survivors),
-                    _f6(result.mean_prr),
-                ]
-            )
-        )
-    _write_text(summary_path, summary_lines)
+        write_run_outputs(result, os.path.join(args.out, f"{key}={raw}"), args.figure_round)
+        summary_rows.append((key, raw, result.traffic.beacons_sent, result.traffic.acks_sent,
+                             result.control_packets, result.total_energy_j, result.survivors,
+                             result.mean_prr))
+    _write_csv(args.out, "sweep_summary.csv", SWEEP_HEADER, SWEEP_ROW, summary_rows)
     print(f"swept {key} over {len(values)} values into {args.out}")
     return 0
 

@@ -1,14 +1,16 @@
 """Deterministic discrete-round executor.
 
-Set-up runs once, before the first round: deploy the nodes, take their
-round-0 temperatures and losses, partition them into regions, derive the
-desired neighbor counts and give every node its level (its region's
-threshold level, or the baseline's worst-case level) and tx costs. Each round
-then runs a fixed sequence: advance temperatures (from round 1 on), decide
-which regions run a closed-loop exchange, reassign the levels in each east
-region short of neighbors, then in one pass over the alive nodes in id order
-score each node's data packet, debit its energy and retire it if depleted,
-and finally record metrics. The baseline runs the same per-region step, with
+The nodes are deployed once. Each round, round 0 included, then runs a
+fixed sequence. One shared step sets every node's temperature (its trace
+value, else its base temperature in round 0 and a walk step after that), its
+loss and the compensation level of that loss. In round 0 set-up follows:
+partition the nodes into regions by those losses, derive the desired
+neighbor counts and give every node its level (its region's threshold
+level, or the baseline's worst-case level) and tx costs. Then decide which
+regions run a closed-loop exchange, reassign the levels in each east region
+short of neighbors, then in one pass over the alive nodes in id order score
+each node's data packet, debit its energy and retire it if depleted, and
+finally record metrics. The baseline runs the same per-region step, with
 every region exchanging every round at the worst-case level, which no rule
 moves. Identical (config, seed) pairs produce identical output, record for
 record.
@@ -51,9 +53,10 @@ from .radio import (
     TEMP_LOSS_SLOPE_DB_PER_C,
     TEMP_REFERENCE_C,
     free_space_base_requirement,
-    power_level_for_rssi_loss,
-    prr_from_margin,  # noqa: F401  not called; perfbench/tracer.py wraps this name here
-    rssi_loss_from_temperature,
+    # not called; perfbench/tracer.py wraps these three names here
+    power_level_for_rssi_loss,  # noqa: F401
+    prr_from_margin,  # noqa: F401
+    rssi_loss_from_temperature,  # noqa: F401
     rx_energy,
     tx_energy,
 )
@@ -205,13 +208,16 @@ def run_simulation(
 def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list[SimResult]:
     """Advance every config one round at a time.
 
-    Each round makes one shared pass over every node: the temperature step
-    (walk draw or trace row), its loss, the compensation level of that loss
-    and, if any member samples PRR, the node's uniform draw. Then each
-    unfinished member runs its round on those values. Sharing is exact
-    because every node draws from its own streams once per round, in a
-    group just as in a run on its own; a member reads a node's values only
-    while the node is alive there.
+    Each round, round 0 included, starts with one shared step over every
+    node, which rewrites the shared lists in place: the temperatures (the
+    trace row, else the base temperatures in round 0 and a walk step after
+    that), their losses, the compensation levels of those losses and, if any
+    member samples PRR, each node's uniform draw. Then each unfinished member
+    runs its round on those values; a member's set-up runs at its first
+    ``next()``, after round 0's step. Sharing is exact because every node
+    draws from its own streams once per round, in a group just as in a run
+    on its own; a member reads a node's values only while the node is alive
+    there.
 
     Members with equal ``_controller_inputs`` that have lost no node share
     a round's scoring: each member gets the scoring cell of the first config
@@ -232,19 +238,14 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         t_max_c=proc.t_max_c,
     )
     n = len(deployment.nodes)
-    if trace_rows is not None:
-        temps = list(trace_rows[0][:n])
-    else:
-        temps = [node.base_temp_c for node in deployment.nodes]
-        # Each node's walk draws from its own stream; spare[i] is the second
-        # normal of its last Box-Muller pair, as Random.gauss caches it.
-        walks = [walk_stream(first.seed, i) for i in range(n)]
-        spare: list[Optional[float]] = [None] * n
-    losses = [rssi_loss_from_temperature(t) for t in temps]
-    comp = [power_level_for_rssi_loss(loss) for loss in losses]
+    temps: list[float] = []
+    losses: list[float] = []
+    comp: list[float] = []
+    if trace_rows is None:
+        walks = [walk_stream(first.seed, i).random for i in range(n)]
     if any(config.prr_sampled for config in configs):
         prr_streams = [substream(first.seed, "prr", i) for i in range(n)]
-        draws = [stream.random() for stream in prr_streams]
+        draws: Optional[list[float]] = []
     else:
         prr_streams = draws = None
 
@@ -262,43 +263,40 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     two_pi = 2.0 * math.pi
     results: list[Optional[SimResult]] = [None] * len(configs)
     active = list(enumerate(runs))
-    # One id list for every round: range(n) would allocate each id above 256.
-    ids = list(range(n))
+    # Every node steps every round, so all draw their Box-Muller pairs in the
+    # same rounds: spare is every node's cached second normal, or None.
+    spare: Optional[list[float]] = None
     for round_idx in range(max(config.rounds for config in configs)):
-        # (1) the shared pass; round 0 used the set-up values. The loss and
-        # compensation level are rssi_loss_from_temperature and
-        # power_level_for_rssi_loss written out, without their domain checks:
-        # every temperature here lies in [t_min_c, t_max_c] (clamped, or a
-        # trace value checked at load), and validate() has proved the loss
-        # above -40 dB at t_min_c and the level finite at t_max_c.
-        if round_idx > 0:
-            row = trace_rows[round_idx] if trace_rows is not None else None
-            for i in ids:
-                if row is not None:
-                    t = row[i]
-                else:
-                    # Random.gauss(0.0, 1.0) written out: the same Box-Muller
-                    # arithmetic and cached spare, and the same mu + z * sigma,
-                    # where 0.0 + z turns a -0.0 draw into 0.0 as gauss does.
-                    z = spare[i]
-                    if z is None:
-                        rand = walks[i].random
-                        x2pi = rand() * two_pi
-                        g2rad = sqrt(-2.0 * log(1.0 - rand()))
-                        z = cos(x2pi) * g2rad
-                        spare[i] = sin(x2pi) * g2rad
-                    else:
-                        spare[i] = None
-                    t = temps[i] + sigma * (0.0 + z)
-                    # min(max(t, t_min), t_max), without two builtin calls
-                    t = t_min if t_min > t else (t_max if t_max < t else t)
-                temps[i] = t
-                loss = slope * (t - t_ref)
-                losses[i] = loss
-                comp[i] = ((loss + offset) / scale) ** exponent
-            if prr_streams is not None:
-                for i in ids:
-                    draws[i] = prr_streams[i].random()
+        # (1) the shared step. The loss and compensation level are
+        # rssi_loss_from_temperature and power_level_for_rssi_loss written
+        # out, without their domain checks: every temperature here lies in
+        # [t_min_c, t_max_c] (clamped, or a trace value checked at load), and
+        # validate() has proved the loss above -40 dB at t_min_c and the
+        # level finite at t_max_c.
+        if trace_rows is not None:
+            temps[:] = trace_rows[round_idx][:n]
+        elif round_idx == 0:
+            temps[:] = [node.base_temp_c for node in deployment.nodes]
+        else:
+            # Random.gauss(0.0, 1.0) written out: the same Box-Muller
+            # arithmetic and cached spare, and the same mu + z * sigma,
+            # where 0.0 + z turns a -0.0 draw into 0.0 as gauss does.
+            if spare is None:
+                # every node draws from its own stream, so each still takes
+                # its x2pi from its first draw and its g2rad from its second
+                x2pis = [rand() * two_pi for rand in walks]
+                g2rads = [sqrt(-2.0 * log(1.0 - rand())) for rand in walks]
+                normals = [cos(x2pi) * g2rad for x2pi, g2rad in zip(x2pis, g2rads)]
+                spare = [sin(x2pi) * g2rad for x2pi, g2rad in zip(x2pis, g2rads)]
+            else:
+                normals, spare = spare, None
+            stepped = [t + sigma * (0.0 + z) for t, z in zip(temps, normals)]
+            # min(max(t, t_min), t_max), without two builtin calls
+            temps[:] = [t_min if t_min > t else (t_max if t_max < t else t) for t in stepped]
+        losses[:] = [slope * (t - t_ref) for t in temps]
+        comp[:] = [((loss + offset) / scale) ** exponent for loss in losses]
+        if prr_streams is not None:
+            draws[:] = [stream.random() for stream in prr_streams]
 
         # (2)-(4) in each member, which yields once the round is done
         for k, run in active:

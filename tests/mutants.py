@@ -54,7 +54,9 @@ MUTANTS = [
     ("needs_closed_loop: > becomes >= at the drift bound", "src/eastsim/protocol.py",
      "last_estimated_loss_dbm[i]) > drift", "last_estimated_loss_dbm[i]) >= drift"),
     ("walk spare never cleared", "src/eastsim/engine.py",
-     "spare[i] = None", "pass"),
+     "normals, spare = spare, None", "normals = spare"),
+    ("every node draws a fresh pair every round", "src/eastsim/engine.py",
+     "if spare is None:", "if True:"),
     ("bound check: > becomes >=", "src/eastsim/config.py",
      "value > int(limit)", "value >= int(limit)"),
     ("bound check: >= becomes >", "src/eastsim/config.py",
@@ -78,7 +80,7 @@ MUTANTS = [
     ("PRR draws made only when the first member samples", "src/eastsim/engine.py",
      "if any(config.prr_sampled for config in configs):", "if configs[0].prr_sampled:"),
     ("walk never clamped", "src/eastsim/engine.py",
-     "t = t_min if t_min > t else (t_max if t_max < t else t)", "pass"),
+     "t_min if t_min > t else (t_max if t_max < t else t) for t in stepped", "t for t in stepped"),
     ("desired neighbor counts read in the wrong region order", "src/eastsim/engine.py",
      "n_desired = [desired[r] for r in REGIONS]", "n_desired = [desired[r] for r in reversed(REGIONS)]"),
     ("rule (ii) starts one death late", "src/eastsim/engine.py",
@@ -147,7 +149,26 @@ MUTANTS = [
     ("summarize: a loss at the threshold counts as below", "src/eastsim/report.py",
      "final.losses_dbm[i] >= threshold_loss", "final.losses_dbm[i] > threshold_loss"),
     ("the shared pass writes into a trace row", "src/eastsim/engine.py",
-     "t = row[i]", "t = row[i]; row[i] = t + 0.5"),
+     "temps[:] = trace_rows[round_idx][:n]",
+     "temps[:] = trace_rows[round_idx][:n]; trace_rows[round_idx][0] += 0.5"),
+    ("the shared pass copies the whole trace row", "src/eastsim/engine.py",
+     "trace_rows[round_idx][:n]", "trace_rows[round_idx]"),
+    ("rounds.csv prints PRR with %.5f", "src/eastsim/cli.py",
+     '"%d,%s,%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f"',
+     '"%d,%s,%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.5f,%.5f,%.5f"'),
+    ("nodes.csv prints alive with %s", "src/eastsim/cli.py",
+     '"%d,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d"',
+     '"%d,%.6f,%.6f,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%s"'),
+    ("summary.csv prints the threshold level with %s", "src/eastsim/cli.py",
+     '"%s,%d,%d,%d,%.6f,%d,%d,%.6f,%.6f,%.6f"', '"%s,%d,%d,%d,%s,%d,%d,%.6f,%.6f,%.6f"'),
+    ("per-node figures print values with %.7f", "src/eastsim/cli.py",
+     'PER_NODE_ROW = "%d,%.6f"', 'PER_NODE_ROW = "%d,%.7f"'),
+    ("per-region figures print levels with %g", "src/eastsim/cli.py",
+     'PER_REGION_ROW = "%s,%.6f"', 'PER_REGION_ROW = "%s,%g"'),
+    ("compare.csv prints energy with %.5f", "src/eastsim/cli.py",
+     '"energy_j,%.6f,%.6f,%.6f"', '"energy_j,%.5f,%.5f,%.5f"'),
+    ("sweep_summary.csv prints the mean PRR with %.5f", "src/eastsim/cli.py",
+     'SWEEP_ROW = "%s,%s,%d,%d,%d,%.6f,%d,%.6f"', 'SWEEP_ROW = "%s,%s,%d,%d,%d,%.6f,%d,%.5f"'),
     ("validate accepts t_min_c == t_max_c", "src/eastsim/config.py",
      "if not (temp.t_min_c < temp.t_max_c):", "if not (temp.t_min_c <= temp.t_max_c):"),
     ("validate accepts equal region boundaries", "src/eastsim/config.py",

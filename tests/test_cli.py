@@ -23,7 +23,8 @@ from eastsim.config import (
 )
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError
-from eastsim.protocol import Region
+from eastsim.protocol import REGIONS, Region
+from eastsim.report import compare_runs, emit_figure_data, summarize
 
 SMALL = ["--set", "nodes=15", "--set", "rounds=12"]
 FLOAT_KEYS = [key for key, (kind, _, _) in CONFIG_KEYS.items() if kind == "float"]
@@ -66,6 +67,17 @@ def draining_trace_argv(tmp_path):
     return ["--set", "nodes=15", "--set", "rounds=30", "--set", "prr.sampled=true",
             "--set", "energy.initial_battery_j=0.004",
             "--set", f"temperature.trace_path={trace}"]
+
+
+def f6(value):
+    """A real-number cell, formatted apart from the CLI's writers."""
+    return format(value, ".6f")
+
+
+def csv_body(path):
+    """Every data row of a CSV the CLI wrote, as lists of cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -339,6 +351,57 @@ class TestCmdRun:
             "threshold_loss_dbm"
         )
 
+    def test_every_cell_matches_the_run(self, tmp_path, recorded_runs):
+        # 40 nodes drained over 170 rounds with sampled PRR: region A is
+        # empty from round 152, so 18 rounds.csv rows hold a nan PRR and the
+        # assigned-level figure a nan level, and 13 nodes survive.
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--set", "nodes=40", "--set", "rounds=170",
+                     "--set", "energy.initial_battery_j=0.01", "--set", "prr.sampled=true",
+                     "--figure-round", "100"]) == 0
+        [result] = recorded_runs
+        final = result.records[-1]
+        series = emit_figure_data(result, 100)
+        expected = {
+            "rounds.csv": [
+                [str(rec.round_index), "east", str(rec.beacons), str(rec.acks),
+                 f6(rec.tx_energy_j), f6(rec.rx_energy_j), str(sum(rec.alive)),
+                 *(str(rec.region_alive[r]) for r in REGIONS),
+                 *(f6(rec.region_prr[r]) for r in REGIONS)]
+                for rec in result.records
+            ],
+            "nodes.csv": [
+                [str(node.node_id), f6(node.pos.x_m), f6(node.pos.y_m),
+                 result.partition.assignment[i].value,
+                 *(f6(values[i]) for values in (final.temps_c, final.losses_dbm,
+                                                final.levels_dbm, final.pt_dbm,
+                                                result.batteries_j)),
+                 str(int(final.alive[i]))]
+                for i, node in enumerate(result.deployment.nodes)
+            ],
+            "summary.csv": [
+                [row.region.value, str(row.initial_count), str(row.desired), str(row.survivors),
+                 f6(row.threshold_level_dbm), str(row.nodes_above_threshold),
+                 str(row.nodes_below_threshold), f6(row.prr_min_pct), f6(row.prr_max_pct),
+                 f6(row.threshold_loss_dbm)]
+                for row in summarize(result)
+            ],
+        }
+        for name, values in (("temp_per_node.csv", series.temp_per_node),
+                             ("loss_per_node.csv", series.loss_per_node),
+                             ("level_per_node.csv", series.level_per_node),
+                             ("pt_per_node.csv", series.pt_per_node)):
+            expected[f"figures/{name}"] = [[str(i), f6(v)] for i, v in enumerate(values)]
+        for name, levels in (("level_per_region_baseline.csv", series.region_level_baseline),
+                             ("level_per_region_assigned.csv", series.region_level_assigned)):
+            expected[f"figures/{name}"] = [[r.value, f6(levels[r])] for r in REGIONS]
+        for name, rows in expected.items():
+            assert csv_body(out / name) == rows, name
+        assert sum("nan" in row for row in expected["rounds.csv"]) == 18
+        alive = [row[-1] for row in expected["nodes.csv"]]
+        assert (alive.count("1"), alive.count("0")) == (13, 27)
+        assert ["A", "nan"] in expected["figures/level_per_region_assigned.csv"]
+
     def test_extinction_flagged(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -508,6 +571,22 @@ class TestCmdCompare:
         assert float(rows["energy_j"][3]) < 0.0
         assert "east_dominates=1" in capsys.readouterr().out
 
+    def test_every_cell_matches_the_runs(self, tmp_path, recorded_runs):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--out", str(out), *draining_trace_argv(tmp_path)]) == 0
+        report = compare_runs(*recorded_runs)
+        assert report.survivors_delta != 0
+        assert csv_body(out / "compare.csv") == [
+            ["control_packets", str(report.east_control_packets),
+             str(report.classical_control_packets), str(report.control_packets_delta)],
+            ["energy_j", f6(report.east_energy_j), f6(report.classical_energy_j),
+             f6(report.energy_delta_j)],
+            ["survivors", str(report.east_survivors), str(report.classical_survivors),
+             str(report.survivors_delta)],
+            ["mean_prr", f6(report.east_mean_prr), f6(report.classical_mean_prr),
+             f6(report.mean_prr_delta)],
+        ]
+
     def test_single_round_k1_equal_overhead(self, tmp_path):
         out = tmp_path / "cmp"
         assert (
@@ -593,6 +672,18 @@ class TestCmdSweep:
             if drain:
                 assert last_rounds[0] == (10, 0)
                 assert all(last == 11 and 0 < alive < 15 for last, alive in last_rounds[1:])
+
+    def test_summary_cells_match_the_runs(self, tmp_path, recorded_runs):
+        out = tmp_path / "sweep"
+        key, values = "energy.initial_battery_j", ["0.0008", "2"]
+        assert main(["sweep", "--out", str(out), *SMALL, "--key", key,
+                     "--values", ",".join(values)]) == 0
+        assert csv_body(out / "sweep_summary.csv") == [
+            [key, value, str(result.traffic.beacons_sent), str(result.traffic.acks_sent),
+             str(result.control_packets), f6(result.total_energy_j), str(result.survivors),
+             f6(result.mean_prr)]
+            for value, result in zip(values, recorded_runs)
+        ]
 
     def test_single_value_sweep_matches_run(self, tmp_path):
         out_sweep = tmp_path / "sweep"

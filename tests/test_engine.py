@@ -13,7 +13,7 @@ from eastsim.engine import Lockstep, run_simulation
 from eastsim.errors import ConfigError
 from eastsim.protocol import REGIONS, classical_assign
 from eastsim.radio import free_space_base_requirement
-from eastsim.topology import distance, walk_stream
+from eastsim.topology import distance, load_temperature_trace, substream, walk_stream
 
 from oracle import record_as_dict, records_equal, reference_run
 from test_property import death_only_beside_twins, first_twin_drains_beside_intact_twins
@@ -448,6 +448,48 @@ class TestRetention:
             )
 
 
+class TestStreamSeeding:
+    """A run seeds the walk streams only without a trace, and the PRR
+    streams only when a member of its group samples PRR."""
+
+    @staticmethod
+    def count_seeding(monkeypatch):
+        calls = {"walk": 0, "prr": 0}
+
+        def counting_walk(seed, node_id):
+            calls["walk"] += 1
+            return walk_stream(seed, node_id)
+
+        def counting_substream(seed, *labels):
+            if labels[0] == "prr":
+                calls["prr"] += 1
+            return substream(seed, *labels)
+
+        monkeypatch.setattr(engine, "walk_stream", counting_walk)
+        monkeypatch.setattr(engine, "substream", counting_substream)
+        return calls
+
+    def test_trace_driven_run_seeds_no_walk(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_text("node,round,temp_c\n"
+                        + "".join(f"{n},{r},{20.0 + n}\n" for n in range(4) for r in range(5)))
+        cfg = SimConfig(node_count=3, rounds=4, seed=1, prr_sampled=True)
+        cfg.temperature = load_temperature_trace(str(path))
+        calls = self.count_seeding(monkeypatch)
+        run_simulation(cfg)
+        assert calls == {"walk": 0, "prr": 3}
+
+    @pytest.mark.parametrize("sampling", [(False, False), (False, True)])
+    def test_prr_streams_seeded_only_for_a_sampling_group(self, monkeypatch, sampling):
+        calls = self.count_seeding(monkeypatch)
+        configs = [small_config(controller=controller, prr_sampled=sampled)
+                   for controller, sampled in zip(("east", "classical"), sampling)]
+        batch = Lockstep(configs)
+        for config in configs:
+            run_simulation(config, lockstep=batch)
+        assert calls == {"walk": 12, "prr": 12 if any(sampling) else 0}
+
+
 class TestTraceMode:
     def test_trace_driven_run(self, tmp_path):
         rows = ["node,round,temp_c"]
@@ -455,8 +497,6 @@ class TestTraceMode:
         rows += [f"{n},{r},{temps[(n, r)]}" for n, r in temps]
         path = tmp_path / "trace.csv"
         path.write_text("\n".join(rows) + "\n")
-
-        from eastsim.topology import load_temperature_trace
 
         cfg = SimConfig(node_count=3, rounds=4, seed=1)
         cfg.temperature = load_temperature_trace(str(path))
@@ -469,8 +509,6 @@ class TestTraceMode:
         rows = ["node,round,temp_c"] + [f"{n},{r},20.0" for n in range(2) for r in range(4)]
         path = tmp_path / "trace.csv"
         path.write_text("\n".join(rows) + "\n")
-
-        from eastsim.topology import load_temperature_trace
 
         cfg = SimConfig(node_count=3, rounds=4, seed=1)
         cfg.temperature = load_temperature_trace(str(path))
