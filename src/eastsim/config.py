@@ -21,6 +21,7 @@ from .radio import (
     PrrParams,
     dbm_to_watts,
     free_space_base_requirement,
+    power_level_for_rssi_loss,
     rssi_loss_from_temperature,
 )
 from .topology import TemperatureProcess, lean_sha256, load_temperature_trace
@@ -205,16 +206,19 @@ def validate(config: SimConfig) -> None:
             "temperature.t_min_c/temperature.t_max_c: require t_min_c < t_max_c, "
             f"got {temp.t_min_c} >= {temp.t_max_c}"
         )
-    # Every loss the run can see is at least the loss at t_min_c, and the
-    # compensation curve is defined only above -40 dB.
+    # Every loss the run can see is at least the loss at t_min_c, which must
+    # lie in the compensation curve's domain (radio raises ValueError outside
+    # it). The hottest loss sets the largest compensation level a run
+    # computes, which must be finite; the level at t_min_c is below it, so an
+    # overflow there is the overflow at t_max_c.
     min_loss = rssi_loss_from_temperature(temp.t_min_c)
-    if min_loss <= -40.0:
+    try:
+        power_level_for_rssi_loss(min_loss)
+        top_level = classical_assign(temp.t_max_c)
+    except ValueError:
         raise ConfigError(
             f"temperature.t_min_c: its loss {min_loss} dB must exceed -40 dB, got {temp.t_min_c}"
-        )
-    # The hottest loss sets the largest compensation level a run computes.
-    try:
-        top_level = classical_assign(temp.t_max_c)
+        ) from None
     except OverflowError:
         raise ConfigError(
             f"temperature.t_max_c: the compensation level for its loss overflows, got {temp.t_max_c}"
@@ -233,20 +237,17 @@ def validate(config: SimConfig) -> None:
             f"boundary_low < boundary_high, got {regions.boundary_low_dbm} >= "
             f"{regions.boundary_high_dbm}"
         )
-    for region in REGIONS:
-        loss = regions.threshold_loss_dbm[region]
-        if loss <= -40.0:
-            raise ConfigError(
-                f"regions.threshold_loss_{region.value.lower()}_dbm: must exceed -40 dB, got {loss}"
-            )
     cap = config.level_cap_dbm
     for region in REGIONS:
+        key = f"regions.threshold_loss_{region.value.lower()}_dbm"
+        loss = regions.threshold_loss_dbm[region]
         try:
             level = regions.threshold_level_dbm(region)
+        except ValueError:  # outside the compensation curve's domain
+            raise ConfigError(f"{key}: must exceed -40 dB, got {loss}") from None
         except OverflowError:
             raise ConfigError(
-                f"regions.threshold_loss_{region.value.lower()}_dbm: the compensation level "
-                f"for it overflows, got {regions.threshold_loss_dbm[region]}"
+                f"{key}: the compensation level for it overflows, got {loss}"
             ) from None
         if cap < level:
             raise ConfigError(

@@ -3,7 +3,8 @@
 The nodes are deployed once. Each round, round 0 included, then runs a
 fixed sequence. One shared step sets every node's temperature (its trace
 value, else its base temperature in round 0 and a walk step after that), its
-loss and the compensation level of that loss. In round 0 set-up follows:
+loss and the compensation level of that loss, through ``radio.loss_row`` and
+``radio.level_row``, once per round each. In round 0 set-up follows:
 partition the nodes into regions by those losses, derive the desired
 neighbor counts and give every node its level (its region's threshold
 level, or the baseline's worst-case level) and tx costs. Then decide which
@@ -47,12 +48,9 @@ from .protocol import (
     partition_regions,
 )
 from .radio import (
-    LEVEL_CURVE_EXPONENT,
-    LEVEL_CURVE_OFFSET_DB,
-    LEVEL_CURVE_SCALE_DB,
-    TEMP_LOSS_SLOPE_DB_PER_C,
-    TEMP_REFERENCE_C,
     free_space_base_requirement,
+    level_row,
+    loss_row,
     # not called; perfbench/tracer.py wraps these three names here
     power_level_for_rssi_loss,  # noqa: F401
     prr_from_margin,  # noqa: F401
@@ -258,8 +256,6 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
 
     sigma = proc.walk_sigma_c
     t_min, t_max = proc.t_min_c, proc.t_max_c
-    slope, t_ref = TEMP_LOSS_SLOPE_DB_PER_C, TEMP_REFERENCE_C
-    offset, scale, exponent = LEVEL_CURVE_OFFSET_DB, LEVEL_CURVE_SCALE_DB, LEVEL_CURVE_EXPONENT
     two_pi = 2.0 * math.pi
     results: list[Optional[SimResult]] = [None] * len(configs)
     active = list(enumerate(runs))
@@ -267,12 +263,9 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     # same rounds: spare is every node's cached second normal, or None.
     spare: Optional[list[float]] = None
     for round_idx in range(max(config.rounds for config in configs)):
-        # (1) the shared step. The loss and compensation level are
-        # rssi_loss_from_temperature and power_level_for_rssi_loss written
-        # out, without their domain checks: every temperature here lies in
-        # [t_min_c, t_max_c] (clamped, or a trace value checked at load), and
-        # validate() has proved the loss above -40 dB at t_min_c and the
-        # level finite at t_max_c.
+        # (1) the shared step. Every temperature lies in [t_min_c, t_max_c]
+        # (clamped, or a trace value checked at load), as the unchecked
+        # loss_row and level_row require.
         if trace_rows is not None:
             temps[:] = trace_rows[round_idx][:n]
         elif round_idx == 0:
@@ -293,8 +286,8 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
             stepped = [t + sigma * (0.0 + z) for t, z in zip(temps, normals)]
             # min(max(t, t_min), t_max), without two builtin calls
             temps[:] = [t_min if t_min > t else (t_max if t_max < t else t) for t in stepped]
-        losses[:] = [slope * (t - t_ref) for t in temps]
-        comp[:] = [((loss + offset) / scale) ** exponent for loss in losses]
+        losses[:] = loss_row(temps)
+        comp[:] = level_row(losses)
         if prr_streams is not None:
             draws[:] = [stream.random() for stream in prr_streams]
 

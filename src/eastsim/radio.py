@@ -4,15 +4,24 @@ All functions are pure. Powers are in dBm unless a name says watts,
 temperatures in degrees Celsius, distances in meters. Inputs outside a
 function's domain raise ValueError.
 
-The engine's round kernel evaluates ``rssi_loss_from_temperature``,
-``power_level_for_rssi_loss`` and ``prr_from_margin`` inline, from the same
-constants, so a change to one of these formulas must change both places.
+``loss_row`` and ``level_row`` are the whole-round forms of
+``rssi_loss_from_temperature`` and ``power_level_for_rssi_loss``: the same
+arithmetic over a list, without the checks. Their precondition is that every
+temperature is finite and within ``[t_min_c, t_max_c]`` of a config that
+``config.validate`` accepts: it proves the loss at ``t_min_c`` inside the
+compensation curve's domain and the level at ``t_max_c`` finite, and both
+curves increase.
+
+The engine's member pass evaluates ``prr_from_margin`` inline, once per
+node (a separate PRR loop measured slower), so a change to that formula
+must change both places.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 # Unit-carrying aliases: plain floats whose names document the unit.
 TemperatureC = float
@@ -101,6 +110,17 @@ def power_level_for_rssi_loss(loss_dbm: RssiLossDbm) -> PowerDbm:
     if loss_dbm <= -LEVEL_CURVE_OFFSET_DB:
         raise ValueError(f"rssi loss must exceed {-LEVEL_CURVE_OFFSET_DB} dB, got {loss_dbm}")
     return ((loss_dbm + LEVEL_CURVE_OFFSET_DB) / LEVEL_CURVE_SCALE_DB) ** LEVEL_CURVE_EXPONENT
+
+
+def loss_row(temps: Sequence[TemperatureC]) -> list[RssiLossDbm]:
+    """``rssi_loss_from_temperature`` of each temperature, unchecked."""
+    return [TEMP_LOSS_SLOPE_DB_PER_C * (t - TEMP_REFERENCE_C) for t in temps]
+
+
+def level_row(losses: Sequence[RssiLossDbm]) -> list[PowerDbm]:
+    """``power_level_for_rssi_loss`` of each loss, unchecked."""
+    return [((loss + LEVEL_CURVE_OFFSET_DB) / LEVEL_CURVE_SCALE_DB) ** LEVEL_CURVE_EXPONENT
+            for loss in losses]
 
 
 def free_space_base_requirement(distance_m: float, params: LinkBudgetParams) -> PowerDbm:

@@ -2,7 +2,8 @@
 
 Run from anywhere, with pytest installed:
 
-    python tests/mutants.py
+    python tests/mutants.py              # the listed mutants (MUTANTS)
+    python tests/mutants.py --operators  # the operator sweep
 
 Each mutant is applied on its own to a fresh copy of the repository in a
 temporary directory; its anchor text must occur exactly once in its file,
@@ -13,14 +14,23 @@ runs on each copy with ``-x`` under the ``no-shrink`` Hypothesis profile
 run on an unmutated copy that must pass. Exits 1 unless every mutant is
 killed. pytest does not collect this file: its name does not start with
 ``test_``.
+
+The operator sweep makes one mutant per comparison or boolean operator in
+``src/eastsim``: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
+``and`` and ``or`` each swapped for the other, one site at a time, found
+with ``tokenize``. The sites in EXEMPT are skipped: swapping them changes
+no observable behaviour. It runs about 110 mutants, some 13 minutes on two
+cores, so it runs in CI, outside tier-1.
 """
 
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -174,12 +184,52 @@ MUTANTS = [
     ("validate accepts equal region boundaries", "src/eastsim/config.py",
      "if not (regions.boundary_low_dbm < regions.boundary_high_dbm):",
      "if not (regions.boundary_low_dbm <= regions.boundary_high_dbm):"),
-    ("validate accepts a threshold loss of exactly -40 dB", "src/eastsim/config.py",
-     "if loss <= -40.0:", "if loss < -40.0:"),
-    ("validate accepts a loss of exactly -40 dB at t_min_c", "src/eastsim/config.py",
-     "if min_loss <= -40.0:", "if min_loss < -40.0:"),
+    # validate asks this comparison about a threshold loss and the loss at t_min_c
+    ("the compensation curve accepts a loss of exactly -40 dB", "src/eastsim/radio.py",
+     "if loss_dbm <= -LEVEL_CURVE_OFFSET_DB:", "if loss_dbm < -LEVEL_CURVE_OFFSET_DB:"),
     ("validate rejects an integer equal to the largest float", "src/eastsim/config.py",
      "abs(value) > sys.float_info.max", "abs(value) >= sys.float_info.max"),
+    ("loss_row distributes the slope", "src/eastsim/radio.py",
+     "TEMP_LOSS_SLOPE_DB_PER_C * (t - TEMP_REFERENCE_C)",
+     "TEMP_LOSS_SLOPE_DB_PER_C * t - TEMP_LOSS_SLOPE_DB_PER_C * TEMP_REFERENCE_C"),
+    ("level_row multiplies by the scale's reciprocal", "src/eastsim/radio.py",
+     "(loss + LEVEL_CURVE_OFFSET_DB) / LEVEL_CURVE_SCALE_DB",
+     "(loss + LEVEL_CURVE_OFFSET_DB) * (1.0 / LEVEL_CURVE_SCALE_DB)"),
+    ("trace load: a row is rejected only when both indices are negative", "src/eastsim/topology.py",
+     "if node_id < 0 or round_idx < 0:", "if node_id < 0 and round_idx < 0:"),
+    ("trace cache accepts a header with one zero dimension", "src/eastsim/topology.py",
+     "not (n_nodes and n_rounds)", "not (n_nodes or n_rounds)"),
+    ("--figure-round equal to rounds passes the up-front check", "src/eastsim/cli.py",
+     "0 <= figure_round < config.rounds", "0 <= figure_round <= config.rounds"),
+]
+
+SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "and": "or", "or": "and"}
+
+# (file, anchor, why): operator sites the sweep skips. Each anchor occurs
+# once in its file and spans exactly one site.
+EXEMPT = [
+    ("src/eastsim/engine.py", "t_min if t_min > t",
+     "the walk's clamp: at t == t_min both branches give t_min"),
+    ("src/eastsim/engine.py", "t_max if t_max < t",
+     "the walk's clamp: at t == t_max both branches give t_max"),
+    ("src/eastsim/engine.py", "level = cap if cap < level",
+     "the cap: at level == cap both branches give cap"),
+    ("src/eastsim/engine.py", "prr = 1.0 if sampled[i] < prr",
+     "a uniform draw exactly equal to a PRR below 1 does not occur in any test's runs"),
+    ("src/eastsim/engine.py", "spend = beacon_rx_j\n                if battery < spend",
+     "a debit capped at the battery: at battery == spend both take the battery"),
+    ("src/eastsim/engine.py", "spend = ack_tx_j[i]\n                if battery < spend",
+     "a debit capped at the battery: at battery == spend both take the battery"),
+    ("src/eastsim/engine.py", "spend = data_tx_j[i]\n            if battery < spend",
+     "a debit capped at the battery: at battery == spend both take the battery"),
+    ("src/eastsim/radio.py", "if not (distance_m > 0.0)",
+     "no distance of 0 reaches it: deploy_random rejects a node on the reference point"),
+    ("src/eastsim/topology.py", "if not (area_side_m > 0.0)",
+     "validate rejects a side of 0 before any deployment"),
+    ("src/eastsim/topology.py", 'sys.byteorder == "little"',
+     "a cache file is written and read under the same byte-order tag on one host"),
+    ("src/eastsim/topology.py", "if node_id > width",
+     "node_id == width is taken by the branch just above"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")
@@ -200,17 +250,72 @@ def run_suite(copy: str) -> bool:
     return done.returncode == 0
 
 
-def mutate(copy: str, path: str, anchor: str, replacement: str) -> None:
+def read_source(path: str) -> str:
     if not path.startswith("src/"):
         raise ValueError(f"{path}: only files under src/ may be mutated")
-    target = os.path.join(copy, path)
-    with open(target, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def anchored(path: str, text: str, anchor: str) -> int:
+    """The offset of ``anchor`` in ``text``, which must hold it exactly once."""
     count = text.count(anchor)
     if count != 1:
         raise ValueError(f"{path}: anchor {anchor!r} occurs {count} times, not once")
-    with open(target, "w", encoding="utf-8") as fh:
-        fh.write(text.replace(anchor, replacement))
+    return text.index(anchor)
+
+
+def listed_mutants() -> list[tuple[str, str, str]]:
+    """(name, path, mutated text) of each entry of MUTANTS."""
+    mutants = []
+    for name, path, anchor, replacement in MUTANTS:
+        text = read_source(path)
+        anchored(path, text, anchor)
+        mutants.append((name, path, text.replace(anchor, replacement)))
+    return mutants
+
+
+def operator_sites(text: str) -> list[tuple[int, int, str]]:
+    """(start, end, operator) of each swappable operator token in ``text``,
+    as offsets into it."""
+    starts = [0]
+    for line in io.StringIO(text).readlines():
+        starts.append(starts[-1] + len(line))
+    return [
+        (starts[tok.start[0] - 1] + tok.start[1], starts[tok.end[0] - 1] + tok.end[1], tok.string)
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in SWAPS
+    ]
+
+
+def operator_mutants() -> list[tuple[str, str, str]]:
+    """(name, path, mutated text) of each swappable site under src/eastsim
+    that EXEMPT does not name. Raises ValueError on a stale EXEMPT entry."""
+    package = os.path.join(ROOT, "src", "eastsim")
+    mutants = []
+    for file_name in sorted(os.listdir(package)):
+        if not file_name.endswith(".py"):
+            continue
+        path = f"src/eastsim/{file_name}"
+        text = read_source(path)
+        lines = text.split("\n")
+        sites = operator_sites(text)
+        exempt = set()
+        for exempt_path, anchor, _ in EXEMPT:
+            if exempt_path != path:
+                continue
+            lo = anchored(path, text, anchor)
+            covered = [start for start, end, _ in sites if lo <= start and end <= lo + len(anchor)]
+            if len(covered) != 1:
+                raise ValueError(f"{path}: anchor {anchor!r} spans {len(covered)} sites, not one")
+            exempt.add(covered[0])
+        for start, end, op in sites:
+            if start in exempt:
+                continue
+            line_no = text.count("\n", 0, start) + 1
+            name = f"{path}:{line_no} {op} -> {SWAPS[op]}: {lines[line_no - 1].strip()}"
+            mutants.append((name, path, text[:start] + SWAPS[op] + text[end:]))
+    return mutants
 
 
 def copy_repo(tmp: str, name: str) -> str:
@@ -219,7 +324,11 @@ def copy_repo(tmp: str, name: str) -> str:
     return copy
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--operators"]):
+        print("usage: python tests/mutants.py [--operators]")
+        return 2
+    mutants = operator_mutants() if argv else listed_mutants()
     with tempfile.TemporaryDirectory(prefix="eastsim-mutants-") as tmp:
         start = time.perf_counter()
         if not run_suite(copy_repo(tmp, "unmutated")):
@@ -227,18 +336,19 @@ def main() -> int:
             return 1
         print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)")
         survivors = []
-        for index, (name, path, anchor, replacement) in enumerate(MUTANTS):
+        for index, (name, path, text) in enumerate(mutants):
             start = time.perf_counter()
             copy = copy_repo(tmp, str(index))
-            mutate(copy, path, anchor, replacement)
+            with open(os.path.join(copy, path), "w", encoding="utf-8") as fh:
+                fh.write(text)
             killed = not run_suite(copy)
             verdict = "killed" if killed else "SURVIVED"
-            print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)")
+            print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
             if not killed:
                 survivors.append(name)
-    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed")
+    print(f"{len(mutants) - len(survivors)}/{len(mutants)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -500,9 +500,11 @@ class TestCmdRun:
 
     def test_figure_round_out_of_range_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert main(["run", "--out", str(out), *SMALL, "--figure-round", "99"]) == 2
-        assert "--figure-round 99" in capsys.readouterr().err
-        assert not out.exists()
+        for figure_round in ("99", "12"):  # SMALL runs 12 rounds
+            assert main(["run", "--out", str(out), *SMALL, "--figure-round", figure_round]) == 2
+            assert (f"--figure-round {figure_round} out of range; the run has 12 rounds"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_figure_round_after_extinction_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"

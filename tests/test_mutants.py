@@ -23,3 +23,12 @@ _spec.loader.exec_module(mutants)
 def test_anchor_occurs_once_under_src(name, path, anchor, replacement):
     assert path.startswith("src/")
     assert (ROOT / path).read_text(encoding="utf-8").count(anchor) == 1
+
+
+def test_operator_sweep_exempts_one_site_per_entry():
+    # operator_mutants raises on an EXEMPT anchor that is not once in its
+    # file or does not span exactly one operator site
+    assert len(mutants.operator_mutants()) + len(mutants.EXEMPT) == sum(
+        len(mutants.operator_sites(path.read_text(encoding="utf-8")))
+        for path in (ROOT / "src" / "eastsim").glob("*.py")
+    )

@@ -2,17 +2,23 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from eastsim.config import SimConfig
+from eastsim.config import SimConfig, validate
 from eastsim.engine import run_simulation
+from eastsim.errors import ConfigError
 from eastsim.radio import (
     EnergyModelParams,
     LinkBudgetParams,
     PrrParams,
     dbm_to_watts,
     free_space_base_requirement,
+    level_row,
+    loss_row,
     power_level_for_rssi_loss,
     prr_from_margin,
     rssi_loss_from_temperature,
@@ -91,6 +97,38 @@ class TestPowerLevelForLoss:
         for t in [x * 0.5 for x in range(-20, 107)]:
             level = power_level_for_rssi_loss(rssi_loss_from_temperature(t))
             assert 19.0 <= level <= 48.7
+
+
+@st.composite
+def valid_temperature_rows(draw):
+    """A row of temperatures within the range of a config ``validate``
+    accepts: both ends of the range, -0.0 where the range holds it, and
+    values drawn between."""
+    t_min, t_max = sorted([draw(st.floats(-200.0, 1e4)), draw(st.floats(-200.0, 1e4))])
+    config = SimConfig()
+    config.temperature = replace(config.temperature, t_min_c=t_min, t_max_c=t_max)
+    try:
+        validate(config)
+    except ConfigError:
+        reject()
+    zero = [-0.0] if t_min <= 0.0 <= t_max else []
+    return [t_min, t_max, *zero, *draw(st.lists(st.floats(t_min, t_max), max_size=30))]
+
+
+class TestWholeRoundRows:
+    """loss_row and level_row are the engine's shared step: the checked
+    scalar functions over a round, without the checks."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(valid_temperature_rows())
+    @example([-10.0, 53.0, -0.0, 0.0, 25.0])  # the default range's ends, both zeros, the reference
+    def test_rows_equal_scalar_functions_bit_for_bit(self, temps):
+        losses = loss_row(temps)
+        expected = [rssi_loss_from_temperature(t) for t in temps]
+        assert [x.hex() for x in losses] == [x.hex() for x in expected]
+        levels = level_row(losses)
+        expected = [power_level_for_rssi_loss(loss) for loss in losses]
+        assert [x.hex() for x in levels] == [x.hex() for x in expected]
 
 
 class TestFreeSpaceBaseRequirement:

@@ -359,8 +359,12 @@ class TestLoadTemperatureTrace:
             (["0,0,20.0", "0,0,21.0", "0,1,20.0", "0,2,60.0"], r"row 3: duplicate entry for \(0, 0\)"),
             # round 9 leaves too few rows for a dense table, so a set finds the duplicate
             (["0,0,20.0", "0,9,20.0", "0,9,21.0", "0,1,60.0"], r"row 4: duplicate entry for \(0, 9\)"),
+            # a negative index in one field alone is rejected too; read as
+            # an index, node -3 would land in node 0's cell of its round
+            (["2,0,20", "-3,0,21", "1,0,22"], "row 3: negative node or round index"),
+            (["0,2,20", "0,-3,21", "0,1,22"], "row 3: negative node or round index"),
         ],
-        ids=["dense", "sparse"],
+        ids=["dense", "sparse", "negative_node_only", "negative_round_only"],
     )
     def test_first_bad_row_in_file_order_is_named(self, tmp_path, rows, named):
         path = tmp_path / "trace.csv"
@@ -537,6 +541,14 @@ def with_doubled_node_count(blob):
     return topology._CACHE_HEADER.pack(*fields) + blob[topology._CACHE_HEADER.size :]
 
 
+def with_zero_dimension(blob, field):
+    """A cache file's header with its N (field 3) or R (field 4) set to 0,
+    followed by the empty payload that header implies and a checksum."""
+    fields = list(topology._CACHE_HEADER.unpack_from(blob))
+    fields[field] = 0
+    return reseal(topology._CACHE_HEADER.pack(*fields) + blob[-32:])
+
+
 MAGIC = topology._CACHE_MAGIC
 # Damaged cache files: each maps the bytes of a valid one to a file that
 # must be a miss. The version and byte-order cases carry a valid checksum,
@@ -558,6 +570,9 @@ DAMAGED_CACHE = {
     # 6 x 4 cells claimed for 3 x 4 held: small, so that no reader, even one
     # that skips the length check, allocates much for what a header claims.
     "header_claims_more_cells": lambda blob: reseal(with_doubled_node_count(blob)),
+    # one zero dimension, with the length and checksum such a header implies
+    "header_claims_no_nodes": lambda blob: with_zero_dimension(blob, 3),
+    "header_claims_no_rounds": lambda blob: with_zero_dimension(blob, 4),
 }
 
 # Appended to a copy of topology.py: a loader change that shifts every value.
