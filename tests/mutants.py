@@ -184,7 +184,15 @@ MUTANTS = [
     ("validate accepts equal region boundaries", "src/eastsim/config.py",
      "if not (regions.boundary_low_dbm < regions.boundary_high_dbm):",
      "if not (regions.boundary_low_dbm <= regions.boundary_high_dbm):"),
-    # validate asks this comparison about a threshold loss and the loss at t_min_c
+    # validate asks radio's domain check about a threshold loss and the loss
+    # at t_min_c; these two skip each question at exactly -40 dB, the last
+    # mutant loosens the check itself
+    ("validate accepts a threshold loss of exactly -40 dB", "src/eastsim/config.py",
+     "level = regions.threshold_level_dbm(region)",
+     "level = regions.threshold_level_dbm(region) if loss != -40.0 else 0.0"),
+    ("validate accepts a loss of exactly -40 dB at t_min_c", "src/eastsim/config.py",
+     "power_level_for_rssi_loss(min_loss)",
+     "power_level_for_rssi_loss(min_loss) if min_loss != -40.0 else None"),
     ("the compensation curve accepts a loss of exactly -40 dB", "src/eastsim/radio.py",
      "if loss_dbm <= -LEVEL_CURVE_OFFSET_DB:", "if loss_dbm < -LEVEL_CURVE_OFFSET_DB:"),
     ("validate rejects an integer equal to the largest float", "src/eastsim/config.py",
