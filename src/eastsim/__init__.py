@@ -11,7 +11,6 @@ from .protocol import (
     ControlTraffic,
     Region,
     RegionConfig,
-    RegionPartition,
     classical_assign,
     east_assign,
     init_desired_neighbors,

@@ -103,7 +103,6 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
     os.makedirs(os.path.join(out_dir, "figures"), exist_ok=True)
     controller = result.config.controller
     final = result.records[-1]
-    assignment = result.partition.assignment
     outputs = [
         _write_csv(out_dir, "rounds.csv", ROUNDS_HEADER, ROUNDS_ROW, (
             (rec.round_index, controller, rec.beacons, rec.acks, rec.tx_energy_j,
@@ -112,7 +111,7 @@ def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) ->
             for rec in result.records
         )),
         _write_csv(out_dir, "nodes.csv", NODES_HEADER, NODES_ROW, (
-            (i, node.pos.x_m, node.pos.y_m, assignment[i].value, final.temps_c[i],
+            (i, node.pos.x_m, node.pos.y_m, result.partition[i].value, final.temps_c[i],
              final.losses_dbm[i], final.levels_dbm[i], final.pt_dbm[i], result.batteries_j[i],
              final.alive[i])
             for i, node in enumerate(result.deployment.nodes)

@@ -40,7 +40,6 @@ from .protocol import (
     REGIONS,
     ControlTraffic,
     Region,
-    RegionPartition,
     classical_assign,
     east_assign,
     init_desired_neighbors,
@@ -95,7 +94,8 @@ class RoundRecord:
 class SimResult:
     config: SimConfig
     deployment: Deployment
-    partition: RegionPartition
+    # each node's region, by node id
+    partition: tuple[Region, ...]
     desired: dict[Region, int]
     # each node's battery after its last round, by node id
     batteries_j: list[float]
@@ -336,11 +336,10 @@ def _member_rounds(
 
     # Round-0 set-up: regions, desired counts and initial levels come from
     # the round-0 losses of every node.
-    partition = partition_regions(dict(enumerate(losses)), config.regions)
-    region_of = [REGIONS.index(partition.assignment[i]) for i in range(n)]
+    partition = partition_regions(losses, config.regions)
+    region_of = [REGIONS.index(r) for r in partition]
     desired = init_desired_neighbors(partition)
     n_desired = [desired[r] for r in REGIONS]
-    n_current = [partition.counts[r] for r in REGIONS]
     threshold_loss = [config.regions.threshold_loss_dbm[r] for r in REGIONS]
     is_east = config.controller == "east"
     # The baseline's level in every region is the worst-case compensation.
@@ -365,6 +364,7 @@ def _member_rounds(
     members: list[list[int]] = [[], [], []]
     for i in live:
         members[region_of[i]].append(i)
+    n_current = [len(m) for m in members]
     # A dead node's temperature and loss as of its death; the shared lists
     # move on while the node lives in another member.
     frozen: dict[int, tuple[float, float]] = {}

@@ -71,42 +71,33 @@ class CadenceParams:
 
 
 @dataclass
-class RegionPartition:
-    assignment: dict[int, Region]
-    counts: dict[Region, int]
-
-
-@dataclass
 class ControlTraffic:
     beacons_sent: int = 0
     acks_sent: int = 0
 
 
-def partition_regions(losses_dbm: Mapping[int, float], cfg: RegionConfig) -> RegionPartition:
-    """Assign each node a region by loss severity."""
+def partition_regions(losses_dbm: Sequence[float], cfg: RegionConfig) -> tuple[Region, ...]:
+    """Each node's region by loss severity; entry ``i`` is node ``i``'s."""
     if not losses_dbm:
-        raise ValueError("cannot partition an empty loss map")
-    assignment: dict[int, Region] = {}
-    counts = {r: 0 for r in REGIONS}
-    for node_id in sorted(losses_dbm):
-        loss = losses_dbm[node_id]
+        raise ValueError("cannot partition an empty loss list")
+    partition = []
+    for loss in losses_dbm:
         if loss > cfg.boundary_high_dbm:
             region = Region.A
         elif loss > cfg.boundary_low_dbm:
             region = Region.B
         else:
             region = Region.C
-        assignment[node_id] = region
-        counts[region] += 1
-    return RegionPartition(assignment=assignment, counts=counts)
+        partition.append(region)
+    return tuple(partition)
 
 
-def init_desired_neighbors(partition: RegionPartition) -> dict[Region, int]:
+def init_desired_neighbors(partition: Sequence[Region]) -> dict[Region, int]:
     """Desired neighbor count per region: initial count minus 5, floored at 1
     so that regions of 5 or fewer nodes (desk-scale networks) still get a
     positive target."""
     return {
-        region: max(partition.counts.get(region, 0) - DESIRED_NEIGHBOR_DEFICIT, 1)
+        region: max(partition.count(region) - DESIRED_NEIGHBOR_DEFICIT, 1)
         for region in REGIONS
     }
 

@@ -86,10 +86,9 @@ def summarize(result: SimResult) -> list[RegionSummary]:
     if not result.records:
         raise DataError("cannot summarize a run with no records")
     final = result.records[-1]
-    assignment = result.partition.assignment
     summaries = []
     for region in REGIONS:
-        member_ids = [i for i, r in assignment.items() if r is region]
+        member_ids = [i for i, r in enumerate(result.partition) if r is region]
         survivors = [i for i in member_ids if final.alive[i]]
         threshold_loss = result.config.regions.threshold_loss_dbm[region]
         above = sum(1 for i in survivors if final.losses_dbm[i] >= threshold_loss)
@@ -101,7 +100,7 @@ def summarize(result: SimResult) -> list[RegionSummary]:
         summaries.append(
             RegionSummary(
                 region=region,
-                initial_count=result.partition.counts[region],
+                initial_count=len(member_ids),
                 desired=result.desired[region],
                 survivors=len(survivors),
                 threshold_loss_dbm=threshold_loss,
@@ -152,10 +151,9 @@ def emit_figure_data(result: SimResult, round_index: int = 0) -> FigureSeries:
         raise UsageError(f"figure round {round_index} was not kept by the run")
     final = result.records[-1]
     baseline = min(classical_assign(result.config.temperature.t_max_c), result.config.level_cap_dbm)
-    assignment = result.partition.assignment
     assigned: dict[Region, float] = {}
     for region in REGIONS:
-        ids = [i for i, r in assignment.items() if r is region and final.alive[i]]
+        ids = [i for i, r in enumerate(result.partition) if r is region and final.alive[i]]
         assigned[region] = (
             sum(final.levels_dbm[i] for i in ids) / len(ids) if ids else math.nan
         )

@@ -18,11 +18,15 @@ killed. pytest does not collect this file: its name does not start with
 The operator sweep makes one mutant per comparison or boolean operator in
 ``src/eastsim``: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
 ``and`` and ``or`` each swapped for the other, one site at a time, found
-with ``tokenize``. The sites in EXEMPT are skipped: swapping them changes
-no observable behaviour. It runs about 110 mutants, some 13 minutes on two
-cores, so it runs in CI, outside tier-1.
+with ``tokenize``. It also makes one mutant per guard, an ``if`` or ``elif``
+whose body starts with ``raise``, with the guard's condition replaced by
+``False``, found with ``ast``. The operator sites in EXEMPT and the guards
+in GUARD_EXEMPT are skipped: mutating them changes no observable behaviour.
+It runs about 135 mutants, some 12 minutes on two cores, so it runs in CI,
+outside tier-1.
 """
 
+import ast
 import io
 import os
 import shutil
@@ -209,6 +213,30 @@ MUTANTS = [
      "not (n_nodes and n_rounds)", "not (n_nodes or n_rounds)"),
     ("--figure-round equal to rounds passes the up-front check", "src/eastsim/cli.py",
      "0 <= figure_round < config.rounds", "0 <= figure_round <= config.rounds"),
+    # input guards that no other test reaches, each replaced by ``if False:``
+    ("an override without '=' is split anyway", "src/eastsim/config.py",
+     'if "=" not in item:', "if False:"),
+    ("a config-file line without '=' is split anyway", "src/eastsim/config.py",
+     'if "=" not in stripped:', "if False:"),
+    ("an empty trace file is parsed anyway", "src/eastsim/topology.py",
+     "if not lines:", "if False:"),
+    ("a trace with no rows is tabled anyway", "src/eastsim/topology.py",
+     "if not count:", "if False:"),
+    ("sweep runs with no values", "src/eastsim/cli.py",
+     "if not values:", "if False:"),
+    ("report reads a summary under a wrong header", "src/eastsim/cli.py",
+     "if lines[:1] != [SUMMARY_HEADER]:", "if False:"),
+    ("emit_figure_data reads a round the run did not keep", "src/eastsim/report.py",
+     "if snapshot.temps_c is None:", "if False:"),
+    ("emit_figure_data reads a run with no records", "src/eastsim/report.py",
+     'if not result.records:\n        raise DataError("cannot emit',
+     'if False:\n        raise DataError("cannot emit'),
+    ("power_level_for_rssi_loss passes a non-finite loss", "src/eastsim/radio.py",
+     "if not math.isfinite(loss_dbm):", "if False:"),
+    ("dbm_to_watts passes a non-finite power", "src/eastsim/radio.py",
+     "if not math.isfinite(power_dbm):", "if False:"),
+    ("prr_from_margin passes a non-finite margin", "src/eastsim/radio.py",
+     "if not math.isfinite(margin_db):", "if False:"),
 ]
 
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "and": "or", "or": "and"}
@@ -238,6 +266,15 @@ EXEMPT = [
      "a cache file is written and read under the same byte-order tag on one host"),
     ("src/eastsim/topology.py", "if node_id > width",
      "node_id == width is taken by the branch just above"),
+]
+
+# (file, anchor, why): guards the sweep skips. Each anchor occurs once in
+# its file and spans exactly one guard's condition.
+GUARD_EXEMPT = [
+    ("src/eastsim/radio.py", "if not (distance_m > 0.0)",
+     "no distance of 0 reaches it: deploy_random rejects a node on the reference point"),
+    ("src/eastsim/topology.py", "if not (area_side_m > 0.0)",
+     "validate rejects a side of 0 before any deployment"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work")
@@ -283,12 +320,18 @@ def listed_mutants() -> list[tuple[str, str, str]]:
     return mutants
 
 
-def operator_sites(text: str) -> list[tuple[int, int, str]]:
-    """(start, end, operator) of each swappable operator token in ``text``,
-    as offsets into it."""
+def line_starts(text: str) -> list[int]:
+    """The offset in ``text`` of each line's first character."""
     starts = [0]
     for line in io.StringIO(text).readlines():
         starts.append(starts[-1] + len(line))
+    return starts
+
+
+def operator_sites(text: str) -> list[tuple[int, int, str]]:
+    """(start, end, operator) of each swappable operator token in ``text``,
+    as offsets into it."""
+    starts = line_starts(text)
     return [
         (starts[tok.start[0] - 1] + tok.start[1], starts[tok.end[0] - 1] + tok.end[1], tok.string)
         for tok in tokenize.generate_tokens(io.StringIO(text).readline)
@@ -296,9 +339,46 @@ def operator_sites(text: str) -> list[tuple[int, int, str]]:
     ]
 
 
+def guard_sites(text: str) -> list[tuple[int, int, str]]:
+    """(start, end, condition) of each ``if`` or ``elif`` condition in
+    ``text`` whose body starts with ``raise``, as offsets into it."""
+    starts = line_starts(text)
+    lines = io.StringIO(text).readlines()
+
+    def offset(line_no: int, col: int) -> int:
+        # ast columns count UTF-8 bytes
+        return starts[line_no - 1] + len(lines[line_no - 1].encode("utf-8")[:col].decode("utf-8"))
+
+    sites = [
+        (offset(node.test.lineno, node.test.col_offset),
+         offset(node.test.end_lineno, node.test.end_col_offset))
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise)
+    ]
+    return [(start, end, text[start:end]) for start, end in sorted(sites)]
+
+
+def exempted(path: str, text: str, sites: list[tuple[int, int, str]],
+             entries: list[tuple[str, str, str]]) -> set[tuple[int, int]]:
+    """(start, end) of each site of ``sites`` that an entry of ``entries``
+    names in ``path``. Raises ValueError on an entry whose anchor is not
+    once in ``text`` or does not span exactly one site."""
+    named = set()
+    for exempt_path, anchor, _ in entries:
+        if exempt_path != path:
+            continue
+        lo = anchored(path, text, anchor)
+        covered = [(start, end) for start, end, _ in sites if lo <= start and end <= lo + len(anchor)]
+        if len(covered) != 1:
+            raise ValueError(f"{path}: anchor {anchor!r} spans {len(covered)} sites, not one")
+        named.add(covered[0])
+    return named
+
+
 def operator_mutants() -> list[tuple[str, str, str]]:
-    """(name, path, mutated text) of each swappable site under src/eastsim
-    that EXEMPT does not name. Raises ValueError on a stale EXEMPT entry."""
+    """(name, path, mutated text) of each swappable operator site and each
+    guard under src/eastsim that EXEMPT and GUARD_EXEMPT do not name.
+    Raises ValueError on a stale entry."""
     package = os.path.join(ROOT, "src", "eastsim")
     mutants = []
     for file_name in sorted(os.listdir(package)):
@@ -307,22 +387,18 @@ def operator_mutants() -> list[tuple[str, str, str]]:
         path = f"src/eastsim/{file_name}"
         text = read_source(path)
         lines = text.split("\n")
-        sites = operator_sites(text)
-        exempt = set()
-        for exempt_path, anchor, _ in EXEMPT:
-            if exempt_path != path:
-                continue
-            lo = anchored(path, text, anchor)
-            covered = [start for start, end, _ in sites if lo <= start and end <= lo + len(anchor)]
-            if len(covered) != 1:
-                raise ValueError(f"{path}: anchor {anchor!r} spans {len(covered)} sites, not one")
-            exempt.add(covered[0])
-        for start, end, op in sites:
-            if start in exempt:
+        operators = operator_sites(text)
+        guards = guard_sites(text)
+        skipped = exempted(path, text, operators, EXEMPT) | exempted(path, text, guards, GUARD_EXEMPT)
+        sites = sorted([(start, end, SWAPS[op]) for start, end, op in operators]
+                       + [(start, end, "False") for start, end, _ in guards])
+        for start, end, replacement in sites:
+            if (start, end) in skipped:
                 continue
             line_no = text.count("\n", 0, start) + 1
-            name = f"{path}:{line_no} {op} -> {SWAPS[op]}: {lines[line_no - 1].strip()}"
-            mutants.append((name, path, text[:start] + SWAPS[op] + text[end:]))
+            name = (f"{path}:{line_no} {text[start:end]} -> {replacement}: "
+                    f"{lines[line_no - 1].strip()}")
+            mutants.append((name, path, text[:start] + replacement + text[end:]))
     return mutants
 
 

@@ -19,7 +19,6 @@ from eastsim.protocol import (
     REGIONS,
     Region,
     RegionConfig,
-    RegionPartition,
     east_assign,
     init_desired_neighbors,
 )
@@ -105,13 +104,15 @@ def test_criterion_2_loss_endpoints_and_level_range():
 
 @criterion(3, "desired neighbors are exactly initial counts minus 5; (46,30,24) -> (41,25,19)")
 def test_criterion_3_desired_neighbors():
-    table = RegionPartition(assignment={}, counts={Region.A: 46, Region.B: 30, Region.C: 24})
+    def partition_of(counts):
+        return tuple(r for r in REGIONS for _ in range(counts[r]))
+
+    table = partition_of({Region.A: 46, Region.B: 30, Region.C: 24})
     assert init_desired_neighbors(table) == {Region.A: 41, Region.B: 25, Region.C: 19}
     rng = random.Random(2024)
     for _ in range(2000):
         counts = {r: rng.randint(6, 80) for r in REGIONS}
-        part = RegionPartition(assignment={}, counts=counts)
-        assert init_desired_neighbors(part) == {r: counts[r] - 5 for r in REGIONS}
+        assert init_desired_neighbors(partition_of(counts)) == {r: counts[r] - 5 for r in REGIONS}
 
 
 @criterion(4, "controller rule table holds on the worked examples and 10^4 randomized cases")
@@ -151,9 +152,9 @@ def test_criterion_4_controller_truth_table():
               "A [40,45] / B [30,35] / C [20,25] dBm level bands")
 def test_criterion_5_region_level_bands(east_default):
     final = east_default.records[-1]
-    assignment = east_default.partition.assignment
     for region in REGIONS:
-        survivors = [i for i, r in assignment.items() if r is region and final.alive[i]]
+        survivors = [i for i, r in enumerate(east_default.partition)
+                     if r is region and final.alive[i]]
         assert survivors, f"region {region.value} died out under defaults"
         lo, hi = LEVEL_BANDS[region]
         in_band = sum(1 for i in survivors if lo <= final.levels_dbm[i] <= hi)

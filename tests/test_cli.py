@@ -372,7 +372,7 @@ class TestCmdRun:
             ],
             "nodes.csv": [
                 [str(node.node_id), f6(node.pos.x_m), f6(node.pos.y_m),
-                 result.partition.assignment[i].value,
+                 result.partition[i].value,
                  *(f6(values[i]) for values in (final.temps_c, final.losses_dbm,
                                                 final.levels_dbm, final.pt_dbm,
                                                 result.batteries_j)),
@@ -942,3 +942,37 @@ def test_invalid_utf8_input_is_a_named_error(tmp_path, capsys, damaged):
     err = capsys.readouterr().err
     assert f"{path}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({}, ["run", "--set", "nodes"], "override 'nodes' is not of the form key=value"),
+        ({"run.cfg": "nodes = 5\nrounds\n"}, ["run", "--config", "{tmp}/run.cfg"],
+         "{tmp}/run.cfg:2: expected 'key = value', got 'rounds'"),
+        ({"trace.csv": ""}, ["run", "--set", "temperature.trace_path={tmp}/trace.csv"],
+         "{tmp}/trace.csv: empty trace file"),
+        ({"trace.csv": "node,round,temp_c\n"},
+         ["run", "--set", "temperature.trace_path={tmp}/trace.csv"],
+         "{tmp}/trace.csv: trace contains no rows"),
+        ({}, ["sweep", "--key", "seed", "--values", ","], "sweep needs at least one value"),
+        ({"run/summary.csv": "region,count\nA,1\n"}, ["report", "--dir", "{tmp}/run"],
+         f"{{tmp}}/run/summary.csv: expected header {cli.SUMMARY_HEADER!r}"),
+    ],
+    ids=["override-without-equals", "config-line-without-equals", "empty-trace",
+         "header-only-trace", "no-sweep-values", "summary-with-wrong-header"],
+)
+def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, files, argv, message):
+    # Each input is refused by its own check, with that check's message,
+    # before a command that writes makes its output directory.
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    out = tmp_path / "out"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if argv[0] != "report":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not out.exists()

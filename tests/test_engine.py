@@ -61,7 +61,7 @@ class TestRoundSemantics:
         result = run_simulation(cfg)
         node = result.deployment.nodes[0]
         loss = result.records[0].losses_dbm[0]
-        region = result.partition.assignment[0]
+        region = result.partition[0]
         expected = cfg.regions.threshold_level_dbm(region)
         assert result.records[0].levels_dbm[0] == pytest.approx(min(expected, cfg.level_cap_dbm))
         assert result.records[0].region_alive[region] == 1
@@ -117,10 +117,10 @@ class TestRoundSemantics:
 
     def test_region_membership_frozen(self):
         result = run_simulation(small_config(rounds=25))
-        assignment = result.partition.assignment
         for rec in result.records:
             for region in REGIONS:
-                members = [i for i, r in assignment.items() if r is region and rec.alive[i]]
+                members = [i for i, r in enumerate(result.partition)
+                           if r is region and rec.alive[i]]
                 assert rec.region_alive[region] == len(members)
 
 

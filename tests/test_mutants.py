@@ -26,9 +26,9 @@ def test_anchor_occurs_once_under_src(name, path, anchor, replacement):
 
 
 def test_operator_sweep_exempts_one_site_per_entry():
-    # operator_mutants raises on an EXEMPT anchor that is not once in its
-    # file or does not span exactly one operator site
-    assert len(mutants.operator_mutants()) + len(mutants.EXEMPT) == sum(
-        len(mutants.operator_sites(path.read_text(encoding="utf-8")))
-        for path in (ROOT / "src" / "eastsim").glob("*.py")
+    # operator_mutants raises on an EXEMPT or GUARD_EXEMPT anchor that is
+    # not once in its file or does not span exactly one site of its kind
+    texts = [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "eastsim").glob("*.py")]
+    assert len(mutants.operator_mutants()) + len(mutants.EXEMPT) + len(mutants.GUARD_EXEMPT) == sum(
+        len(mutants.operator_sites(text)) + len(mutants.guard_sites(text)) for text in texts
     )

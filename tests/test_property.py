@@ -157,13 +157,13 @@ def test_engine_matches_oracle_and_invariants(cfg):
     drop = cfg.node_count * cfg.energy.initial_battery_j - sum(batteries)
     assert drop == pytest.approx(result.total_energy_j, rel=1e-9)
 
-    assignment = result.partition.assignment
+    partition = result.partition
     alive_before = [True] * cfg.node_count
     for rec in result.records:
         assert all(before or not now for before, now in zip(alive_before, rec.alive))
         assert all(level <= cfg.level_cap_dbm for level in rec.levels_dbm)
         members = [
-            sum(1 for i, a in enumerate(alive_before) if a and assignment[i] is r)
+            sum(1 for i, a in enumerate(alive_before) if a and partition[i] is r)
             for r in REGIONS
         ]
         if cfg.controller == "classical" or rec.round_index == 0:

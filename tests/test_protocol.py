@@ -13,7 +13,6 @@ from eastsim.protocol import (
     CadenceParams,
     Region,
     RegionConfig,
-    RegionPartition,
     classical_assign,
     east_assign,
     init_desired_neighbors,
@@ -97,75 +96,72 @@ class TestEstimateRssiLoss:
 
 class TestPartitionRegions:
     def test_high_losses_land_in_a(self):
-        part = partition_regions({0: 4.0, 1: 1.0}, CFG)
-        assert part.assignment == {0: Region.A, 1: Region.A}
-        assert part.counts == {Region.A: 2, Region.B: 0, Region.C: 0}
+        part = partition_regions([4.0, 1.0], CFG)
+        assert part == (Region.A, Region.A)
+        assert [part.count(r) for r in REGIONS] == [2, 0, 0]
 
     def test_three_way_split(self):
-        losses = {0: 4.0, 1: 1.0, 2: -2.0, 3: -5.5, 4: -6.0}
-        part = partition_regions(losses, CFG)
-        assert part.assignment[0] is Region.A
-        assert part.assignment[1] is Region.A
-        assert part.assignment[2] is Region.B
-        assert part.assignment[3] is Region.C
-        assert part.assignment[4] is Region.C
+        part = partition_regions([4.0, 1.0, -2.0, -5.5, -6.0], CFG)
+        assert part == (Region.A, Region.A, Region.B, Region.C, Region.C)
 
     def test_boundaries_are_half_open(self):
-        part = partition_regions({0: -0.61, 1: -5.17}, CFG)
-        assert part.assignment[0] is Region.B  # boundary value stays below A
-        assert part.assignment[1] is Region.C  # boundary value stays below B
+        part = partition_regions([-0.61, -5.17], CFG)
+        assert part[0] is Region.B  # boundary value stays below A
+        assert part[1] is Region.C  # boundary value stays below B
 
     def test_uniform_fractions(self):
         # analytic interval fractions for a uniform grid over the loss image
         lo, hi = -6.99, 5.59
         n = 20000
-        losses = {i: lo + (hi - lo) * (i + 0.5) / n for i in range(n)}
+        losses = [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
         part = partition_regions(losses, CFG)
         frac_a = (hi - CFG.boundary_high_dbm) / (hi - lo)
         frac_b = (CFG.boundary_high_dbm - CFG.boundary_low_dbm) / (hi - lo)
         frac_c = (CFG.boundary_low_dbm - lo) / (hi - lo)
-        assert part.counts[Region.A] / n == pytest.approx(frac_a, abs=0.01)
-        assert part.counts[Region.B] / n == pytest.approx(frac_b, abs=0.01)
-        assert part.counts[Region.C] / n == pytest.approx(frac_c, abs=0.01)
+        assert part.count(Region.A) / n == pytest.approx(frac_a, abs=0.01)
+        assert part.count(Region.B) / n == pytest.approx(frac_b, abs=0.01)
+        assert part.count(Region.C) / n == pytest.approx(frac_c, abs=0.01)
         assert frac_a == pytest.approx(0.49, abs=0.01)
         assert frac_b == pytest.approx(0.36, abs=0.01)
         assert frac_c == pytest.approx(0.15, abs=0.01)
 
     def test_totality(self):
         rng = random.Random(17)
-        losses = {i: rng.uniform(-7.0, 5.6) for i in range(150)}
+        losses = [rng.uniform(-7.0, 5.6) for _ in range(150)]
         part = partition_regions(losses, CFG)
-        assert set(part.assignment) == set(losses)
-        assert sum(part.counts.values()) == len(losses)
+        assert type(part) is tuple and len(part) == len(losses)
+        assert sum(part.count(r) for r in REGIONS) == len(losses)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            partition_regions({}, CFG)
+            partition_regions([], CFG)
+
+
+def partition_of(counts):
+    """A partition tuple holding ``counts[r]`` nodes of each region r."""
+    return tuple(r for r in REGIONS for _ in range(counts[r]))
 
 
 class TestDesiredNeighbors:
     def test_reference_counts(self):
-        part = RegionPartition(
-            assignment={}, counts={Region.A: 46, Region.B: 30, Region.C: 24}
-        )
+        part = partition_of({Region.A: 46, Region.B: 30, Region.C: 24})
         assert init_desired_neighbors(part) == {Region.A: 41, Region.B: 25, Region.C: 19}
 
     def test_minimum_counts(self):
-        part = RegionPartition(assignment={}, counts={Region.A: 6, Region.B: 6, Region.C: 6})
+        part = partition_of({Region.A: 6, Region.B: 6, Region.C: 6})
         assert init_desired_neighbors(part) == {Region.A: 1, Region.B: 1, Region.C: 1}
 
     def test_allow_small_floors_at_one(self):
-        part = RegionPartition(assignment={}, counts={Region.A: 2, Region.B: 0, Region.C: 9})
+        part = partition_of({Region.A: 2, Region.B: 0, Region.C: 9})
         assert init_desired_neighbors(part) == {Region.A: 1, Region.B: 1, Region.C: 4}
-        part = RegionPartition(assignment={}, counts={Region.A: 5, Region.B: 30, Region.C: 24})
+        part = partition_of({Region.A: 5, Region.B: 30, Region.C: 24})
         assert init_desired_neighbors(part) == {Region.A: 1, Region.B: 25, Region.C: 19}
 
     def test_exact_relation_above_minimum(self):
         rng = random.Random(23)
         for _ in range(100):
             counts = {r: rng.randint(6, 60) for r in REGIONS}
-            part = RegionPartition(assignment={}, counts=counts)
-            desired = init_desired_neighbors(part)
+            desired = init_desired_neighbors(partition_of(counts))
             assert desired == {r: counts[r] - 5 for r in REGIONS}
 
 

@@ -87,6 +87,9 @@ class TestPowerLevelForLoss:
             power_level_for_rssi_loss(-40.0)
         with pytest.raises(ValueError):
             power_level_for_rssi_loss(-41.0)
+        for loss in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="rssi loss must be finite"):
+                power_level_for_rssi_loss(loss)
 
     def test_composition_over_temperature_range(self):
         # composed endpoints, frozen from hand evaluation
@@ -210,6 +213,11 @@ class TestDbmWattsConversion:
             watts = rng.uniform(1e-12, 10.0)
             assert dbm_to_watts(30.0 + 10.0 * math.log10(watts)) == pytest.approx(watts, rel=1e-9)
 
+    def test_rejects_non_finite(self):
+        for power in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="power must be finite"):
+                dbm_to_watts(power)
+
 
 class TestPrrFromMargin:
     def test_midpoint(self):
@@ -236,6 +244,11 @@ class TestPrrFromMargin:
         q = PrrParams(alpha_per_db=1000.0, beta_db=-4.0)
         assert prr_from_margin(-1000.0, q) == 0.0
         assert prr_from_margin(1000.0, q) == 1.0
+
+    def test_rejects_non_finite(self):
+        for margin in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="margin must be finite"):
+                prr_from_margin(margin, PrrParams())
 
 
 class TestEnergy:

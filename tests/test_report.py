@@ -53,7 +53,7 @@ class TestSummarize:
             assert row.nodes_above_threshold + row.nodes_below_threshold == row.survivors
             members = [
                 i
-                for i, region in result.partition.assignment.items()
+                for i, region in enumerate(result.partition)
                 if region is row.region and final.alive[i]
             ]
             above = sum(1 for i in members if final.losses_dbm[i] >= row.threshold_loss_dbm)
@@ -62,8 +62,8 @@ class TestSummarize:
     def test_loss_at_the_threshold_counts_as_above(self):
         result = run()
         final = result.records[-1]
-        region = result.partition.assignment[0]
-        members = [i for i, r in result.partition.assignment.items() if r is region]
+        region = result.partition[0]
+        members = [i for i, r in enumerate(result.partition) if r is region]
         lowest = min(final.losses_dbm[i] for i in members)
         thresholds = {**result.config.regions.threshold_loss_dbm, region: lowest}
         regions = replace(result.config.regions, threshold_loss_dbm=thresholds)
@@ -83,7 +83,7 @@ class TestSummarize:
         final = result.records[-1]
         for region in REGIONS:
             members = [
-                i for i, r in result.partition.assignment.items() if r is region
+                i for i, r in enumerate(result.partition) if r is region
             ]
             assert rows[region].initial_count == len(members)
             assert rows[region].survivors == sum(1 for i in members if final.alive[i])
@@ -211,6 +211,16 @@ class TestFigureSeries:
             emit_figure_data(result, round_index=30)
         with pytest.raises(UsageError):
             emit_figure_data(result, round_index=-1)
+        # a round the run recorded without its per-node vectors
+        kept = run_simulation(SimConfig(node_count=25, rounds=30, seed=8), keep_rounds={0})
+        with pytest.raises(UsageError) as excinfo:
+            emit_figure_data(kept, round_index=7)
+        assert str(excinfo.value) == "figure round 7 was not kept by the run"
+        # no round at all
+        result.records = []
+        with pytest.raises(DataError) as excinfo:
+            emit_figure_data(result, round_index=0)
+        assert str(excinfo.value) == "cannot emit figure data for a run with no records"
 
 
 class TestRenderSummaryTable:
