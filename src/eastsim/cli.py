@@ -19,7 +19,7 @@ from .config import SWEEPABLE_KEYS, SimConfig, apply_overrides, fingerprint, par
 from .engine import Lockstep, SimResult, run_simulation
 from .errors import ConfigError, DataError, EastSimError, UsageError
 from .protocol import REGIONS
-from .report import compare_runs, emit_figure_data, render_summary_table, summarize
+from .report import FigureSeries, compare_runs, emit_figure_data, render_summary_table, summarize
 
 SEED_ENV_VAR = "EAST_SEED"
 
@@ -87,15 +87,15 @@ def _check_figure_round(figure_round: int, config: SimConfig) -> None:
         )
 
 
-def write_run_outputs(result: SimResult, out_dir: str, figure_round: int = 0) -> list[str]:
+def write_run_outputs(result: SimResult, out_dir: str, series: FigureSeries) -> list[str]:
     """Write the full artifact set for one run; returns relative paths.
 
-    The figure snapshot is taken first, so a round the run did not reach
-    fails before any file is written. An earlier run's manifest is deleted
-    before the first write and the new one is written last, so a directory
-    holds a manifest only when every file beside it is from the same run.
+    ``series`` is the run's ``emit_figure_data``, which callers take before
+    any write, so a figure round the run did not reach fails before any file
+    is written. An earlier run's manifest is deleted before the first write
+    and the new one is written last, so a directory holds a manifest only
+    when every file beside it is from the same run.
     """
-    series = emit_figure_data(result, figure_round)
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.lexists(manifest_path):
@@ -158,7 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _resolve_seed(config, args.seed)
     _check_figure_round(args.figure_round, config)
     result = run_simulation(config, keep_rounds={args.figure_round})
-    outputs = write_run_outputs(result, args.out, args.figure_round)
+    outputs = write_run_outputs(result, args.out, emit_figure_data(result, args.figure_round))
     if result.extinction_round is not None:
         print(f"extinct_at_round={result.extinction_round}")
     print(f"wrote {len(outputs)} files to {args.out}")
@@ -230,8 +230,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     keep = {args.figure_round}
     batch = Lockstep(configs, keep)
     results = [run_simulation(config, keep_rounds=keep, lockstep=batch) for config in configs]
-    for result in results:
-        emit_figure_data(result, args.figure_round)
+    series = [emit_figure_data(result, args.figure_round) for result in results]
     os.makedirs(args.out, exist_ok=True)
     # An earlier sweep's summary goes before the first run directory is
     # written, and the new one is written last, so a sweep that fails
@@ -240,8 +239,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if os.path.lexists(summary_path):
         os.remove(summary_path)
     summary_rows = []
-    for raw, result in zip(values, results):
-        write_run_outputs(result, os.path.join(args.out, f"{key}={raw}"), args.figure_round)
+    for raw, result, figures in zip(values, results, series):
+        write_run_outputs(result, os.path.join(args.out, f"{key}={raw}"), figures)
         summary_rows.append((key, raw, result.traffic.beacons_sent, result.traffic.acks_sent,
                              result.control_packets, result.total_energy_j, result.survivors,
                              result.mean_prr))

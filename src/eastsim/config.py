@@ -277,13 +277,11 @@ def _format_value(kind: str, value) -> str:
     return str(value)
 
 
-def fingerprint(config: SimConfig, exclude: tuple[str, ...] = ()) -> str:
+def fingerprint(config: SimConfig) -> str:
     """Content hash of the resolved config, stable under key reordering.
     A loaded temperature trace counts by the hash of its bytes."""
     parts = []
     for key, (kind, path, _) in sorted(CONFIG_KEYS.items()):
-        if key in exclude:
-            continue
         value = _format_value(kind, _get(config, path))
         if key == "temperature.trace_path" and config.temperature.trace_sha256:
             # A run depends on the trace's contents, not on where they were read.

@@ -365,9 +365,9 @@ def _member_rounds(
     for i in live:
         members[region_of[i]].append(i)
     n_current = [len(m) for m in members]
-    # A dead node's temperature and loss as of its death; the shared lists
-    # move on while the node lives in another member.
-    frozen: dict[int, tuple[float, float]] = {}
+    # A dead node's temperature as of its death; the shared lists move on
+    # while the node lives in another member.
+    frozen: dict[int, float] = {}
 
     beacon_rx_j = rx_energy(energy.beacon_bits, energy)
     neg_alpha = -config.prr.alpha_per_db
@@ -462,7 +462,7 @@ def _member_rounds(
             if battery <= 0.0:
                 alive[i] = False
                 died = True
-                frozen[i] = (temps[i], losses[i])
+                frozen[i] = temps[i]
 
         # (4) record; the region and mean PRR sum each round's values in id
         # order
@@ -485,10 +485,10 @@ def _member_rounds(
         kept = keep is None or final or round_idx in keep
         if kept:
             kept_temps = temps[:]
-            kept_losses = losses[:]
-            for i, (temp, loss) in frozen.items():
+            for i, temp in frozen.items():
                 kept_temps[i] = temp
-                kept_losses[i] = loss
+            # the shared step's arithmetic, so a live node's loss is its shared one
+            kept_losses = loss_row(kept_temps)
         result.records.append(
             RoundRecord(
                 round_index=round_idx,

@@ -4,7 +4,7 @@ controller comparisons."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import fingerprint
 from .engine import SimResult
@@ -67,7 +67,6 @@ class FigureSeries:
     """Numeric series behind the standard plots: per-node snapshots from one
     round, per-region levels from the final round."""
 
-    round_index: int
     temp_per_node: list[float]
     loss_per_node: list[float]
     level_per_node: list[float]
@@ -120,9 +119,8 @@ def compare_runs(east: SimResult, classical: SimResult) -> ComparisonReport:
     Both runs must share every config key except the controller, which pins
     the deployment seed and round count to the same values.
     """
-    east_fp = fingerprint(east.config, exclude=("controller",))
-    classical_fp = fingerprint(classical.config, exclude=("controller",))
-    if east_fp != classical_fp:
+    relabeled = replace(east.config, controller=classical.config.controller)
+    if fingerprint(relabeled) != fingerprint(classical.config):
         raise UsageError("runs are not comparable: configs differ beyond the controller")
     return ComparisonReport(
         east_control_packets=east.control_packets,
@@ -158,7 +156,6 @@ def emit_figure_data(result: SimResult, round_index: int = 0) -> FigureSeries:
             sum(final.levels_dbm[i] for i in ids) / len(ids) if ids else math.nan
         )
     return FigureSeries(
-        round_index=round_index,
         temp_per_node=list(snapshot.temps_c),
         loss_per_node=list(snapshot.losses_dbm),
         level_per_node=list(snapshot.levels_dbm),

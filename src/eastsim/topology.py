@@ -94,9 +94,9 @@ class TemperatureProcess:
 
 @dataclass(frozen=True)
 class NodeState:
-    """One deployed node: where it is and where its temperature walk starts."""
+    """One deployed node: where it is and where its temperature walk starts.
+    A node's id is its index in ``Deployment.nodes``."""
 
-    node_id: int
     pos: Position
     base_temp_c: float
 
@@ -134,7 +134,7 @@ def deploy_random(
             # rounds positions onto the reference.
             raise ConfigError(f"area_side_m: node {i} lies on the reference point, side {area_side_m}")
         base = substream(seed, "base-temp", i).uniform(t_min_c, t_max_c)
-        nodes.append(NodeState(node_id=i, pos=pos, base_temp_c=base))
+        nodes.append(NodeState(pos=pos, base_temp_c=base))
     return Deployment(nodes=tuple(nodes), reference_pos=reference)
 
 
@@ -194,11 +194,11 @@ def load_temperature_trace(
 
 
 # A trace cache file is this header (magic with the format version, byte
-# order of the values, the sha256 of the package source that wrote it, N, R,
-# min and max of the values), the values as raw doubles in round-major
-# order, then the sha256 of everything before it.
-_CACHE_MAGIC = b"eastsim-trace-cache-v2\n"
-_CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}sc32sQQdd")
+# order of the values, N, R, min and max of the values), the values as raw
+# doubles in round-major order, then the sha256 of everything before it. The
+# package source that wrote it is in the file's name only.
+_CACHE_MAGIC = b"eastsim-trace-cache-v3\n"
+_CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}scQQdd")
 _BYTE_ORDER = "<" if sys.byteorder == "little" else ">"
 _CACHE_DIGEST_SIZE = 32  # a sha256 digest
 # Writing a cache file deletes all but this many most recently written ones.
@@ -227,8 +227,8 @@ def _source_digest() -> Optional[bytes]:
 def _trace_cache_path(sha256: str) -> Optional[str]:
     """The cache file of the trace with this sha256, or None where nothing is
     cached: under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``. The
-    name holds the source digest too, so checkouts of other source that
-    share the directory keep their own files."""
+    name holds the source digest too, so no load opens a file other source
+    wrote, and checkouts that share the directory keep their own files."""
     source = _source_digest()
     if source is None:
         return None
@@ -243,17 +243,15 @@ def _trace_cache_path(sha256: str) -> Optional[str]:
 
 def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
     """The table a cache file holds, or None unless it passes every check:
-    header (a short one raises struct.error), package source digest, length,
-    value range and checksum. The rows are read one at a time, as written."""
+    header (a short one raises struct.error), length, value range and
+    checksum. The rows are read one at a time, as written."""
     import hashlib
     from array import array
 
     with contextlib.suppress(OSError, struct.error), open(path, "rb") as fh:
         header = fh.read(_CACHE_HEADER.size)
-        magic, byte_order, source, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack(header)
+        magic, byte_order, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack(header)
         if magic != _CACHE_MAGIC or byte_order != _BYTE_ORDER.encode() or not (n_nodes and n_rounds):
-            return None
-        if source != _source_digest():
             return None
         # The length is checked before anything of the header's N and R is allocated.
         if os.fstat(fh.fileno()).st_size != len(header) + 8 * n_nodes * n_rounds + _CACHE_DIGEST_SIZE:
@@ -284,9 +282,7 @@ def _write_trace_cache(path: str, table: TraceTable) -> None:
     rows = table.rows
     n_nodes = len(rows[0])
     lo, hi = min(map(min, rows)), max(map(max, rows))
-    header = _CACHE_HEADER.pack(
-        _CACHE_MAGIC, _BYTE_ORDER.encode(), _source_digest(), n_nodes, len(rows), lo, hi
-    )
+    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, len(rows), lo, hi)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

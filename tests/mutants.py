@@ -5,15 +5,18 @@ Run from anywhere, with pytest installed:
     python tests/mutants.py              # the listed mutants (MUTANTS)
     python tests/mutants.py --operators  # the operator sweep
 
-Each mutant is applied on its own to a fresh copy of the repository in a
-temporary directory; its anchor text must occur exactly once in its file,
-and only files under ``src/`` are mutated, so the suite's own reference
-(``tests/oracle.py``) and its comparison against it stay intact. The suite
-runs on each copy with ``-x`` under the ``no-shrink`` Hypothesis profile
-(see ``tests/conftest.py``), without ``tests/test_mutants.py``, after one
-run on an unmutated copy that must pass. Exits 1 unless every mutant is
-killed. pytest does not collect this file: its name does not start with
-``test_``.
+The repository is copied once, at the start, to a base directory in a
+temporary directory, and every mutant is made from that base, so edits made
+to the repository while a run goes on reach none of them. Each mutant is
+applied on its own to a fresh copy of the base (no ``__pycache__``, so no
+stale bytecode runs), which is deleted after its run; its anchor text must
+occur exactly once in its file, and only files under ``src/`` are mutated,
+so the suite's own reference (``tests/oracle.py``) and its comparison
+against it stay intact. The suite runs on each copy with ``-x`` under the
+``no-shrink`` Hypothesis profile (see ``tests/conftest.py``), without
+``tests/test_mutants.py``, after one run on an unmutated copy that must
+pass. Exits 1 unless every mutant is killed. pytest does not collect this
+file: its name does not start with ``test_``.
 
 The operator sweep makes one mutant per comparison or boolean operator in
 ``src/eastsim``: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
@@ -112,7 +115,9 @@ MUTANTS = [
     ("a run with any node dead counts as extinct", "src/eastsim/engine.py",
      "any(final.alive)", "all(final.alive)"),
     ("a dead node's kept values are not frozen", "src/eastsim/engine.py",
-     "frozen[i] = (temps[i], losses[i])", "pass"),
+     "frozen[i] = temps[i]", "pass"),
+    ("a dead node's kept loss follows the shared list", "src/eastsim/engine.py",
+     "kept_losses = loss_row(kept_temps)", "kept_losses = losses[:]"),
     ("a batch runs all its members as one group", "src/eastsim/engine.py",
      "if _shared_inputs(group[0]) == _shared_inputs(member):", "if True:"),
     ("sweep runs two values that make the same config", "src/eastsim/cli.py",
@@ -136,8 +141,6 @@ MUTANTS = [
      "import contextlib", "import contextlib\nimport hashlib"),
     ("topology imports array at module level", "src/eastsim/topology.py",
      "import contextlib", "import contextlib\nfrom array import array"),
-    ("trace cache ignores the package source", "src/eastsim/topology.py",
-     "if source != _source_digest():", "if False:"),
     ("trace cache never evicts", "src/eastsim/topology.py",
      "for entry in files[_CACHE_FILES:]:", "for entry in files[:0]:"),
     ("run outputs keep an earlier run's manifest", "src/eastsim/cli.py",
@@ -295,10 +298,10 @@ def run_suite(copy: str) -> bool:
     return done.returncode == 0
 
 
-def read_source(path: str) -> str:
+def read_source(root: str, path: str) -> str:
     if not path.startswith("src/"):
         raise ValueError(f"{path}: only files under src/ may be mutated")
-    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+    with open(os.path.join(root, path), encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -310,11 +313,12 @@ def anchored(path: str, text: str, anchor: str) -> int:
     return text.index(anchor)
 
 
-def listed_mutants() -> list[tuple[str, str, str]]:
-    """(name, path, mutated text) of each entry of MUTANTS."""
+def listed_mutants(root: str = ROOT) -> list[tuple[str, str, str]]:
+    """(name, path, mutated text) of each entry of MUTANTS, applied to the
+    repository at ``root``."""
     mutants = []
     for name, path, anchor, replacement in MUTANTS:
-        text = read_source(path)
+        text = read_source(root, path)
         anchored(path, text, anchor)
         mutants.append((name, path, text.replace(anchor, replacement)))
     return mutants
@@ -375,17 +379,17 @@ def exempted(path: str, text: str, sites: list[tuple[int, int, str]],
     return named
 
 
-def operator_mutants() -> list[tuple[str, str, str]]:
+def operator_mutants(root: str = ROOT) -> list[tuple[str, str, str]]:
     """(name, path, mutated text) of each swappable operator site and each
-    guard under src/eastsim that EXEMPT and GUARD_EXEMPT do not name.
-    Raises ValueError on a stale entry."""
-    package = os.path.join(ROOT, "src", "eastsim")
+    guard under src/eastsim of the repository at ``root`` that EXEMPT and
+    GUARD_EXEMPT do not name. Raises ValueError on a stale entry."""
+    package = os.path.join(root, "src", "eastsim")
     mutants = []
     for file_name in sorted(os.listdir(package)):
         if not file_name.endswith(".py"):
             continue
         path = f"src/eastsim/{file_name}"
-        text = read_source(path)
+        text = read_source(root, path)
         lines = text.split("\n")
         operators = operator_sites(text)
         guards = guard_sites(text)
@@ -402,30 +406,37 @@ def operator_mutants() -> list[tuple[str, str, str]]:
     return mutants
 
 
-def copy_repo(tmp: str, name: str) -> str:
-    copy = os.path.join(tmp, name)
-    shutil.copytree(ROOT, copy, ignore=IGNORE)
-    return copy
+def suite_passes_on_copy(base: str, copy: str, path: str = "", text: str = "") -> bool:
+    """Whether the tier-1 suite passes on a fresh copy of ``base`` made at
+    ``copy``, with ``text`` written to its file ``path`` if one is given.
+    The copy is deleted after the run."""
+    shutil.copytree(base, copy, ignore=IGNORE)
+    try:
+        if path:
+            with open(os.path.join(copy, path), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return run_suite(copy)
+    finally:
+        shutil.rmtree(copy)
 
 
 def main(argv: list[str]) -> int:
     if argv not in ([], ["--operators"]):
         print("usage: python tests/mutants.py [--operators]")
         return 2
-    mutants = operator_mutants() if argv else listed_mutants()
     with tempfile.TemporaryDirectory(prefix="eastsim-mutants-") as tmp:
+        base = os.path.join(tmp, "base")
+        shutil.copytree(ROOT, base, ignore=IGNORE)
+        mutants = operator_mutants(base) if argv else listed_mutants(base)
         start = time.perf_counter()
-        if not run_suite(copy_repo(tmp, "unmutated")):
+        if not suite_passes_on_copy(base, os.path.join(tmp, "unmutated")):
             print("the suite fails on the unmutated copy; nothing to check")
             return 1
         print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)")
         survivors = []
         for index, (name, path, text) in enumerate(mutants):
             start = time.perf_counter()
-            copy = copy_repo(tmp, str(index))
-            with open(os.path.join(copy, path), "w", encoding="utf-8") as fh:
-                fh.write(text)
-            killed = not run_suite(copy)
+            killed = not suite_passes_on_copy(base, os.path.join(tmp, str(index)), path, text)
             verdict = "killed" if killed else "SURVIVED"
             print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
             if not killed:

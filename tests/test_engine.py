@@ -13,6 +13,7 @@ from eastsim.engine import Lockstep, run_simulation
 from eastsim.errors import ConfigError
 from eastsim.protocol import REGIONS, classical_assign
 from eastsim.radio import free_space_base_requirement
+from eastsim.report import emit_figure_data
 from eastsim.topology import distance, load_temperature_trace, substream, walk_stream
 
 from oracle import record_as_dict, records_equal, reference_run
@@ -87,10 +88,10 @@ class TestRoundSemantics:
         cfg = small_config()
         result = run_simulation(cfg)
         ref = result.deployment.reference_pos
-        for node in result.deployment.nodes:
+        for i, node in enumerate(result.deployment.nodes):
             base = free_space_base_requirement(distance(node.pos, ref), cfg.link_budget)
             final = result.records[-1]
-            assert final.pt_dbm[node.node_id] == base + final.levels_dbm[node.node_id]
+            assert final.pt_dbm[i] == base + final.levels_dbm[i]
 
     def test_level_cap_respected(self):
         cfg = small_config(level_cap_dbm=44.0, rounds=40)
@@ -428,7 +429,7 @@ class TestTwins:
 class TestRetention:
     @staticmethod
     def artifacts(result, out_dir, figure_round):
-        names = write_run_outputs(result, str(out_dir), figure_round)
+        names = write_run_outputs(result, str(out_dir), emit_figure_data(result, figure_round))
         return {name: (out_dir / name).read_bytes() for name in names}
 
     @pytest.mark.parametrize("battery_j", [2.0, 0.003], ids=["survivors", "extinct"])

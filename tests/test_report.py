@@ -202,8 +202,11 @@ class TestFigureSeries:
     def test_round_selector(self):
         result = run()
         series = emit_figure_data(result, round_index=7)
-        assert series.round_index == 7
-        assert series.temp_per_node == result.records[7].temps_c
+        snapshot = result.records[7]
+        assert series.temp_per_node == snapshot.temps_c
+        assert series.loss_per_node == snapshot.losses_dbm
+        assert series.level_per_node == snapshot.levels_dbm
+        assert series.pt_per_node == snapshot.pt_dbm
 
     def test_round_out_of_range(self):
         result = run()

@@ -537,12 +537,12 @@ def with_byte(blob, offset, value):
 def with_doubled_node_count(blob):
     """A cache file's bytes with the N of its header doubled."""
     fields = list(topology._CACHE_HEADER.unpack_from(blob))
-    fields[3] *= 2
+    fields[2] *= 2
     return topology._CACHE_HEADER.pack(*fields) + blob[topology._CACHE_HEADER.size :]
 
 
 def with_zero_dimension(blob, field):
-    """A cache file's header with its N (field 3) or R (field 4) set to 0,
+    """A cache file's header with its N (field 2) or R (field 3) set to 0,
     followed by the empty payload that header implies and a checksum."""
     fields = list(topology._CACHE_HEADER.unpack_from(blob))
     fields[field] = 0
@@ -558,12 +558,12 @@ DAMAGED_CACHE = {
     "payload_byte_flipped": lambda blob: with_byte(
         blob, topology._CACHE_HEADER.size, blob[topology._CACHE_HEADER.size] ^ 0x01
     ),
-    "other_format_version": lambda blob: reseal(blob.replace(MAGIC, MAGIC.replace(b"v2", b"v3"), 1)),
+    # the magic's last digit, its version's, turned into another digit
+    "other_format_version": lambda blob: reseal(
+        with_byte(blob, len(MAGIC) - 2, blob[len(MAGIC) - 2] ^ 0x01)
+    ),
     "other_byte_order": lambda blob: reseal(
         with_byte(blob, len(MAGIC), ord(">" if topology._BYTE_ORDER == "<" else "<"))
-    ),
-    "other_package_source": lambda blob: reseal(
-        with_byte(blob, len(MAGIC) + 1, blob[len(MAGIC) + 1] ^ 0x01)
     ),
     "short_header": lambda blob: blob[: topology._CACHE_HEADER.size - 1],
     "trailing_bytes": lambda blob: blob + b"\x00",
@@ -571,8 +571,8 @@ DAMAGED_CACHE = {
     # that skips the length check, allocates much for what a header claims.
     "header_claims_more_cells": lambda blob: reseal(with_doubled_node_count(blob)),
     # one zero dimension, with the length and checksum such a header implies
-    "header_claims_no_nodes": lambda blob: with_zero_dimension(blob, 3),
-    "header_claims_no_rounds": lambda blob: with_zero_dimension(blob, 4),
+    "header_claims_no_nodes": lambda blob: with_zero_dimension(blob, 2),
+    "header_claims_no_rounds": lambda blob: with_zero_dimension(blob, 3),
 }
 
 # Appended to a copy of topology.py: a loader change that shifts every value.
