@@ -39,11 +39,8 @@ from .report import (
 )
 from .topology import (
     Deployment,
-    NodeState,
-    Position,
     TemperatureProcess,
     deploy_random,
-    distance,
     load_temperature_trace,
     substream,
 )

@@ -111,10 +111,9 @@ def write_run_outputs(result: SimResult, out_dir: str, series: FigureSeries) -> 
             for rec in result.records
         )),
         _write_csv(out_dir, "nodes.csv", NODES_HEADER, NODES_ROW, (
-            (i, node.pos.x_m, node.pos.y_m, result.partition[i].value, final.temps_c[i],
-             final.losses_dbm[i], final.levels_dbm[i], final.pt_dbm[i], result.batteries_j[i],
-             final.alive[i])
-            for i, node in enumerate(result.deployment.nodes)
+            (i, x, y, result.partition[i].value, final.temps_c[i], final.losses_dbm[i],
+             final.levels_dbm[i], final.pt_dbm[i], result.batteries_j[i], final.alive[i])
+            for i, (x, y) in enumerate(zip(result.deployment.x_m, result.deployment.y_m))
         )),
         _write_csv(out_dir, "summary.csv", SUMMARY_HEADER, SUMMARY_ROW, (
             (row.region.value, row.initial_count, row.desired, row.survivors,

@@ -23,15 +23,16 @@ member runs the rest of the round on them. Members that also share every
 controller input are twins, and twins that have lost no node share a
 round's PRR scoring.
 
-Per-node state lives in flat lists indexed by node id, and regions in the
-kernel are the indices 0/1/2 of ``REGIONS``.
+Per-node state lives in flat lists indexed by node id, as the deployment's
+positions and base temperatures do, and regions in the kernel are the
+indices 0/1/2 of ``REGIONS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import cos, exp, log, sin, sqrt
+from math import cos, exp, hypot, log, sin, sqrt
 from typing import Collection, Generator, Optional, Sequence
 
 from . import config as config_mod
@@ -60,7 +61,6 @@ from .radio import (
 from .topology import (
     Deployment,
     deploy_random,
-    distance,
     substream,
     walk_stream,
 )
@@ -235,7 +235,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         t_min_c=proc.t_min_c,
         t_max_c=proc.t_max_c,
     )
-    n = len(deployment.nodes)
+    n = len(deployment.x_m)
     temps: list[float] = []
     losses: list[float] = []
     comp: list[float] = []
@@ -269,7 +269,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         if trace_rows is not None:
             temps[:] = trace_rows[round_idx][:n]
         elif round_idx == 0:
-            temps[:] = [node.base_temp_c for node in deployment.nodes]
+            temps[:] = deployment.base_temp_c
         else:
             # Random.gauss(0.0, 1.0) written out: the same Box-Muller
             # arithmetic and cached spare, and the same mu + z * sigma,
@@ -327,11 +327,11 @@ def _member_rounds(
     node still has every node alive and its set-up levels (see the level
     step), so any two such twins score a round alike, in whatever order.
     """
-    nodes = deployment.nodes
-    n = len(nodes)
+    n = len(deployment.x_m)
+    ref_x, ref_y = deployment.reference_m
     base_dbm = [
-        free_space_base_requirement(distance(node.pos, deployment.reference_pos), config.link_budget)
-        for node in nodes
+        free_space_base_requirement(hypot(x - ref_x, y - ref_y), config.link_budget)
+        for x, y in zip(deployment.x_m, deployment.y_m)
     ]
 
     # Round-0 set-up: regions, desired counts and initial levels come from

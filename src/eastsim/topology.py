@@ -1,4 +1,4 @@
-"""Node deployment, distance geometry and the per-round temperature process.
+"""Node deployment and the per-round temperature process.
 
 One root seed drives everything; independent substreams are derived by
 hashing a purpose label (and node id) so that, for example, re-rolling
@@ -44,17 +44,6 @@ def substream(seed: int, *labels: object) -> random.Random:
 
 
 @dataclass(frozen=True)
-class Position:
-    x_m: float
-    y_m: float
-
-
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance in meters."""
-    return math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
-
-
-@dataclass(frozen=True)
 class TraceTable:
     """A dense temperature trace held as per-round rows: ``rows[round][node]``.
 
@@ -93,18 +82,15 @@ class TemperatureProcess:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """One deployed node: where it is and where its temperature walk starts.
-    A node's id is its index in ``Deployment.nodes``."""
-
-    pos: Position
-    base_temp_c: float
-
-
-@dataclass(frozen=True)
 class Deployment:
-    nodes: tuple[NodeState, ...]
-    reference_pos: Position
+    """The deployed nodes, one tuple per field: entry ``i`` is node ``i``'s
+    position in meters and the base temperature its walk starts from (a
+    node's id is its index). ``reference_m`` is the reference node's (x, y)."""
+
+    x_m: tuple[float, ...]
+    y_m: tuple[float, ...]
+    base_temp_c: tuple[float, ...]
+    reference_m: tuple[float, float]
 
 
 def deploy_random(
@@ -124,18 +110,19 @@ def deploy_random(
         raise ConfigError(f"node count must be >= 1, got {n}")
     if not (area_side_m > 0.0):
         raise ConfigError(f"area side must be positive, got {area_side_m}")
-    reference = Position(0.0, area_side_m / 2.0)
-    nodes = []
+    reference = (0.0, area_side_m / 2.0)
+    x_m, y_m, base_temp_c = [], [], []
     for i in range(n):
         rng = substream(seed, "deploy", i)
-        pos = Position(rng.uniform(0.0, area_side_m), rng.uniform(0.0, area_side_m))
-        if pos == reference:
+        x, y = rng.uniform(0.0, area_side_m), rng.uniform(0.0, area_side_m)
+        if (x, y) == reference:
             # The link budget is undefined at distance 0; a side this small
             # rounds positions onto the reference.
             raise ConfigError(f"area_side_m: node {i} lies on the reference point, side {area_side_m}")
-        base = substream(seed, "base-temp", i).uniform(t_min_c, t_max_c)
-        nodes.append(NodeState(pos=pos, base_temp_c=base))
-    return Deployment(nodes=tuple(nodes), reference_pos=reference)
+        x_m.append(x)
+        y_m.append(y)
+        base_temp_c.append(substream(seed, "base-temp", i).uniform(t_min_c, t_max_c))
+    return Deployment(tuple(x_m), tuple(y_m), tuple(base_temp_c), reference)
 
 
 def walk_stream(seed: int, node_id: int) -> random.Random:

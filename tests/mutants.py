@@ -157,6 +157,14 @@ MUTANTS = [
      "config.regions, config.prr,", "config.regions,"),
     ("trace cache file named without the source digest", "src/eastsim/topology.py",
      'f"{sha256}-{source.hex()}"', "sha256"),
+    ("an unreadable package file still yields a source digest", "src/eastsim/topology.py",
+     "        return None\n    return digest.digest()", "        pass\n    return digest.digest()"),
+    ("a trace cache path is named without a source digest", "src/eastsim/topology.py",
+     "if source is None:", "if False:"),
+    ("a relative home still names a trace cache directory", "src/eastsim/topology.py",
+     "if not os.path.isabs(home):", "if False:"),
+    ("a failed cache write leaves its temporary file", "src/eastsim/topology.py",
+     "os.unlink(tmp)", "pass"),
     ("report rejects a 1-round run", "src/eastsim/cli.py",
      "len(round_lines) < 2", "len(round_lines) <= 2"),
     ("east_dominates at a tie in control packets", "src/eastsim/report.py",

@@ -371,13 +371,13 @@ class TestCmdRun:
                 for rec in result.records
             ],
             "nodes.csv": [
-                [str(i), f6(node.pos.x_m), f6(node.pos.y_m),
+                [str(i), f6(x), f6(y),
                  result.partition[i].value,
                  *(f6(values[i]) for values in (final.temps_c, final.losses_dbm,
                                                 final.levels_dbm, final.pt_dbm,
                                                 result.batteries_j)),
                  str(int(final.alive[i]))]
-                for i, node in enumerate(result.deployment.nodes)
+                for i, (x, y) in enumerate(zip(result.deployment.x_m, result.deployment.y_m))
             ],
             "summary.csv": [
                 [row.region.value, str(row.initial_count), str(row.desired), str(row.survivors),

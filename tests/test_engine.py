@@ -8,13 +8,13 @@ import pytest
 
 from eastsim import engine, protocol, radio
 from eastsim.cli import main, write_run_outputs
-from eastsim.config import SimConfig
+from eastsim.config import SimConfig, fingerprint
 from eastsim.engine import Lockstep, run_simulation
 from eastsim.errors import ConfigError
 from eastsim.protocol import REGIONS, classical_assign
 from eastsim.radio import free_space_base_requirement
 from eastsim.report import emit_figure_data
-from eastsim.topology import distance, load_temperature_trace, substream, walk_stream
+from eastsim.topology import deploy_random, load_temperature_trace, substream, walk_stream
 
 from oracle import record_as_dict, records_equal, reference_run
 from test_property import death_only_beside_twins, first_twin_drains_beside_intact_twins
@@ -60,13 +60,12 @@ class TestRoundSemantics:
         cfg = small_config(node_count=1, rounds=1)
         cfg.temperature = replace(cfg.temperature, walk_sigma_c=0.0)
         result = run_simulation(cfg)
-        node = result.deployment.nodes[0]
         loss = result.records[0].losses_dbm[0]
         region = result.partition[0]
         expected = cfg.regions.threshold_level_dbm(region)
         assert result.records[0].levels_dbm[0] == pytest.approx(min(expected, cfg.level_cap_dbm))
         assert result.records[0].region_alive[region] == 1
-        assert loss == pytest.approx(0.1996 * (node.base_temp_c - 25.0), rel=1e-12)
+        assert loss == pytest.approx(0.1996 * (result.deployment.base_temp_c[0] - 25.0), rel=1e-12)
 
     def test_classical_constant_level(self):
         cfg = small_config(controller="classical")
@@ -87,9 +86,9 @@ class TestRoundSemantics:
     def test_pt_is_base_plus_level(self):
         cfg = small_config()
         result = run_simulation(cfg)
-        ref = result.deployment.reference_pos
-        for i, node in enumerate(result.deployment.nodes):
-            base = free_space_base_requirement(distance(node.pos, ref), cfg.link_budget)
+        ref_x, ref_y = result.deployment.reference_m
+        for i, (x, y) in enumerate(zip(result.deployment.x_m, result.deployment.y_m)):
+            base = free_space_base_requirement(math.hypot(x - ref_x, y - ref_y), cfg.link_budget)
             final = result.records[-1]
             assert final.pt_dbm[i] == base + final.levels_dbm[i]
 
@@ -331,6 +330,27 @@ class TestLockstep:
         assert results[1].deployment is results[3].deployment
         assert results[0].deployment is not results[1].deployment
         assert run_simulation(configs[1], lockstep=batch) is results[1]
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_batch_modifies_no_config_and_keeps_the_deployment_it_made(self, command):
+        # The members share their sub-configs, as the CLI's do, and drain
+        # with sampled PRR, so every kernel write has a chance to leak.
+        base = SimConfig(node_count=8, rounds=40, seed=2, prr_sampled=True)
+        base.energy = replace(base.energy, initial_battery_j=0.004)
+        if command == "compare":
+            configs = [replace(base, controller=c) for c in ("east", "classical")]
+        else:
+            configs = [replace(base, energy=replace(base.energy, initial_battery_j=battery_j))
+                       for battery_j in (0.004, 0.006, 2.0)]
+        fingerprints = [fingerprint(cfg) for cfg in configs]
+        batch = Lockstep(configs, keep_rounds=())
+        results = [run_simulation(cfg, (), lockstep=batch) for cfg in configs]
+        assert not all(results[0].records[-1].alive)
+        assert [fingerprint(cfg) for cfg in configs] == fingerprints
+        for cfg, result in zip(configs, results):
+            temp = cfg.temperature
+            assert result.deployment == deploy_random(cfg.node_count, cfg.area_side_m, cfg.seed,
+                                                      t_min_c=temp.t_min_c, t_max_c=temp.t_max_c)
 
     def test_batch_refuses_other_keep_rounds_and_non_members(self):
         cfg = SimConfig(node_count=4, rounds=5, seed=2)

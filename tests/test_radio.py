@@ -26,8 +26,6 @@ from eastsim.radio import (
     tx_energy,
 )
 
-from eastsim.topology import distance
-
 LB = LinkBudgetParams()
 
 
@@ -187,10 +185,10 @@ class TestRequiredTransmitPower:
         for controller in ("east", "classical"):
             cfg = SimConfig(node_count=12, rounds=30, seed=5, controller=controller)
             result = run_simulation(cfg)
-            ref = result.deployment.reference_pos
+            ref_x, ref_y = result.deployment.reference_m
             base = [
-                free_space_base_requirement(distance(node.pos, ref), LB)
-                for node in result.deployment.nodes
+                free_space_base_requirement(math.hypot(x - ref_x, y - ref_y), LB)
+                for x, y in zip(result.deployment.x_m, result.deployment.y_m)
             ]
             for rec in result.records:
                 for i, alive in enumerate(rec.alive):

@@ -1,4 +1,4 @@
-"""Tests for deployment, distance geometry and the temperature process."""
+"""Tests for deployment and the temperature process."""
 
 import hashlib
 import importlib.util
@@ -23,10 +23,8 @@ from eastsim.config import SimConfig, fingerprint, parse_config
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
 from eastsim.topology import (
-    Position,
     TraceTable,
     deploy_random,
-    distance,
     lean_sha256,
     load_temperature_trace,
     walk_stream,
@@ -46,56 +44,33 @@ class TestDeployRandom:
     def test_deterministic(self):
         a = deploy_random(100, 100.0, seed=42)
         b = deploy_random(100, 100.0, seed=42)
-        assert [(n.pos.x_m, n.pos.y_m) for n in a.nodes] == [
-            (n.pos.x_m, n.pos.y_m) for n in b.nodes
-        ]
-        assert [n.base_temp_c for n in a.nodes] == [n.base_temp_c for n in b.nodes]
+        assert a == b
 
     def test_bounds(self):
         dep = deploy_random(100, 100.0, seed=42)
-        for node in dep.nodes:
-            assert 0.0 <= node.pos.x_m <= 100.0
-            assert 0.0 <= node.pos.y_m <= 100.0
-            assert -10.0 <= node.base_temp_c <= 53.0
+        assert len(dep.x_m) == len(dep.y_m) == len(dep.base_temp_c) == 100
+        assert all(0.0 <= x <= 100.0 for x in dep.x_m)
+        assert all(0.0 <= y <= 100.0 for y in dep.y_m)
+        assert all(-10.0 <= t <= 53.0 for t in dep.base_temp_c)
 
     def test_positions_match_rng_oracle(self):
         dep = deploy_random(5, 100.0, seed=7)
-        for i, node in enumerate(dep.nodes):
+        assert len(dep.x_m) == 5
+        for i in range(5):
             rng = reference_stream(7, "deploy", i)
-            assert node.pos.x_m == rng.uniform(0.0, 100.0)
-            assert node.pos.y_m == rng.uniform(0.0, 100.0)
-            assert node.base_temp_c == reference_stream(7, "base-temp", i).uniform(-10.0, 53.0)
+            assert dep.x_m[i] == rng.uniform(0.0, 100.0)
+            assert dep.y_m[i] == rng.uniform(0.0, 100.0)
+            assert dep.base_temp_c[i] == reference_stream(7, "base-temp", i).uniform(-10.0, 53.0)
 
     def test_reference_on_boundary(self):
         dep = deploy_random(10, 80.0, seed=1)
-        ref = dep.reference_pos
-        assert ref.x_m in (0.0, 80.0) or ref.y_m in (0.0, 80.0)
-        assert ref == Position(0.0, 40.0)
+        assert dep.reference_m == (0.0, 40.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigError):
             deploy_random(0, 100.0, seed=1)
         with pytest.raises(ConfigError):
             deploy_random(5, 0.0, seed=1)
-
-
-class TestDistance:
-    def test_pythagorean(self):
-        assert distance(Position(0.0, 0.0), Position(3.0, 4.0)) == 5.0
-
-    def test_diagonal(self):
-        d = distance(Position(0.0, 0.0), Position(100.0, 100.0))
-        assert d == pytest.approx(141.421356, abs=1e-6)
-
-    def test_metric_axioms(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            pts = [Position(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(3)]
-            a, b, c = pts
-            assert distance(a, b) >= 0.0
-            assert distance(a, b) == distance(b, a)
-            assert distance(a, a) == 0.0
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
 HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
@@ -155,7 +130,7 @@ class TestTemperatureAt:
     def test_constant_when_sigma_zero(self):
         result, temps = walk_temps(3, 10, seed=5, sigma=0.0)
         for row in temps:
-            assert row == [node.base_temp_c for node in result.deployment.nodes]
+            assert row == list(result.deployment.base_temp_c)
 
     def test_bounded(self):
         _, temps = walk_temps(4, 60, seed=2, sigma=5.0)
@@ -165,7 +140,7 @@ class TestTemperatureAt:
     def test_matches_walk_oracle(self):
         result, temps = walk_temps(1, 10, seed=1, sigma=0.5)
         rng = reference_stream(1, "temp-walk", 0)
-        expected = result.deployment.nodes[0].base_temp_c
+        expected = result.deployment.base_temp_c[0]
         assert temps[0][0] == expected
         for rnd in range(1, 10):
             expected = min(max(expected + 0.5 * rng.gauss(0.0, 1.0), -10.0), 53.0)
@@ -177,10 +152,9 @@ class TestTemperatureAt:
         # 20 C drives every node into both clamps many times.
         nodes, rounds, seed, sigma = 4, 2501, 7, 20.0
         result, temps = walk_temps(nodes, rounds, seed=seed, sigma=sigma)
-        for i, node in enumerate(result.deployment.nodes):
+        for i, expected in enumerate(result.deployment.base_temp_c):
             assert result.records[-1].alive[i]
             rng = walk_stream(seed, i)
-            expected = node.base_temp_c
             walk = [expected]
             for _ in range(1, rounds):
                 expected = min(max(expected + sigma * rng.gauss(0.0, 1.0), -10.0), 53.0)
@@ -742,6 +716,52 @@ class TestTraceCache:
         sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
         assert os.listdir(tmp_path / "home" / ".cache" / "eastsim" / "traces") == [cache_name(sha256)]
         assert not (tmp_path / "relative").exists()
+
+    def test_relative_home_disables_caching(self, tmp_path, monkeypatch, parses):
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+        monkeypatch.setenv("HOME", "relative-home")
+        monkeypatch.chdir(tmp_path)
+        path = write_cells(tmp_path / "trace.csv")
+        assert topology._trace_cache_path("0" * 64) is None
+        assert load_temperature_trace(path) == load_temperature_trace(path)
+        assert len(parses) == 2
+        assert sorted(os.listdir(tmp_path)) == ["trace.csv"]
+
+    def test_unreadable_package_source_disables_caching(
+        self, tmp_path, trace_cache_home, monkeypatch, parses
+    ):
+        package = os.path.dirname(os.path.abspath(topology.__file__))
+
+        def open_outside_package(file, *args, **kwargs):
+            if str(file).startswith(package):
+                raise PermissionError(f"cannot read {file}")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(topology, "open", open_outside_package, raising=False)
+        path = write_cells(tmp_path / "trace.csv")
+        topology._source_digest.cache_clear()
+        try:
+            assert topology._source_digest() is None
+            assert topology._trace_cache_path("0" * 64) is None
+            assert load_temperature_trace(path) == load_temperature_trace(path)
+        finally:
+            topology._source_digest.cache_clear()
+        assert len(parses) == 2
+        assert not trace_cache_home.exists()
+
+    def test_failed_cache_write_removes_its_temporary_file(
+        self, tmp_path, trace_cache_home, monkeypatch, parses
+    ):
+        def fail_replace(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        path = write_cells(tmp_path / "trace.csv")
+        loaded = load_temperature_trace(path)
+        assert [loaded.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
+        assert load_temperature_trace(path) == loaded
+        assert len(parses) == 2  # nothing was cached
+        assert os.listdir(trace_cache_home) == []
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_cli_writes_identical_files_on_warm_cache(self, tmp_path, trace_cache_home, parses, command):
