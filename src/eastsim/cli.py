@@ -8,7 +8,6 @@ identical (config, seed) pairs produce byte-identical files. Exit codes: 0 succe
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -170,7 +169,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise UsageError("compare sets the controller itself; do not override it")
     config = parse_config(args.config, args.set)
     _resolve_seed(config, args.seed)
-    configs = [dataclasses.replace(config, controller=c) for c in ("east", "classical")]
+    configs = [config._replace(controller=c) for c in ("east", "classical")]
     group = Lockstep(configs, keep_rounds=())
     east, classical = (run_simulation(c, keep_rounds=(), lockstep=group) for c in configs)
     report = compare_runs(east, classical)
@@ -214,7 +213,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not configs or key.startswith("temperature."):
             config = parse_config(args.config, [*args.set, override])
         else:
-            config = apply_overrides(dataclasses.replace(configs[0]), [override])
+            config = apply_overrides(configs[0]._replace(), [override])
             validate(config)
         _resolve_seed(config, args.seed)
         _check_figure_round(args.figure_round, config)

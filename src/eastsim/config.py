@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .errors import ConfigError
@@ -29,9 +30,15 @@ from .topology import TemperatureProcess, lean_sha256, load_temperature_trace
 CONTROLLERS = ("east", "classical")
 
 
-@dataclass
-class SimConfig:
-    """Full description of one simulation run."""
+class SimConfig(SimpleNamespace):
+    """Full description of one simulation run.
+
+    ``SimConfig(**fields)`` takes the defaults below for the fields it is
+    not given. Unlike its sections, which are immutable named tuples, a
+    config is mutable: parsing and the seed override set its fields.
+    Equality and repr are SimpleNamespace's, over the fields, and
+    ``_replace`` returns a changed copy, as a section's does.
+    """
 
     node_count: int = 100
     area_side_m: float = 100.0
@@ -41,12 +48,22 @@ class SimConfig:
     level_cap_dbm: float = 48.7
     prr_sampled: bool = False
     trace_path: str = ""
-    temperature: TemperatureProcess = field(default_factory=TemperatureProcess)
-    link_budget: LinkBudgetParams = field(default_factory=LinkBudgetParams)
-    regions: RegionConfig = field(default_factory=RegionConfig)
-    cadence: CadenceParams = field(default_factory=CadenceParams)
-    prr: PrrParams = field(default_factory=PrrParams)
-    energy: EnergyModelParams = field(default_factory=EnergyModelParams)
+    temperature: TemperatureProcess = TemperatureProcess()
+    link_budget: LinkBudgetParams = LinkBudgetParams()
+    regions: RegionConfig = RegionConfig()
+    cadence: CadenceParams = CadenceParams()
+    prr: PrrParams = PrrParams()
+    energy: EnergyModelParams = EnergyModelParams()
+
+    def __init__(self, **fields) -> None:
+        names = SimConfig.__annotations__
+        unknown = fields.keys() - names.keys()
+        if unknown:
+            raise TypeError(f"SimConfig has no field {', '.join(sorted(unknown))}")
+        super().__init__(**{name: fields.get(name, getattr(SimConfig, name)) for name in names})
+
+    def _replace(self, **changes) -> SimConfig:
+        return SimConfig(**{**vars(self), **changes})
 
 
 # Every config key, in README order: its kind (int, float, bool or str), its
@@ -97,18 +114,18 @@ SWEEPABLE_KEYS = tuple(key for key, (kind, _, _) in CONFIG_KEYS.items() if kind 
 def _get(config: SimConfig, path: str):
     value = config
     for name in path.split("."):
-        value = value[Region(name)] if isinstance(value, dict) else getattr(value, name)
+        value = value[Region(name)] if isinstance(value, Mapping) else getattr(value, name)
     return value
 
 
 def _set(config: SimConfig, path: str, value) -> None:
-    """Set the value at ``path``, rebuilding the frozen section it lies in."""
+    """Set the value at ``path``, rebuilding the immutable section it lies in."""
     section, _, name = path.rpartition(".")
     if section == "regions.threshold_loss_dbm":
         thresholds = {**config.regions.threshold_loss_dbm, Region(name): value}
-        config.regions = replace(config.regions, threshold_loss_dbm=thresholds)
+        config.regions = config.regions._replace(threshold_loss_dbm=thresholds)
     elif section:
-        setattr(config, section, replace(getattr(config, section), **{name: value}))
+        setattr(config, section, getattr(config, section)._replace(**{name: value}))
     else:
         setattr(config, name, value)
 

@@ -31,9 +31,9 @@ indices 0/1/2 of ``REGIONS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import cos, exp, hypot, log, sin, sqrt
-from typing import Collection, Generator, Optional, Sequence
+from types import SimpleNamespace
+from typing import Collection, Generator, NamedTuple, Optional, Sequence
 
 from . import config as config_mod
 from .config import SimConfig
@@ -66,8 +66,7 @@ from .topology import (
 )
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """Everything observed in one executed round.
 
     The per-node vectors ``temps_c``, ``losses_dbm``, ``levels_dbm`` and
@@ -90,8 +89,10 @@ class RoundRecord:
     prr_mean: float
 
 
-@dataclass
-class SimResult:
+class SimResult(SimpleNamespace):
+    """One run, made with every field below as a keyword; the run appends to
+    its own ``records`` list. Equality and repr are over the fields."""
+
     config: SimConfig
     deployment: Deployment
     # each node's region, by node id
@@ -99,7 +100,7 @@ class SimResult:
     desired: dict[Region, int]
     # each node's battery after its last round, by node id
     batteries_j: list[float]
-    records: list[RoundRecord] = field(default_factory=list)
+    records: list[RoundRecord]
 
     # Every total is read off the records, the run's only account.
     @property
@@ -376,7 +377,7 @@ def _member_rounds(
     sampled = draws if config.prr_sampled else None
 
     result = SimResult(config=config, deployment=deployment, partition=partition, desired=desired,
-                       batteries_j=batteries)
+                       batteries_j=batteries, records=[])
 
     for round_idx in range(config.rounds):
         if round_idx > 0:

@@ -21,9 +21,9 @@ every round at the worst-case compensation level, which no rule moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .radio import power_level_for_rssi_loss, rssi_loss_from_temperature
 
@@ -40,28 +40,27 @@ class Region(Enum):
 REGIONS = (Region.A, Region.B, Region.C)
 
 
-@dataclass(frozen=True)
-class RegionConfig:
+class RegionConfig(NamedTuple):
     """Partition cuts and per-region controller thresholds.
 
     Nodes with loss above ``boundary_high_dbm`` land in A, between the two
     boundaries in B, and at or below ``boundary_low_dbm`` in C. Threshold
     power levels are always derived from the threshold losses through the
-    compensation curve, never stored independently.
+    compensation curve, never stored independently. The default threshold
+    mapping is one read-only mapping that every default instance shares.
     """
 
     boundary_high_dbm: float = -0.61
     boundary_low_dbm: float = -5.17
-    threshold_loss_dbm: Mapping[Region, float] = field(
-        default_factory=lambda: {Region.A: 3.78, Region.B: -0.61, Region.C: -5.17}
+    threshold_loss_dbm: Mapping[Region, float] = MappingProxyType(
+        {Region.A: 3.78, Region.B: -0.61, Region.C: -5.17}
     )
 
     def threshold_level_dbm(self, region: Region) -> float:
         return power_level_for_rssi_loss(self.threshold_loss_dbm[region])
 
 
-@dataclass(frozen=True)
-class CadenceParams:
+class CadenceParams(NamedTuple):
     """Closed-loop schedule: run an exchange every ``period_rounds`` rounds,
     or sooner when some node's predicted loss drifts more than ``drift_dbm``
     from its last measured value."""
@@ -70,8 +69,7 @@ class CadenceParams:
     drift_dbm: float = 1.0
 
 
-@dataclass
-class ControlTraffic:
+class ControlTraffic(NamedTuple):
     beacons_sent: int = 0
     acks_sent: int = 0
 

@@ -20,8 +20,7 @@ must change both places.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Unit-carrying aliases: plain floats whose names document the unit.
 TemperatureC = float
@@ -45,8 +44,7 @@ LEVEL_CURVE_SCALE_DB = 12.0
 LEVEL_CURVE_EXPONENT = 2.91
 
 
-@dataclass(frozen=True)
-class LinkBudgetParams:
+class LinkBudgetParams(NamedTuple):
     """Physical constants of the free-space link budget.
 
     Defaults describe a 2.4 GHz ISM-band receiver. ``snr_db`` is carried for
@@ -69,16 +67,14 @@ class LinkBudgetParams:
         return SPEED_OF_LIGHT_M_PER_S / self.frequency_hz
 
 
-@dataclass(frozen=True)
-class PrrParams:
+class PrrParams(NamedTuple):
     """Logistic packet-reception model: slope per dB and margin offset."""
 
     alpha_per_db: float = 0.5
     beta_db: float = -4.0
 
 
-@dataclass(frozen=True)
-class EnergyModelParams:
+class EnergyModelParams(NamedTuple):
     """First-order radio energy model and packet sizes."""
 
     e_elec_j_per_bit: float = 50e-9

@@ -4,7 +4,7 @@ controller comparisons."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .config import fingerprint
 from .engine import SimResult
@@ -12,8 +12,7 @@ from .errors import DataError, UsageError
 from .protocol import REGIONS, Region, classical_assign
 
 
-@dataclass
-class RegionSummary:
+class RegionSummary(NamedTuple):
     region: Region
     initial_count: int
     desired: int
@@ -26,8 +25,7 @@ class RegionSummary:
     prr_max_pct: float
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Totals for an adaptive run against its baseline twin; deltas are
     adaptive minus baseline."""
 
@@ -62,8 +60,7 @@ class ComparisonReport:
         return self.control_packets_delta < 0 and self.energy_delta_j < 0
 
 
-@dataclass
-class FigureSeries:
+class FigureSeries(NamedTuple):
     """Numeric series behind the standard plots: per-node snapshots from one
     round, per-region levels from the final round."""
 
@@ -119,7 +116,7 @@ def compare_runs(east: SimResult, classical: SimResult) -> ComparisonReport:
     Both runs must share every config key except the controller, which pins
     the deployment seed and round count to the same values.
     """
-    relabeled = replace(east.config, controller=classical.config.controller)
+    relabeled = east.config._replace(controller=classical.config.controller)
     if fingerprint(relabeled) != fingerprint(classical.config):
         raise UsageError("runs are not comparable: configs differ beyond the controller")
     return ComparisonReport(

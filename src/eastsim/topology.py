@@ -15,8 +15,7 @@ import random
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, DataError
 
@@ -43,25 +42,28 @@ def substream(seed: int, *labels: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass(frozen=True)
 class TraceTable:
     """A dense temperature trace held as per-round rows: ``rows[round][node]``.
 
     Each row is an ``array('d')``, whether the table was parsed or read from
     the trace cache, and every row has the same width; only the functions
-    that build rows import ``array``. Tables compare equal elementwise;
-    arrays make them unhashable, and nothing writes a row. ``len(table)``
-    counts the (node, round) cells, as many as the file has data rows.
+    that build rows import ``array``. Tables compare equal elementwise
+    and are unhashable, and nothing writes a row. ``len(table)``
+    counts the (node, round) cells, as many as the file has data rows, which
+    is why this is no named tuple: ``_make`` and ``_replace`` check ``len()``.
     """
 
-    rows: tuple[array, ...]
+    def __init__(self, rows: tuple[array, ...]) -> None:
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TraceTable) and self.rows == other.rows
 
     def __len__(self) -> int:
         return len(self.rows) * len(self.rows[0])
 
 
-@dataclass
-class TemperatureProcess:
+class TemperatureProcess(NamedTuple):
     """Per-node per-round temperature source.
 
     Synthetic mode: a per-node Gaussian random walk started at the node's
@@ -81,8 +83,7 @@ class TemperatureProcess:
         return "synthetic" if self.trace is None else "trace"
 
 
-@dataclass(frozen=True)
-class Deployment:
+class Deployment(NamedTuple):
     """The deployed nodes, one tuple per field: entry ``i`` is node ``i``'s
     position in meters and the base temperature its walk starts from (a
     node's id is its index). ``reference_m`` is the reference node's (x, y)."""

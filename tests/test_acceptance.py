@@ -8,7 +8,6 @@ import functools
 import math
 import os
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -74,7 +73,7 @@ def k_sweep(east_default):
     results = {10: east_default}
     for k in (1, 5, 20):
         cfg = SimConfig()
-        cfg.cadence = replace(cfg.cadence, period_rounds=k)
+        cfg.cadence = cfg.cadence._replace(period_rounds=k)
         results[k] = tracked_run(cfg)
     return results
 

@@ -1,0 +1,94 @@
+"""Tests for the Python API's value types, what importing the CLI loads, and
+README's Python examples."""
+
+import os
+import re
+import subprocess
+import sys
+from array import array
+
+import pytest
+
+import eastsim
+from eastsim.config import SimConfig
+from eastsim.protocol import Region, RegionConfig
+from eastsim.topology import TraceTable, deploy_random
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SECTIONS = ("temperature", "link_budget", "regions", "cadence", "prr", "energy")
+
+
+def loaded_modules(code):
+    """The names in sys.modules after a fresh interpreter runs ``code`` with
+    the package's source directory as its PYTHONPATH."""
+    source = os.path.dirname(os.path.dirname(eastsim.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=source), capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect (and with it ast, dis and tokenize), which
+    # every command would pay for at start-up
+    added = loaded_modules("import eastsim.cli") - loaded_modules("pass")
+    assert "eastsim.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("value", [*(getattr(SimConfig(), name) for name in SECTIONS),
+                                   deploy_random(3, 10.0, seed=1)],
+                         ids=[*SECTIONS, "deployment"])
+def test_sections_and_deployment_reject_field_assignment(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+
+
+def test_default_thresholds_are_read_only():
+    with pytest.raises(TypeError):
+        RegionConfig().threshold_loss_dbm[Region.A] = 0.0
+    assert RegionConfig().threshold_loss_dbm[Region.A] == 3.78
+
+
+def test_config_replace_leaves_the_original():
+    config = SimConfig(node_count=5)
+    before = repr(config)
+    changed = config._replace(controller="classical",
+                              energy=config.energy._replace(initial_battery_j=0.5))
+    assert repr(config) == before
+    assert (config.controller, config.energy.initial_battery_j) == ("east", 2.0)
+    assert changed == SimConfig(node_count=5, controller="classical",
+                                energy=config.energy._replace(initial_battery_j=0.5))
+    changed.seed = 7
+    assert config.seed == 42
+    assert config._replace() == config and config._replace() is not config
+
+
+def test_config_rejects_an_unknown_field():
+    with pytest.raises(TypeError, match="nodes"):
+        SimConfig(nodes=5)
+
+
+def test_trace_tables_compare_by_rows():
+    table = TraceTable((array("d", [1.0, 2.0]),))
+    assert table == TraceTable((array("d", [1.0, 2.0]),))
+    assert table != TraceTable((array("d", [1.0, 2.5]),))
+    assert table != table.rows
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 2
+    (tmp_path / "exp.cfg").write_text("rounds = 6\nseed = 3\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)
+    assert namespace["result"].config.node_count == 500
+    assert len(namespace["result"].records) == 6
+    assert namespace["config"].controller == "east"
+    assert [run.config.controller for run in (namespace["east"], namespace["classical"])] == [
+        "east", "classical"]

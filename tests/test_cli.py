@@ -6,7 +6,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -203,9 +202,9 @@ class TestParseConfig:
     def test_bit_count_equal_to_the_largest_float_accepted(self):
         # checked by validate alone: a run with this many bits is never made
         config = parse_config(None)
-        config.energy = replace(config.energy, data_bits=int(sys.float_info.max))
+        config.energy = config.energy._replace(data_bits=int(sys.float_info.max))
         validate(config)
-        config.energy = replace(config.energy, data_bits=int(sys.float_info.max) + 1)
+        config.energy = config.energy._replace(data_bits=int(sys.float_info.max) + 1)
         with pytest.raises(ConfigError, match="energy.data_bits: must fit a float"):
             validate(config)
 
@@ -283,7 +282,7 @@ class TestParseConfig:
         east = parse_config(None, ["controller=east"])
         classical = parse_config(None, ["controller=classical"])
         assert fingerprint(east) != fingerprint(classical)
-        assert fingerprint(replace(east, controller="classical")) == fingerprint(classical)
+        assert fingerprint(east._replace(controller="classical")) == fingerprint(classical)
 
 
 class TestCmdRun:

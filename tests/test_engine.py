@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -58,7 +57,7 @@ class TestRoundSemantics:
         # one node at the reference temperature: loss 0 puts it in region A,
         # below A's threshold, so it keeps the region default level
         cfg = small_config(node_count=1, rounds=1)
-        cfg.temperature = replace(cfg.temperature, walk_sigma_c=0.0)
+        cfg.temperature = cfg.temperature._replace(walk_sigma_c=0.0)
         result = run_simulation(cfg)
         loss = result.records[0].losses_dbm[0]
         region = result.partition[0]
@@ -102,8 +101,8 @@ class TestRoundSemantics:
         # constant temperatures below every threshold: after round 0 no
         # drift, no threshold crossing, so rounds 1..K-1 carry no traffic
         cfg = small_config(rounds=8)
-        cfg.temperature = replace(
-            cfg.temperature, t_min_c=-10.0, t_max_c=-8.0, walk_sigma_c=0.0
+        cfg.temperature = cfg.temperature._replace(
+            t_min_c=-10.0, t_max_c=-8.0, walk_sigma_c=0.0
         )
         result = run_simulation(cfg)
         assert result.records[0].beacons == 1
@@ -150,9 +149,9 @@ class TestLevelStep:
         # each time its level moves.
         calls = self.count_calls(monkeypatch, "tx_energy", radio.tx_energy)
         cfg = SimConfig(node_count=30, rounds=40, seed=1)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.002)
-        cfg.regions = replace(cfg.regions, boundary_high_dbm=10.0, boundary_low_dbm=-10.0)
-        cfg.cadence = replace(cfg.cadence, drift_dbm=0.3)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.002)
+        cfg.regions = cfg.regions._replace(boundary_high_dbm=10.0, boundary_low_dbm=-10.0)
+        cfg.cadence = cfg.cadence._replace(drift_dbm=0.3)
         records = run_simulation(cfg).records
         moves = sum(a != b for prev, rec in zip(records, records[1:])
                     for a, b in zip(prev.levels_dbm, rec.levels_dbm))
@@ -166,7 +165,7 @@ class TestLevelStep:
         assigns = self.count_calls(monkeypatch, "east_assign", protocol.east_assign)
         schedules = self.count_calls(monkeypatch, "needs_closed_loop", protocol.needs_closed_loop)
         cfg = SimConfig(node_count=40, rounds=300, seed=1, controller="classical")
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.01)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.01)
         result = run_simulation(cfg)
         assert result.extinction_round == 121
         assert assigns[0] == schedules[0] == 0
@@ -185,13 +184,13 @@ class TestEnergyAndDeath:
 
     def test_batteries_never_negative(self):
         cfg = small_config(rounds=200)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.01)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.01)
         result = run_simulation(cfg)
         assert all(battery >= 0.0 for battery in result.batteries_j)
 
     def test_death_monotone_and_alive_flags(self):
         cfg = small_config(rounds=300)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.015)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.015)
         result = run_simulation(cfg)
         alive_counts = [sum(rec.alive) for rec in result.records]
         assert all(a >= b for a, b in zip(alive_counts, alive_counts[1:]))
@@ -202,7 +201,7 @@ class TestEnergyAndDeath:
 
     def test_extinction_terminates_early(self):
         cfg = small_config(node_count=4, rounds=500)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.003)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.003)
         result = run_simulation(cfg)
         assert result.extinction_round is not None
         assert len(result.records) == result.extinction_round + 1
@@ -236,10 +235,10 @@ class TestOracleEquivalence:
 
     def test_with_deaths_and_sampling(self):
         cfg = SimConfig(node_count=6, rounds=30, seed=5, prr_sampled=True)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.004)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.004)
         engine_result = run_simulation(cfg)
         cfg2 = SimConfig(node_count=6, rounds=30, seed=5, prr_sampled=True)
-        cfg2.energy = replace(cfg2.energy, initial_battery_j=0.004)
+        cfg2.energy = cfg2.energy._replace(initial_battery_j=0.004)
         reference = reference_run(cfg2)
         engine = [record_as_dict(r) for r in engine_result.records]
         assert len(engine) == len(reference)
@@ -264,7 +263,7 @@ class TestLockstep:
         # that the surviving member's next round must use.
         def member(battery_j):
             cfg = SimConfig(node_count=4, rounds=40, seed=2)
-            cfg.energy = replace(cfg.energy, initial_battery_j=battery_j)
+            cfg.energy = cfg.energy._replace(initial_battery_j=battery_j)
             return cfg
 
         drained, kept = member(0.004), member(2.0)
@@ -300,7 +299,7 @@ class TestLockstep:
         assert all(all(r.alive) for r in kept.records)
         kept_draws = draws[0]
         cfg = SimConfig(node_count=4, rounds=40, seed=2)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.004)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.004)
         result = run_simulation(cfg)
         death = next(r.round_index for r in result.records if not r.alive[0])
         assert death == 27
@@ -318,9 +317,9 @@ class TestLockstep:
             return SimConfig(node_count=4, rounds=40, seed=seed, **kwargs)
 
         drained = member(2, controller="classical")
-        drained.energy = replace(drained.energy, initial_battery_j=0.004)
+        drained.energy = drained.energy._replace(initial_battery_j=0.004)
         fast = member(3)
-        fast.cadence = replace(fast.cadence, period_rounds=1)
+        fast.cadence = fast.cadence._replace(period_rounds=1)
         configs = [member(2), member(3), drained, fast]
         batch = Lockstep(configs)
         results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
@@ -336,11 +335,11 @@ class TestLockstep:
         # The members share their sub-configs, as the CLI's do, and drain
         # with sampled PRR, so every kernel write has a chance to leak.
         base = SimConfig(node_count=8, rounds=40, seed=2, prr_sampled=True)
-        base.energy = replace(base.energy, initial_battery_j=0.004)
+        base.energy = base.energy._replace(initial_battery_j=0.004)
         if command == "compare":
-            configs = [replace(base, controller=c) for c in ("east", "classical")]
+            configs = [base._replace(controller=c) for c in ("east", "classical")]
         else:
-            configs = [replace(base, energy=replace(base.energy, initial_battery_j=battery_j))
+            configs = [base._replace(energy=base.energy._replace(initial_battery_j=battery_j))
                        for battery_j in (0.004, 0.006, 2.0)]
         fingerprints = [fingerprint(cfg) for cfg in configs]
         batch = Lockstep(configs, keep_rounds=())
@@ -427,19 +426,19 @@ class TestTwins:
     @pytest.mark.parametrize(
         "change",
         [
-            dict(prr=replace(SimConfig().prr, alpha_per_db=2.0)),
-            dict(prr=replace(SimConfig().prr, beta_db=-1.0)),
+            dict(prr=SimConfig().prr._replace(alpha_per_db=2.0)),
+            dict(prr=SimConfig().prr._replace(beta_db=-1.0)),
             dict(prr_sampled=True),
             # binds the classical controller's level
             dict(level_cap_dbm=45.0),
-            dict(regions=replace(SimConfig().regions, boundary_low_dbm=-3.0)),
+            dict(regions=SimConfig().regions._replace(boundary_low_dbm=-3.0)),
         ],
         ids=["alpha", "beta", "sampled", "cap", "regions"],
     )
     def test_members_differing_in_a_controller_input_are_not_twins(self, change, prr_scorings):
         base = SimConfig(node_count=8, rounds=15, seed=5, controller="classical")
-        configs = [base, replace(base, **change)]
-        configs += [replace(cfg, controller="east") for cfg in configs]
+        configs = [base, base._replace(**change)]
+        configs += [cfg._replace(controller="east") for cfg in configs]
         batch = Lockstep(configs)
         results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
         assert prr_scorings[0] == 4 * 8 * 15
@@ -455,7 +454,7 @@ class TestRetention:
     @pytest.mark.parametrize("battery_j", [2.0, 0.003], ids=["survivors", "extinct"])
     def test_kept_rounds_write_identical_outputs(self, tmp_path, battery_j):
         cfg = small_config(node_count=6, rounds=60)
-        cfg.energy = replace(cfg.energy, initial_battery_j=battery_j)
+        cfg.energy = cfg.energy._replace(initial_battery_j=battery_j)
         full = run_simulation(cfg)
         last = len(full.records) - 1
         assert (full.extinction_round is not None) == (battery_j < 1.0)

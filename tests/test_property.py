@@ -19,7 +19,6 @@ first death, which is what lets twins share no levels.
 import random
 from array import array
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -95,12 +94,11 @@ def configs(draw):
         cfg.temperature = TemperatureProcess(
             t_min_c=t_min, t_max_c=t_max, walk_sigma_c=draw(st.floats(0.0, 3.0))
         )
-    cfg.cadence = replace(
-        cfg.cadence,
+    cfg.cadence = cfg.cadence._replace(
         period_rounds=draw(st.integers(1, 12)),
         drift_dbm=draw(st.floats(0.0, 2.0)),
     )
-    cfg.energy = replace(cfg.energy, initial_battery_j=draw(st.floats(1e-4, 0.05)))
+    cfg.energy = cfg.energy._replace(initial_battery_j=draw(st.floats(1e-4, 0.05)))
     return cfg
 
 
@@ -114,8 +112,8 @@ def one_region_drain():
         boundary_low_dbm=7.0,
         threshold_loss_dbm={Region.A: 3.78, Region.B: -0.61, Region.C: -9.0},
     )
-    cfg.cadence = replace(cfg.cadence, period_rounds=1)
-    cfg.energy = replace(cfg.energy, initial_battery_j=0.002)
+    cfg.cadence = cfg.cadence._replace(period_rounds=1)
+    cfg.energy = cfg.energy._replace(initial_battery_j=0.002)
     return cfg
 
 
@@ -125,9 +123,9 @@ def staggered_drain():
     raises the survivors' levels while they still have battery, so their
     transmit power and tx costs change mid-run."""
     cfg = one_region_drain()
-    cfg.link_budget = replace(cfg.link_budget, eb_n0_db=35.0)
-    cfg.energy = replace(cfg.energy, initial_battery_j=0.01)
-    cfg.temperature = replace(cfg.temperature, walk_sigma_c=2.0)
+    cfg.link_budget = cfg.link_budget._replace(eb_n0_db=35.0)
+    cfg.energy = cfg.energy._replace(initial_battery_j=0.01)
+    cfg.temperature = cfg.temperature._replace(walk_sigma_c=2.0)
     return cfg
 
 
@@ -185,21 +183,19 @@ def lockstep_groups(draw):
     base = draw(configs())
     members = []
     for _ in range(draw(st.integers(2, 3))):
-        cfg = replace(
-            base,
+        cfg = base._replace(
             controller=draw(st.sampled_from(["east", "classical"])),
             rounds=draw(st.integers(1, base.rounds)),
             prr_sampled=draw(st.booleans()),
         )
         _draw_regions_and_cap(draw, cfg)
-        cfg.cadence = replace(
-            cfg.cadence,
+        cfg.cadence = cfg.cadence._replace(
             period_rounds=draw(st.integers(1, 12)),
             drift_dbm=draw(st.floats(0.0, 2.0)),
         )
         # Log-uniform, so members often lose nodes in different rounds.
         battery = 10.0 ** draw(st.floats(-4.0, -1.3))
-        cfg.energy = replace(cfg.energy, initial_battery_j=battery)
+        cfg.energy = cfg.energy._replace(initial_battery_j=battery)
         members.append(cfg)
     return members
 
@@ -208,10 +204,10 @@ def extinct_beside_survivor():
     """A member on a battery that lasts one round next to members that run
     all 30 rounds: the shared walk must go on for the survivors' nodes."""
     base = SimConfig(node_count=8, rounds=30, seed=7, area_side_m=80.0, prr_sampled=True)
-    base.temperature = replace(base.temperature, walk_sigma_c=2.0)
-    doomed = replace(base, energy=replace(base.energy, initial_battery_j=1e-6))
-    sampled_classical = replace(base, controller="classical")
-    expected_east = replace(base, prr_sampled=False, cadence=replace(base.cadence, period_rounds=1))
+    base.temperature = base.temperature._replace(walk_sigma_c=2.0)
+    doomed = base._replace(energy=base.energy._replace(initial_battery_j=1e-6))
+    sampled_classical = base._replace(controller="classical")
+    expected_east = base._replace(prr_sampled=False, cadence=base.cadence._replace(period_rounds=1))
     return [doomed, sampled_classical, expected_east]
 
 
@@ -247,18 +243,15 @@ def twin_groups(draw):
     base = draw(configs())
     members = []
     for _ in range(draw(st.integers(2, 4))):
-        cfg = replace(
-            base,
+        cfg = base._replace(
             rounds=draw(st.integers(1, base.rounds)),
-            cadence=replace(
-                base.cadence,
+            cadence=base.cadence._replace(
                 period_rounds=draw(st.integers(1, 12)),
                 drift_dbm=draw(st.floats(0.0, 2.0)),
             ),
-            link_budget=replace(base.link_budget, eb_n0_db=draw(st.floats(0.0, 20.0))),
+            link_budget=base.link_budget._replace(eb_n0_db=draw(st.floats(0.0, 20.0))),
             # Log-uniform, so a twin often loses a node mid-run.
-            energy=replace(
-                base.energy,
+            energy=base.energy._replace(
                 initial_battery_j=10.0 ** draw(st.floats(-4.0, -1.0)),
                 e_elec_j_per_bit=draw(st.floats(10e-9, 100e-9)),
                 ack_bits=draw(st.integers(64, 512)),
@@ -271,28 +264,28 @@ def twin_groups(draw):
 
 def _twin_base():
     base = SimConfig(node_count=8, rounds=30, seed=11, area_side_m=90.0)
-    base.temperature = replace(base.temperature, walk_sigma_c=2.0)
+    base.temperature = base.temperature._replace(walk_sigma_c=2.0)
     return base
 
 
 def _with_battery(cfg, battery_j):
-    return replace(cfg, energy=replace(cfg.energy, initial_battery_j=battery_j))
+    return cfg._replace(energy=cfg.energy._replace(initial_battery_j=battery_j))
 
 
 def first_twin_dies_first():
     """The first twin, which scores PRR for the second until then, loses a
     node mid-run while the second keeps all of its nodes."""
     base = _twin_base()
-    fast = replace(base, cadence=replace(base.cadence, period_rounds=1))
+    fast = base._replace(cadence=base.cadence._replace(period_rounds=1))
     return [_with_battery(fast, 0.004), _with_battery(base, 2.0)]
 
 
 def first_twin_ends_first():
     """The first twin runs the fewest rounds; the others go on without it."""
     base = _twin_base()
-    return [replace(base, rounds=4),
-            replace(base, cadence=replace(base.cadence, period_rounds=1)),
-            replace(base, link_budget=replace(base.link_budget, eb_n0_db=12.0))]
+    return [base._replace(rounds=4),
+            base._replace(cadence=base.cadence._replace(period_rounds=1)),
+            base._replace(link_budget=base.link_budget._replace(eb_n0_db=12.0))]
 
 
 def first_twin_drains_beside_intact_twins():
@@ -300,7 +293,7 @@ def first_twin_drains_beside_intact_twins():
     other three lose none: from round 20 on the second scores PRR for the
     third and fourth."""
     base = _twin_base()
-    members = [replace(base, cadence=replace(base.cadence, period_rounds=p)) for p in (1, 5, 10, 20)]
+    members = [base._replace(cadence=base.cadence._replace(period_rounds=p)) for p in (1, 5, 10, 20)]
     members[0] = _with_battery(members[0], 0.004)
     return members
 
@@ -309,8 +302,8 @@ def death_only_beside_twins():
     """A member that is no twin of the others drains first; the two twins
     after it in the group lose no node."""
     base = _twin_base()
-    doomed = _with_battery(replace(base, controller="classical"), 0.004)
-    return [doomed, base, replace(base, cadence=replace(base.cadence, period_rounds=1))]
+    doomed = _with_battery(base._replace(controller="classical"), 0.004)
+    return [doomed, base, base._replace(cadence=base.cadence._replace(period_rounds=1))]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -364,13 +357,12 @@ def crowded_drains(draw):
     cfg.temperature = TemperatureProcess(
         t_min_c=t_min, t_max_c=t_max, walk_sigma_c=draw(st.floats(0.0, 2.0))
     )
-    cfg.link_budget = replace(cfg.link_budget, eb_n0_db=draw(st.floats(20.0, 30.0)))
-    cfg.cadence = replace(
-        cfg.cadence,
+    cfg.link_budget = cfg.link_budget._replace(eb_n0_db=draw(st.floats(20.0, 30.0)))
+    cfg.cadence = cfg.cadence._replace(
         period_rounds=draw(st.integers(1, 5)),
         drift_dbm=draw(st.floats(0.0, 2.0)),
     )
-    cfg.energy = replace(cfg.energy, initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.0)))
+    cfg.energy = cfg.energy._replace(initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.0)))
     return cfg
 
 
@@ -432,10 +424,9 @@ def crowded_twins(draw):
     (ii) in different rounds, so their levels part."""
     base = draw(crowded_drains())
     return [
-        replace(
-            base,
-            cadence=replace(base.cadence, period_rounds=draw(st.integers(1, 5))),
-            energy=replace(base.energy, initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.5))),
+        base._replace(
+            cadence=base.cadence._replace(period_rounds=draw(st.integers(1, 5))),
+            energy=base.energy._replace(initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.5))),
         )
         for _ in range(draw(st.integers(3, 4)))
     ]

@@ -2,7 +2,6 @@
 
 import random
 from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -74,7 +73,7 @@ class TestEstimateRssiLoss:
 
     def test_dead_nodes_do_not_ack(self):
         cfg = SimConfig(node_count=3, rounds=50, seed=1, controller="classical")
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.006)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.006)
         records = run_simulation(cfg).records
         alive_before = [3] + [sum(rec.alive) for rec in records[:-1]]
         assert [rec.acks for rec in records] == alive_before
@@ -88,7 +87,7 @@ class TestEstimateRssiLoss:
 
     def test_all_dead_signals_completion(self):
         cfg = SimConfig(node_count=2, rounds=500, seed=1)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.003)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.003)
         result = run_simulation(cfg)
         assert result.extinction_round == len(result.records) - 1 < 499
         assert not any(result.records[-1].alive)

@@ -1,7 +1,6 @@
 """Tests for summaries, comparisons and figure series."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -41,7 +40,7 @@ class TestSummarize:
 
     def test_survivors_sum_to_alive(self):
         cfg = SimConfig(node_count=15, rounds=200, seed=8)
-        cfg.energy = replace(cfg.energy, initial_battery_j=0.02)
+        cfg.energy = cfg.energy._replace(initial_battery_j=0.02)
         result = run_simulation(cfg)
         rows = summarize(result)
         assert sum(row.survivors for row in rows) == result.survivors
@@ -66,8 +65,8 @@ class TestSummarize:
         members = [i for i, r in enumerate(result.partition) if r is region]
         lowest = min(final.losses_dbm[i] for i in members)
         thresholds = {**result.config.regions.threshold_loss_dbm, region: lowest}
-        regions = replace(result.config.regions, threshold_loss_dbm=thresholds)
-        result.config = replace(result.config, regions=regions)
+        regions = result.config.regions._replace(threshold_loss_dbm=thresholds)
+        result.config = result.config._replace(regions=regions)
         row = {row.region: row for row in summarize(result)}[region]
         assert (row.nodes_above_threshold, row.nodes_below_threshold) == (len(members), 0)
 

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -118,7 +117,7 @@ class TestLeanSha256:
 def walk_temps(nodes, rounds, seed, sigma):
     """Per-round temperatures of a synthetic-walk run, as the engine records them."""
     cfg = SimConfig(node_count=nodes, rounds=rounds, seed=seed)
-    cfg.temperature = replace(cfg.temperature, walk_sigma_c=sigma)
+    cfg.temperature = cfg.temperature._replace(walk_sigma_c=sigma)
     result = run_simulation(cfg)
     assert len(result.records) == rounds
     return result, [rec.temps_c for rec in result.records]
