@@ -83,7 +83,6 @@ CONFIG_KEYS = {
     "temperature.trace_path": ("str", "trace_path", None),
     "link_budget.eta": ("float", "link_budget.eta", "> 0"),
     "link_budget.eb_n0_db": ("float", "link_budget.eb_n0_db", None),
-    "link_budget.snr_db": ("float", "link_budget.snr_db", None),
     "link_budget.bandwidth_hz": ("float", "link_budget.bandwidth_hz", "> 0"),
     "link_budget.frequency_hz": ("float", "link_budget.frequency_hz", "> 0"),
     "link_budget.rnf_db": ("float", "link_budget.rnf_db", None),

@@ -47,14 +47,12 @@ LEVEL_CURVE_EXPONENT = 2.91
 class LinkBudgetParams(NamedTuple):
     """Physical constants of the free-space link budget.
 
-    Defaults describe a 2.4 GHz ISM-band receiver. ``snr_db`` is carried for
-    configuration fidelity but the budget itself uses only ``eb_n0_db``.
-    ``margin_m`` is a dimensionless margin multiplying thermal noise.
+    Defaults describe a 2.4 GHz ISM-band receiver. ``margin_m`` is a
+    dimensionless margin multiplying thermal noise.
     """
 
     eta: float = 0.0029
     eb_n0_db: float = 8.3
-    snr_db: float = 0.20
     bandwidth_hz: float = 83.5e6
     frequency_hz: float = 2.45e9
     rnf_db: float = 5.0

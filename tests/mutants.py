@@ -2,8 +2,10 @@
 
 Run from anywhere, with pytest installed:
 
-    python tests/mutants.py              # the listed mutants (MUTANTS)
-    python tests/mutants.py --operators  # the operator sweep
+    python tests/mutants.py                          # the listed mutants (MUTANTS)
+    python tests/mutants.py --operators              # the operator sweep, both families
+    python tests/mutants.py --operators comparisons  # one family of it
+    python tests/mutants.py --operators arithmetic
 
 The repository is copied once, at the start, to a base directory in a
 temporary directory, and every mutant is made from that base, so edits made
@@ -18,20 +20,23 @@ against it stay intact. The suite runs on each copy with ``-x`` under the
 pass. Exits 1 unless every mutant is killed. pytest does not collect this
 file: its name does not start with ``test_``.
 
-The operator sweep makes one mutant per comparison or boolean operator in
-``src/eastsim``: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
-``and`` and ``or`` each swapped for the other, one site at a time, found
-with ``tokenize``. It also makes one mutant per guard, an ``if`` or ``elif``
-whose body starts with ``raise``, with the guard's condition replaced by
-``False``, found with ``ast``. The operator sites in EXEMPT and the guards
-in GUARD_EXEMPT are skipped: mutating them changes no observable behaviour.
-It runs about 135 mutants, some 12 minutes on two cores, so it runs in CI,
-outside tier-1.
+The operator sweep mutates one site of ``src/eastsim`` at a time, in two
+families. The comparisons family swaps each comparison or boolean operator
+for its partner: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
+``and`` and ``or``, found with ``tokenize``. It also replaces the condition
+of each guard, an ``if`` or ``elif`` whose body starts with ``raise``, with
+``False``, found with ``ast``. The arithmetic family swaps ``+`` and ``-``,
+``*`` and ``/``, ``+=`` and ``-=``, turns ``//`` into ``/`` and ``%`` into
+``//``, and drops each unary ``-``, found with ``ast``. The operator sites
+in EXEMPT and the guards in GUARD_EXEMPT are skipped: mutating them changes
+no observable behaviour. Each family runs about 130 mutants, some 12 minutes
+on two cores, so each runs in CI, outside tier-1.
 """
 
 import ast
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -110,6 +115,9 @@ MUTANTS = [
      "sum(r.beacons for r in self.records)", "sum(r.beacons for r in self.records[1:])"),
     ("control packets omit the ACKs", "src/eastsim/engine.py",
      "sum(r.beacons + r.acks for r in self.records)", "sum(r.beacons for r in self.records)"),
+    ("mean PRR multiplies by the round count", "src/eastsim/engine.py",
+     "sum(r.prr_mean for r in self.records) / len(self.records)",
+     "sum(r.prr_mean for r in self.records) * len(self.records)"),
     ("total energy omits rx", "src/eastsim/engine.py",
      " + sum(r.rx_energy_j for r in self.records)", ""),
     ("a run with any node dead counts as extinct", "src/eastsim/engine.py",
@@ -210,6 +218,10 @@ MUTANTS = [
      "power_level_for_rssi_loss(min_loss) if min_loss != -40.0 else None"),
     ("the compensation curve accepts a loss of exactly -40 dB", "src/eastsim/radio.py",
      "if loss_dbm <= -LEVEL_CURVE_OFFSET_DB:", "if loss_dbm < -LEVEL_CURVE_OFFSET_DB:"),
+    ("validate's farthest point lies twice as far", "src/eastsim/config.py",
+     "config.area_side_m / 2.0", "config.area_side_m * 2.0"),
+    ("validate's farthest-point power subtracts the level", "src/eastsim/config.py",
+     "+ min(top_level, cap)", "- min(top_level, cap)"),
     ("validate rejects an integer equal to the largest float", "src/eastsim/config.py",
      "abs(value) > sys.float_info.max", "abs(value) >= sys.float_info.max"),
     ("loss_row distributes the slope", "src/eastsim/radio.py",
@@ -252,8 +264,16 @@ MUTANTS = [
 
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "and": "or", "or": "and"}
 
-# (file, anchor, why): operator sites the sweep skips. Each anchor occurs
-# once in its file and spans exactly one site.
+# The arithmetic family: (operator, replacement) of each ast operator that
+# it swaps, in a binary operation and in an augmented assignment (-= for
+# +=); it also drops each unary -.
+ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"),
+              ast.Div: ("/", "*"), ast.FloorDiv: ("//", "/"), ast.Mod: ("%", "//")}
+
+FAMILIES = ("comparisons", "arithmetic")
+
+# (file, anchor, why): operator sites of either family that the sweep
+# skips. Each anchor occurs once in its file and spans exactly one site.
 EXEMPT = [
     ("src/eastsim/engine.py", "t_min if t_min > t",
      "the walk's clamp: at t == t_min both branches give t_min"),
@@ -277,6 +297,11 @@ EXEMPT = [
      "a cache file is written and read under the same byte-order tag on one host"),
     ("src/eastsim/topology.py", "if node_id > width",
      "node_id == width is taken by the branch just above"),
+    ("src/eastsim/engine.py", "hypot(x - ref_x",
+     "deploy_random always puts the reference at x = 0.0"),
+    ("src/eastsim/topology.py", "limit = len(lines) - 1",
+     "on either side of that bound the loader returns the same table and raises the same "
+     "errors; the bound only picks the dense rows or the set of cells for a sparse file"),
 ]
 
 # (file, anchor, why): guards the sweep skips. Each anchor occurs once in
@@ -351,9 +376,8 @@ def operator_sites(text: str) -> list[tuple[int, int, str]]:
     ]
 
 
-def guard_sites(text: str) -> list[tuple[int, int, str]]:
-    """(start, end, condition) of each ``if`` or ``elif`` condition in
-    ``text`` whose body starts with ``raise``, as offsets into it."""
+def ast_offsets(text: str):
+    """A function from an ast node's (line, column) to an offset in ``text``."""
     starts = line_starts(text)
     lines = io.StringIO(text).readlines()
 
@@ -361,6 +385,13 @@ def guard_sites(text: str) -> list[tuple[int, int, str]]:
         # ast columns count UTF-8 bytes
         return starts[line_no - 1] + len(lines[line_no - 1].encode("utf-8")[:col].decode("utf-8"))
 
+    return offset
+
+
+def guard_sites(text: str) -> list[tuple[int, int, str]]:
+    """(start, end, condition) of each ``if`` or ``elif`` condition in
+    ``text`` whose body starts with ``raise``, as offsets into it."""
+    offset = ast_offsets(text)
     sites = [
         (offset(node.test.lineno, node.test.col_offset),
          offset(node.test.end_lineno, node.test.end_col_offset))
@@ -368,6 +399,34 @@ def guard_sites(text: str) -> list[tuple[int, int, str]]:
         if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise)
     ]
     return [(start, end, text[start:end]) for start, end in sorted(sites)]
+
+
+def arithmetic_sites(text: str) -> list[tuple[int, int, str]]:
+    """(start, end, replacement) of each arithmetic operator in ``text`` that
+    ARITHMETIC names, and of each unary ``-`` (replaced by nothing), as
+    offsets into it."""
+    offset = ast_offsets(text)
+    sites = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in ARITHMETIC:
+            symbol, swapped = ARITHMETIC[type(node.op)]
+            if isinstance(node, ast.AugAssign):
+                before, after, symbol, swapped = node.target, node.value, symbol + "=", swapped + "="
+            else:
+                before, after = node.left, node.right
+            # between the operands lie the operator, parentheses, blanks and
+            # comments; the comments are blanked out, offsets kept
+            lo = offset(before.end_lineno, before.end_col_offset)
+            gap = re.sub(r"#.*", lambda comment: " " * len(comment.group()),
+                         text[lo:offset(after.lineno, after.col_offset)])
+            if re.sub(r"[\s()\\]", "", gap) != symbol:
+                raise ValueError(f"no lone {symbol!r} between the operands in {gap!r}")
+            start = lo + gap.index(symbol)
+            sites.append((start, start + len(symbol), swapped))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            start = offset(node.lineno, node.col_offset)
+            sites.append((start, start + 1, ""))
+    return sorted(sites)
 
 
 def exempted(path: str, text: str, sites: list[tuple[int, int, str]],
@@ -387,10 +446,11 @@ def exempted(path: str, text: str, sites: list[tuple[int, int, str]],
     return named
 
 
-def operator_mutants(root: str = ROOT) -> list[tuple[str, str, str]]:
-    """(name, path, mutated text) of each swappable operator site and each
-    guard under src/eastsim of the repository at ``root`` that EXEMPT and
-    GUARD_EXEMPT do not name. Raises ValueError on a stale entry."""
+def operator_mutants(root: str = ROOT, families=FAMILIES) -> list[tuple[str, str, str]]:
+    """(name, path, mutated text) of each site of ``families`` under
+    src/eastsim of the repository at ``root`` that EXEMPT and GUARD_EXEMPT do
+    not name: comparison and boolean operators and guards ("comparisons"),
+    arithmetic operators ("arithmetic"). Raises ValueError on a stale entry."""
     package = os.path.join(root, "src", "eastsim")
     mutants = []
     for file_name in sorted(os.listdir(package)):
@@ -401,14 +461,20 @@ def operator_mutants(root: str = ROOT) -> list[tuple[str, str, str]]:
         lines = text.split("\n")
         operators = operator_sites(text)
         guards = guard_sites(text)
-        skipped = exempted(path, text, operators, EXEMPT) | exempted(path, text, guards, GUARD_EXEMPT)
-        sites = sorted([(start, end, SWAPS[op]) for start, end, op in operators]
-                       + [(start, end, "False") for start, end, _ in guards])
-        for start, end, replacement in sites:
+        arithmetic = arithmetic_sites(text)
+        skipped = (exempted(path, text, operators + arithmetic, EXEMPT)
+                   | exempted(path, text, guards, GUARD_EXEMPT))
+        sites = []
+        if "comparisons" in families:
+            sites += [(start, end, SWAPS[op]) for start, end, op in operators]
+            sites += [(start, end, "False") for start, end, _ in guards]
+        if "arithmetic" in families:
+            sites += arithmetic
+        for start, end, replacement in sorted(sites):
             if (start, end) in skipped:
                 continue
             line_no = text.count("\n", 0, start) + 1
-            name = (f"{path}:{line_no} {text[start:end]} -> {replacement}: "
+            name = (f"{path}:{line_no} {text[start:end]} -> {replacement or 'nothing'}: "
                     f"{lines[line_no - 1].strip()}")
             mutants.append((name, path, text[:start] + replacement + text[end:]))
     return mutants
@@ -429,13 +495,13 @@ def suite_passes_on_copy(base: str, copy: str, path: str = "", text: str = "") -
 
 
 def main(argv: list[str]) -> int:
-    if argv not in ([], ["--operators"]):
-        print("usage: python tests/mutants.py [--operators]")
+    if not (argv == [] or argv[:1] == ["--operators"] and set(argv[1:]) <= set(FAMILIES)):
+        print(f"usage: python tests/mutants.py [--operators [{' | '.join(FAMILIES)}]]")
         return 2
     with tempfile.TemporaryDirectory(prefix="eastsim-mutants-") as tmp:
         base = os.path.join(tmp, "base")
         shutil.copytree(ROOT, base, ignore=IGNORE)
-        mutants = operator_mutants(base) if argv else listed_mutants(base)
+        mutants = operator_mutants(base, argv[1:] or FAMILIES) if argv else listed_mutants(base)
         start = time.perf_counter()
         if not suite_passes_on_copy(base, os.path.join(tmp, "unmutated")):
             print("the suite fails on the unmutated copy; nothing to check")

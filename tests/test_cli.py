@@ -26,6 +26,7 @@ from eastsim.protocol import REGIONS, Region
 from eastsim.report import compare_runs, emit_figure_data, summarize
 
 SMALL = ["--set", "nodes=15", "--set", "rounds=12"]
+FARTHEST = "the transmit power at the farthest point of the square"
 FLOAT_KEYS = [key for key, (kind, _, _) in CONFIG_KEYS.items() if kind == "float"]
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -71,6 +72,16 @@ def draining_trace_argv(tmp_path):
 def f6(value):
     """A real-number cell, formatted apart from the CLI's writers."""
     return format(value, ".6f")
+
+
+def records_mean_prr(result):
+    """The mean of a run's per-round mean PRR, read off its records."""
+    return sum(record.prr_mean for record in result.records) / len(result.records)
+
+
+def set_args(items):
+    """``--set`` options for blank-separated ``key=value`` items."""
+    return [arg for item in items.split() for arg in ("--set", item)]
 
 
 def csv_body(path):
@@ -241,10 +252,10 @@ class TestParseConfig:
         trace = tmp_path / "t.csv"
         trace.write_text("node,round,temp_c\n0,0,20.0\n0,1,21.0\n")
         pinned = {
-            "740b3f56ee6a00965cf87076ab41fe3b5b5dca491fe0a1a4f31d84f9299a7646": [],
-            "1e78fbea6ac00c329351ef92fcb508fc075ad46c99122a019a6eccd1019e5fe8":
+            "5b21d0820026ae51942538d113abbd31ef37e402327777f98d465273abbe6ad2": [],
+            "6e2fd9973e9571740f446403610f6e010eb31cb2bddc9087a93541743eb20142":
                 ["controller=classical", "prr.sampled=true"],
-            "2e4a915f2d5129fa7825164f9812c5e729a96efa9dc63ee607a5a793c5ef97ff":
+            "ad8b81d78001340b0b76c92af5748b4a85cc1ee8718ccab25053ae1745fc7812":
                 ["nodes=1", "rounds=2", f"temperature.trace_path={trace}"],
         }
         for hex_digest, overrides in pinned.items():
@@ -439,13 +450,33 @@ class TestCmdRun:
             ("link_budget.eb_n0_db=1e5", "link_budget"),
             ("area_side_m=1e300", "area_side_m"),
             ("regions.threshold_loss_a_dbm=1e300", "regions.threshold_loss_a_dbm"),
+            # The farthest point's power is its base requirement plus the top
+            # level. Region A's level for a 151 dB threshold loss, 3143 dBm,
+            # overflows on its own; the base there is -25.5 dBm.
+            ("regions.threshold_loss_a_dbm=151 level_cap_dbm=1e5", FARTHEST),
+            # its farthest point, hypot(side, side / 2) away, needs 2.6 dB more
+            # than the largest power
+            ("area_side_m=4e156", FARTHEST),
         ],
     )
     def test_overflowing_value_exits_2(self, tmp_path, capsys, item, named):
         out = tmp_path / "o"
-        assert main(["run", "--out", str(out), *SMALL, "--set", item]) == 2
+        assert main(["run", "--out", str(out), *SMALL, *set_args(item)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            # 3095.7 dBm of level: the power, 3070.2 dBm, is 42 dB below the largest
+            "regions.threshold_loss_a_dbm=150 level_cap_dbm=1e5",
+            # 3.4 dB below the largest power at the farthest point, and 2.6 dB
+            # above it at twice that distance
+            "area_side_m=2e156",
+        ],
+    )
+    def test_power_just_in_range_at_the_farthest_point_exits_0(self, tmp_path, item):
+        assert main(["run", "--out", str(tmp_path / "o"), *SMALL, *set_args(item)]) == 0
 
     def test_bit_count_too_large_for_a_float_exits_2(self, tmp_path, capsys):
         tiny = ["--set", "nodes=5", "--set", "rounds=5"]
@@ -542,6 +573,72 @@ class TestCmdRun:
         assert not (out / "manifest.json").exists()
 
 
+# Two valid values of every config key, in CONFIG_KEYS order, whose 10-node
+# x 20-round runs write different artifacts: a key that reaches none of them
+# is a knob that does nothing. {tmp} is the test's tmp_path, which holds a
+# cool and a warm trace.
+KEY_EFFECTS = {
+    "nodes": ("10", "11"),
+    "rounds": ("20", "21"),
+    "area_side_m": ("100", "50"),
+    "seed": ("1", "2"),
+    "controller": ("east", "classical"),
+    # above every threshold level (43.2 dBm at most), below the baseline's 48.6 dBm
+    "level_cap_dbm": ("45", "48.7"),
+    "temperature.t_min_c": ("-10", "0"),
+    "temperature.t_max_c": ("53", "60"),
+    "temperature.walk_sigma_c": ("0.5", "2"),
+    "temperature.trace_path": ("{tmp}/cool.csv", "{tmp}/warm.csv"),
+    "link_budget.eta": ("0.0029", "0.005"),
+    "link_budget.eb_n0_db": ("8.3", "10"),
+    "link_budget.bandwidth_hz": ("83.5e6", "2e6"),
+    "link_budget.frequency_hz": ("2.45e9", "9e8"),
+    "link_budget.rnf_db": ("5", "8"),
+    "link_budget.temperature_kelvin": ("300", "400"),
+    "link_budget.margin_m": ("1", "2"),
+    "regions.boundary_high_dbm": ("-0.61", "3"),
+    "regions.boundary_low_dbm": ("-5.17", "-2"),
+    "regions.threshold_loss_a_dbm": ("3.78", "2"),
+    "regions.threshold_loss_b_dbm": ("-0.61", "1"),
+    "regions.threshold_loss_c_dbm": ("-5.17", "-3"),
+    "cadence.period_rounds": ("10", "3"),
+    # a drift of 0 forces an exchange at any change of a member's loss
+    "cadence.drift_dbm": ("0", "1"),
+    "prr.alpha_per_db": ("0.5", "1"),
+    "prr.beta_db": ("-4", "0"),
+    "prr.sampled": ("false", "true"),
+    "energy.e_elec_j_per_bit": ("5e-8", "1e-7"),
+    "energy.bitrate_bps": ("250000", "1000"),
+    "energy.beacon_bits": ("256", "512"),
+    "energy.ack_bits": ("256", "512"),
+    "energy.data_bits": ("1024", "2048"),
+    "energy.initial_battery_j": ("2", "0.001"),
+}
+
+
+class TestEveryKeyReachesTheArtifacts:
+    def test_table_lists_every_key(self):
+        assert list(KEY_EFFECTS) == list(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", list(KEY_EFFECTS))
+    def test_two_values_write_different_artifacts(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv("EAST_SEED", raising=False)
+        for name, temp in (("cool", 20.0), ("warm", 40.0)):
+            (tmp_path / f"{name}.csv").write_text("node,round,temp_c\n" + "".join(
+                f"{n},{r},{temp + n}\n" for n in range(11) for r in range(21)))
+
+        def artifacts(name, value):
+            out = tmp_path / name
+            argv = ["run", "--out", str(out), *set_args("nodes=10 rounds=20"),
+                    "--set", f"{key}={value.format(tmp=tmp_path)}"]
+            assert main(argv) == 0
+            return {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                    if path.is_file() and path.name != "manifest.json"}
+
+        first, second = KEY_EFFECTS[key]
+        assert artifacts("first", first) != artifacts("second", second)
+
+
 class TestSeedResolution:
     def test_env_overrides_config(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -577,6 +674,7 @@ class TestCmdCompare:
         assert main(["compare", "--out", str(out), *draining_trace_argv(tmp_path)]) == 0
         report = compare_runs(*recorded_runs)
         assert report.survivors_delta != 0
+        east_prr, classical_prr = map(records_mean_prr, recorded_runs)
         assert csv_body(out / "compare.csv") == [
             ["control_packets", str(report.east_control_packets),
              str(report.classical_control_packets), str(report.control_packets_delta)],
@@ -584,8 +682,7 @@ class TestCmdCompare:
              f6(report.energy_delta_j)],
             ["survivors", str(report.east_survivors), str(report.classical_survivors),
              str(report.survivors_delta)],
-            ["mean_prr", f6(report.east_mean_prr), f6(report.classical_mean_prr),
-             f6(report.mean_prr_delta)],
+            ["mean_prr", f6(east_prr), f6(classical_prr), f6(east_prr - classical_prr)],
         ]
 
     def test_single_round_k1_equal_overhead(self, tmp_path):
@@ -682,7 +779,7 @@ class TestCmdSweep:
         assert csv_body(out / "sweep_summary.csv") == [
             [key, value, str(result.traffic.beacons_sent), str(result.traffic.acks_sent),
              str(result.control_packets), f6(result.total_energy_j), str(result.survivors),
-             f6(result.mean_prr)]
+             f6(records_mean_prr(result))]
             for value, result in zip(values, recorded_runs)
         ]
 

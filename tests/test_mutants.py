@@ -30,5 +30,26 @@ def test_operator_sweep_exempts_one_site_per_entry():
     # not once in its file or does not span exactly one site of its kind
     texts = [path.read_text(encoding="utf-8") for path in (ROOT / "src" / "eastsim").glob("*.py")]
     assert len(mutants.operator_mutants()) + len(mutants.EXEMPT) + len(mutants.GUARD_EXEMPT) == sum(
-        len(mutants.operator_sites(text)) + len(mutants.guard_sites(text)) for text in texts
+        len(mutants.operator_sites(text)) + len(mutants.guard_sites(text))
+        + len(mutants.arithmetic_sites(text)) for text in texts
     )
+    # each family's mutants are its own sites less its exempt ones
+    assert len(mutants.operator_mutants(families=["comparisons"])) + len(
+        mutants.operator_mutants(families=["arithmetic"])) == len(mutants.operator_mutants())
+
+
+@pytest.mark.parametrize(
+    "source, sites",
+    [
+        ("x = a + b - c\n", [("+", "-"), ("-", "+")]),
+        ("x = (a  # a comment - with a minus\n     * b) / c\n", [("*", "/"), ("/", "*")]),
+        ("x //= 2\nx += a % b\ny -= 1\n", [("//=", "/="), ("+=", "-="), ("%", "//"), ("-=", "+=")]),
+        ("x = -a ** -2\ny = [*a, *b]\nz = a ** b\n", [("-", ""), ("-", "")]),
+        ("s = f\"{-a}\" + 'b'\n", [("-", ""), ("+", "-")]),
+    ],
+)
+def test_arithmetic_sites(source, sites):
+    # unpacking stars and ** are not sites; comments and parentheses between
+    # the operands are skipped
+    assert [(source[start:end], replacement)
+            for start, end, replacement in mutants.arithmetic_sites(source)] == sites

@@ -80,8 +80,9 @@ class TestPowerLevelForLoss:
             assert power_level_for_rssi_loss(lo) < power_level_for_rssi_loss(hi)
 
     def test_domain_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             power_level_for_rssi_loss(-40.0)
+        assert str(excinfo.value) == "rssi loss must exceed -40.0 dB, got -40.0"
         with pytest.raises(ValueError):
             power_level_for_rssi_loss(-41.0)
         for loss in (math.nan, math.inf, -math.inf):
