@@ -66,17 +66,18 @@ def _read_lines(path: str) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
-def _resolve_seed(config: SimConfig, cli_seed: Optional[int]) -> None:
-    """Seed priority: --seed flag, then the environment, then the config."""
+def _resolve_seed(config: SimConfig, cli_seed: Optional[int]) -> SimConfig:
+    """A copy of ``config`` with its seed resolved. Priority: the --seed
+    flag, then the environment, then the config."""
     if cli_seed is not None:
-        config.seed = cli_seed
-        return
+        return config._replace(seed=cli_seed)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            config.seed = int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
+    if env is None:
+        return config
+    try:
+        return config._replace(seed=int(env))
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
 
 
 def _check_figure_round(figure_round: int, config: SimConfig) -> None:
@@ -152,8 +153,7 @@ def write_run_outputs(result: SimResult, out_dir: str, series: FigureSeries) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = parse_config(args.config, args.set)
-    _resolve_seed(config, args.seed)
+    config = _resolve_seed(parse_config(args.config, args.set), args.seed)
     _check_figure_round(args.figure_round, config)
     result = run_simulation(config, keep_rounds={args.figure_round})
     outputs = write_run_outputs(result, args.out, emit_figure_data(result, args.figure_round))
@@ -167,8 +167,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for item in args.set:
         if item.split("=", 1)[0].strip() == "controller":
             raise UsageError("compare sets the controller itself; do not override it")
-    config = parse_config(args.config, args.set)
-    _resolve_seed(config, args.seed)
+    config = _resolve_seed(parse_config(args.config, args.set), args.seed)
     configs = [config._replace(controller=c) for c in ("east", "classical")]
     group = Lockstep(configs, keep_rounds=())
     east, classical = (run_simulation(c, keep_rounds=(), lockstep=group) for c in configs)
@@ -213,9 +212,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not configs or key.startswith("temperature."):
             config = parse_config(args.config, [*args.set, override])
         else:
-            config = apply_overrides(configs[0]._replace(), [override])
+            config = apply_overrides(configs[0], [override])
             validate(config)
-        _resolve_seed(config, args.seed)
+        config = _resolve_seed(config, args.seed)
         _check_figure_round(args.figure_round, config)
         digest = fingerprint(config)
         if digest in seen:

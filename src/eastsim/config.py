@@ -1,9 +1,13 @@
 """Experiment configuration: defaults, key=value parsing, validation, fingerprint.
 
-The on-disk format is flat UTF-8 text, one ``key = value`` per line, ``#``
-comments, dotted key paths (e.g. ``link_budget.rnf_db``). Every omitted key
-takes its default, so an empty file is the default experiment: 100 nodes in
-a 100 m square, 1200 rounds, temperatures in [-10, 53] C.
+The on-disk format is flat UTF-8 text (a leading byte order mark is
+skipped), one ``key = value`` per line, ``#`` comments, dotted key paths
+(e.g. ``link_budget.rnf_db``). Every omitted key takes its default, so an
+empty file is the default experiment: 100 nodes in a 100 m square, 1200
+rounds, temperatures in [-10, 53] C.
+
+A config and its sections are immutable named tuples: parsing, overrides
+and the trace load each build a changed copy.
 """
 
 from __future__ import annotations
@@ -11,8 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from types import SimpleNamespace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConfigError
 from .protocol import REGIONS, CadenceParams, Region, RegionConfig, classical_assign
@@ -30,15 +33,9 @@ from .topology import TemperatureProcess, lean_sha256, load_temperature_trace
 CONTROLLERS = ("east", "classical")
 
 
-class SimConfig(SimpleNamespace):
-    """Full description of one simulation run.
-
-    ``SimConfig(**fields)`` takes the defaults below for the fields it is
-    not given. Unlike its sections, which are immutable named tuples, a
-    config is mutable: parsing and the seed override set its fields.
-    Equality and repr are SimpleNamespace's, over the fields, and
-    ``_replace`` returns a changed copy, as a section's does.
-    """
+class SimConfig(NamedTuple):
+    """Full description of one simulation run: an immutable named tuple,
+    like its sections. ``_replace`` returns a changed copy."""
 
     node_count: int = 100
     area_side_m: float = 100.0
@@ -54,16 +51,6 @@ class SimConfig(SimpleNamespace):
     cadence: CadenceParams = CadenceParams()
     prr: PrrParams = PrrParams()
     energy: EnergyModelParams = EnergyModelParams()
-
-    def __init__(self, **fields) -> None:
-        names = SimConfig.__annotations__
-        unknown = fields.keys() - names.keys()
-        if unknown:
-            raise TypeError(f"SimConfig has no field {', '.join(sorted(unknown))}")
-        super().__init__(**{name: fields.get(name, getattr(SimConfig, name)) for name in names})
-
-    def _replace(self, **changes) -> SimConfig:
-        return SimConfig(**{**vars(self), **changes})
 
 
 # Every config key, in README order: its kind (int, float, bool or str), its
@@ -117,16 +104,15 @@ def _get(config: SimConfig, path: str):
     return value
 
 
-def _set(config: SimConfig, path: str, value) -> None:
-    """Set the value at ``path``, rebuilding the immutable section it lies in."""
+def _set(config: SimConfig, path: str, value) -> SimConfig:
+    """A copy of ``config`` with ``value`` at ``path``, rebuilding the section it lies in."""
     section, _, name = path.rpartition(".")
     if section == "regions.threshold_loss_dbm":
         thresholds = {**config.regions.threshold_loss_dbm, Region(name): value}
-        config.regions = config.regions._replace(threshold_loss_dbm=thresholds)
-    elif section:
-        setattr(config, section, getattr(config, section)._replace(**{name: value}))
-    else:
-        setattr(config, name, value)
+        return config._replace(regions=config.regions._replace(threshold_loss_dbm=thresholds))
+    if section:
+        return config._replace(**{section: getattr(config, section)._replace(**{name: value})})
+    return config._replace(**{name: value})
 
 
 def _convert(key: str, kind: str, raw: str):
@@ -149,7 +135,8 @@ def _convert(key: str, kind: str, raw: str):
 
 
 def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
-    """Apply ``key=value`` strings on top of an existing config."""
+    """A copy of ``config`` with ``key=value`` strings applied in order;
+    ``config`` itself is left alone."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -158,7 +145,7 @@ def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key: {key}")
         kind, path, _ = CONFIG_KEYS[key]
-        _set(config, path, _convert(key, kind, raw))
+        config = _set(config, path, _convert(key, kind, raw))
     return config
 
 
@@ -168,7 +155,6 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
     ``path`` may be None for pure defaults. Unknown keys, type mismatches
     and invariant violations raise ConfigError naming the key.
     """
-    config = SimConfig()
     entries: list[str] = []
     if path is not None:
         try:
@@ -178,22 +164,21 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
             raise ConfigError(f"config file not found: {path}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
             entries.append(stripped)
-    apply_overrides(config, entries)
-    apply_overrides(config, overrides)
+    config = apply_overrides(SimConfig(), [*entries, *overrides])
     validate(config)
     if config.trace_path:
-        config.temperature = load_temperature_trace(
+        config = config._replace(temperature=load_temperature_trace(
             config.trace_path,
             t_min_c=config.temperature.t_min_c,
             t_max_c=config.temperature.t_max_c,
-        )
+        ))
         validate(config)  # the trace must also cover the run
     return config
 

@@ -48,7 +48,8 @@ class LinkBudgetParams(NamedTuple):
     """Physical constants of the free-space link budget.
 
     Defaults describe a 2.4 GHz ISM-band receiver. ``margin_m`` is a
-    dimensionless margin multiplying thermal noise.
+    dimensionless margin multiplying thermal noise. ``boltzmann_k`` is the
+    physical constant, not a field, so no config sets it.
     """
 
     eta: float = 0.0029
@@ -58,7 +59,10 @@ class LinkBudgetParams(NamedTuple):
     rnf_db: float = 5.0
     temperature_kelvin: float = 300.0
     margin_m: float = 1.0
-    boltzmann_k: float = BOLTZMANN_J_PER_K
+
+    @property
+    def boltzmann_k(self) -> float:
+        return BOLTZMANN_J_PER_K
 
     @property
     def wavelength_m(self) -> float:

@@ -165,7 +165,8 @@ def load_temperature_trace(
         digest = hashlib.sha256(data)
         cache_path = _trace_cache_path(digest.hexdigest())
         try:
-            text = data.decode("utf-8")
+            # A byte order mark is not part of the header.
+            text = data.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
         del data  # the parse reads only the text

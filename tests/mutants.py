@@ -91,6 +91,15 @@ MUTANTS = [
      '"link_budget.margin_m", ">= 1"', '"link_budget.margin_m", "> 1"'),
     ("region-threshold setter always writes Region.A", "src/eastsim/config.py",
      "Region(name): value", "Region.A: value"),
+    ("the setter drops a top-level key", "src/eastsim/config.py",
+     "return config._replace(**{name: value})", "return config"),
+    ("parse_config discards the loaded trace", "src/eastsim/config.py",
+     "config = config._replace(temperature=load_temperature_trace(",
+     "config._replace(temperature=load_temperature_trace("),
+    ("run ignores the resolved seed", "src/eastsim/cli.py",
+     "config = _resolve_seed(parse_config(args.config, args.set), args.seed)\n    _check_figure_round",
+     "config = parse_config(args.config, args.set)\n    _resolve_seed(config, args.seed)\n"
+     "    _check_figure_round"),
     ("cadence: >= becomes > at the period", "src/eastsim/protocol.py",
      ">= cadence.period_rounds", "> cadence.period_rounds"),
     ("partition: > becomes >= at the high boundary", "src/eastsim/protocol.py",

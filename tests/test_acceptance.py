@@ -73,7 +73,7 @@ def k_sweep(east_default):
     results = {10: east_default}
     for k in (1, 5, 20):
         cfg = SimConfig()
-        cfg.cadence = cfg.cadence._replace(period_rounds=k)
+        cfg = cfg._replace(cadence=cfg.cadence._replace(period_rounds=k))
         results[k] = tracked_run(cfg)
     return results
 

@@ -10,7 +10,7 @@ from array import array
 import pytest
 
 import eastsim
-from eastsim.config import SimConfig
+from eastsim.config import CONFIG_KEYS, SimConfig, apply_overrides
 from eastsim.protocol import Region, RegionConfig
 from eastsim.topology import TraceTable, deploy_random
 
@@ -37,9 +37,9 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     assert not added & {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("value", [*(getattr(SimConfig(), name) for name in SECTIONS),
+@pytest.mark.parametrize("value", [SimConfig(), *(getattr(SimConfig(), name) for name in SECTIONS),
                                    deploy_random(3, 10.0, seed=1)],
-                         ids=[*SECTIONS, "deployment"])
+                         ids=["config", *SECTIONS, "deployment"])
 def test_sections_and_deployment_reject_field_assignment(value):
     for name in value._fields:
         with pytest.raises(AttributeError):
@@ -61,9 +61,39 @@ def test_config_replace_leaves_the_original():
     assert (config.controller, config.energy.initial_battery_j) == ("east", 2.0)
     assert changed == SimConfig(node_count=5, controller="classical",
                                 energy=config.energy._replace(initial_battery_j=0.5))
-    changed.seed = 7
+    with pytest.raises(AttributeError):
+        changed.seed = 7
     assert config.seed == 42
     assert config._replace() == config and config._replace() is not config
+
+
+def test_apply_overrides_returns_a_copy():
+    config = SimConfig(node_count=5)
+    before = repr(config)
+    changed = apply_overrides(config, ["seed=7", "energy.data_bits=512",
+                                       "regions.threshold_loss_b_dbm=0.5"])
+    assert repr(config) == before
+    assert changed is not config
+    assert (changed.seed, changed.energy.data_bits) == (7, 512)
+    assert changed.regions.threshold_loss_dbm[Region.B] == 0.5
+
+
+def test_every_settable_field_is_a_config_key():
+    # a field that no config key reaches is a knob only the Python API can
+    # turn; the trace load alone sets the loaded table and its hash
+    config = SimConfig()
+    leaves = set()
+    for name in SimConfig._fields:
+        if name not in SECTIONS:
+            leaves.add(name)
+            continue
+        for field in getattr(config, name)._fields:
+            if (name, field) == ("regions", "threshold_loss_dbm"):
+                leaves.update(f"regions.threshold_loss_dbm.{r.value}" for r in Region)
+            else:
+                leaves.add(f"{name}.{field}")
+    leaves -= {"temperature.trace", "temperature.trace_sha256"}
+    assert leaves == {path for _, path, _ in CONFIG_KEYS.values()}
 
 
 def test_config_rejects_an_unknown_field():

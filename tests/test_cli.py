@@ -213,9 +213,9 @@ class TestParseConfig:
     def test_bit_count_equal_to_the_largest_float_accepted(self):
         # checked by validate alone: a run with this many bits is never made
         config = parse_config(None)
-        config.energy = config.energy._replace(data_bits=int(sys.float_info.max))
+        config = config._replace(energy=config.energy._replace(data_bits=int(sys.float_info.max)))
         validate(config)
-        config.energy = config.energy._replace(data_bits=int(sys.float_info.max) + 1)
+        config = config._replace(energy=config.energy._replace(data_bits=int(sys.float_info.max) + 1))
         with pytest.raises(ConfigError, match="energy.data_bits: must fit a float"):
             validate(config)
 
@@ -1038,6 +1038,33 @@ def test_invalid_utf8_input_is_a_named_error(tmp_path, capsys, damaged):
     err = capsys.readouterr().err
     assert f"{path}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["config", "trace"])
+def test_byte_order_mark_is_read_past(tmp_path, capsys, kind):
+    # A file saved with a UTF-8 byte order mark runs like the same file
+    # without one, and a bad byte after the mark is named at its offset in
+    # the file. A trace's manifest differs: it hashes the trace's bytes.
+    config = tmp_path / "run.cfg"
+    config.write_text("nodes = 2\nrounds = 3\n")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("node,round,temp_c\n" + "".join(
+        f"{n},{r},2{n}.{r}\n" for n in range(2) for r in range(3)))
+    path = config if kind == "config" else trace
+    plain = path.read_bytes()
+    argv = ["run", "--config", str(config), "--set", f"temperature.trace_path={trace}", "--out"]
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert main([*argv, str(tmp_path / "bom")]) == 0
+    if kind == "trace":
+        (tmp_path / "plain" / "manifest.json").unlink()
+        (tmp_path / "bom" / "manifest.json").unlink()
+    assert_same_files(tmp_path / "bom", tmp_path / "plain", kind)
+    path.write_bytes(b"\xef\xbb\xbf" + plain + b"\xff")
+    capsys.readouterr()
+    assert main([*argv, str(tmp_path / "bad")]) == 2
+    assert f"{path}: not UTF-8 text: invalid start byte at byte {3 + len(plain)}" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(

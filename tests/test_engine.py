@@ -57,7 +57,7 @@ class TestRoundSemantics:
         # one node at the reference temperature: loss 0 puts it in region A,
         # below A's threshold, so it keeps the region default level
         cfg = small_config(node_count=1, rounds=1)
-        cfg.temperature = cfg.temperature._replace(walk_sigma_c=0.0)
+        cfg = cfg._replace(temperature=cfg.temperature._replace(walk_sigma_c=0.0))
         result = run_simulation(cfg)
         loss = result.records[0].losses_dbm[0]
         region = result.partition[0]
@@ -101,9 +101,9 @@ class TestRoundSemantics:
         # constant temperatures below every threshold: after round 0 no
         # drift, no threshold crossing, so rounds 1..K-1 carry no traffic
         cfg = small_config(rounds=8)
-        cfg.temperature = cfg.temperature._replace(
+        cfg = cfg._replace(temperature=cfg.temperature._replace(
             t_min_c=-10.0, t_max_c=-8.0, walk_sigma_c=0.0
-        )
+        ))
         result = run_simulation(cfg)
         assert result.records[0].beacons == 1
         for rec in result.records[1:]:
@@ -149,9 +149,9 @@ class TestLevelStep:
         # each time its level moves.
         calls = self.count_calls(monkeypatch, "tx_energy", radio.tx_energy)
         cfg = SimConfig(node_count=30, rounds=40, seed=1)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.002)
-        cfg.regions = cfg.regions._replace(boundary_high_dbm=10.0, boundary_low_dbm=-10.0)
-        cfg.cadence = cfg.cadence._replace(drift_dbm=0.3)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.002))
+        cfg = cfg._replace(regions=cfg.regions._replace(boundary_high_dbm=10.0, boundary_low_dbm=-10.0))
+        cfg = cfg._replace(cadence=cfg.cadence._replace(drift_dbm=0.3))
         records = run_simulation(cfg).records
         moves = sum(a != b for prev, rec in zip(records, records[1:])
                     for a, b in zip(prev.levels_dbm, rec.levels_dbm))
@@ -165,7 +165,7 @@ class TestLevelStep:
         assigns = self.count_calls(monkeypatch, "east_assign", protocol.east_assign)
         schedules = self.count_calls(monkeypatch, "needs_closed_loop", protocol.needs_closed_loop)
         cfg = SimConfig(node_count=40, rounds=300, seed=1, controller="classical")
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.01)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.01))
         result = run_simulation(cfg)
         assert result.extinction_round == 121
         assert assigns[0] == schedules[0] == 0
@@ -184,13 +184,13 @@ class TestEnergyAndDeath:
 
     def test_batteries_never_negative(self):
         cfg = small_config(rounds=200)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.01)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.01))
         result = run_simulation(cfg)
         assert all(battery >= 0.0 for battery in result.batteries_j)
 
     def test_death_monotone_and_alive_flags(self):
         cfg = small_config(rounds=300)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.015)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.015))
         result = run_simulation(cfg)
         alive_counts = [sum(rec.alive) for rec in result.records]
         assert all(a >= b for a, b in zip(alive_counts, alive_counts[1:]))
@@ -201,7 +201,7 @@ class TestEnergyAndDeath:
 
     def test_extinction_terminates_early(self):
         cfg = small_config(node_count=4, rounds=500)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.003)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.003))
         result = run_simulation(cfg)
         assert result.extinction_round is not None
         assert len(result.records) == result.extinction_round + 1
@@ -235,10 +235,10 @@ class TestOracleEquivalence:
 
     def test_with_deaths_and_sampling(self):
         cfg = SimConfig(node_count=6, rounds=30, seed=5, prr_sampled=True)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.004)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.004))
         engine_result = run_simulation(cfg)
         cfg2 = SimConfig(node_count=6, rounds=30, seed=5, prr_sampled=True)
-        cfg2.energy = cfg2.energy._replace(initial_battery_j=0.004)
+        cfg2 = cfg2._replace(energy=cfg2.energy._replace(initial_battery_j=0.004))
         reference = reference_run(cfg2)
         engine = [record_as_dict(r) for r in engine_result.records]
         assert len(engine) == len(reference)
@@ -263,7 +263,7 @@ class TestLockstep:
         # that the surviving member's next round must use.
         def member(battery_j):
             cfg = SimConfig(node_count=4, rounds=40, seed=2)
-            cfg.energy = cfg.energy._replace(initial_battery_j=battery_j)
+            cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=battery_j))
             return cfg
 
         drained, kept = member(0.004), member(2.0)
@@ -299,7 +299,7 @@ class TestLockstep:
         assert all(all(r.alive) for r in kept.records)
         kept_draws = draws[0]
         cfg = SimConfig(node_count=4, rounds=40, seed=2)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.004)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.004))
         result = run_simulation(cfg)
         death = next(r.round_index for r in result.records if not r.alive[0])
         assert death == 27
@@ -317,9 +317,9 @@ class TestLockstep:
             return SimConfig(node_count=4, rounds=40, seed=seed, **kwargs)
 
         drained = member(2, controller="classical")
-        drained.energy = drained.energy._replace(initial_battery_j=0.004)
+        drained = drained._replace(energy=drained.energy._replace(initial_battery_j=0.004))
         fast = member(3)
-        fast.cadence = fast.cadence._replace(period_rounds=1)
+        fast = fast._replace(cadence=fast.cadence._replace(period_rounds=1))
         configs = [member(2), member(3), drained, fast]
         batch = Lockstep(configs)
         results = [run_simulation(cfg, lockstep=batch) for cfg in configs]
@@ -335,7 +335,7 @@ class TestLockstep:
         # The members share their sub-configs, as the CLI's do, and drain
         # with sampled PRR, so every kernel write has a chance to leak.
         base = SimConfig(node_count=8, rounds=40, seed=2, prr_sampled=True)
-        base.energy = base.energy._replace(initial_battery_j=0.004)
+        base = base._replace(energy=base.energy._replace(initial_battery_j=0.004))
         if command == "compare":
             configs = [base._replace(controller=c) for c in ("east", "classical")]
         else:
@@ -454,7 +454,7 @@ class TestRetention:
     @pytest.mark.parametrize("battery_j", [2.0, 0.003], ids=["survivors", "extinct"])
     def test_kept_rounds_write_identical_outputs(self, tmp_path, battery_j):
         cfg = small_config(node_count=6, rounds=60)
-        cfg.energy = cfg.energy._replace(initial_battery_j=battery_j)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=battery_j))
         full = run_simulation(cfg)
         last = len(full.records) - 1
         assert (full.extinction_round is not None) == (battery_j < 1.0)
@@ -494,7 +494,7 @@ class TestStreamSeeding:
         path.write_text("node,round,temp_c\n"
                         + "".join(f"{n},{r},{20.0 + n}\n" for n in range(4) for r in range(5)))
         cfg = SimConfig(node_count=3, rounds=4, seed=1, prr_sampled=True)
-        cfg.temperature = load_temperature_trace(str(path))
+        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
         calls = self.count_seeding(monkeypatch)
         run_simulation(cfg)
         assert calls == {"walk": 0, "prr": 3}
@@ -519,7 +519,7 @@ class TestTraceMode:
         path.write_text("\n".join(rows) + "\n")
 
         cfg = SimConfig(node_count=3, rounds=4, seed=1)
-        cfg.temperature = load_temperature_trace(str(path))
+        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
         result = run_simulation(cfg)
         for rec in result.records:
             for node_id in range(3):
@@ -531,6 +531,6 @@ class TestTraceMode:
         path.write_text("\n".join(rows) + "\n")
 
         cfg = SimConfig(node_count=3, rounds=4, seed=1)
-        cfg.temperature = load_temperature_trace(str(path))
+        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
         with pytest.raises(ConfigError, match="trace"):
             run_simulation(cfg)

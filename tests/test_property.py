@@ -58,13 +58,13 @@ def _trace(trace_seed, nodes, rounds, t_min, t_max):
 def _draw_regions_and_cap(draw, cfg):
     # Boundaries may lie above every loss, which puts all nodes in region C.
     low = draw(st.floats(-9.0, 9.0))
-    cfg.regions = RegionConfig(
+    cfg = cfg._replace(regions=RegionConfig(
         boundary_high_dbm=low + draw(st.floats(0.1, 10.0)),
         boundary_low_dbm=low,
         threshold_loss_dbm={r: draw(st.floats(-9.0, 6.0)) for r in REGIONS},
-    )
+    ))
     top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
-    cfg.level_cap_dbm = top_level + draw(st.floats(0.0, 10.0))
+    return cfg._replace(level_cap_dbm=top_level + draw(st.floats(0.0, 10.0)))
 
 
 @st.composite
@@ -81,24 +81,24 @@ def configs(draw):
         area_side_m=draw(st.floats(1.0, 200.0)),
         prr_sampled=draw(st.booleans()),
     )
-    _draw_regions_and_cap(draw, cfg)
+    cfg = _draw_regions_and_cap(draw, cfg)
     if draw(st.booleans()):
-        cfg.temperature = _trace(
+        cfg = cfg._replace(temperature=_trace(
             draw(st.integers(0, 2**32)),
             nodes + draw(st.integers(0, 2)),
             rounds + draw(st.integers(0, 2)),
             t_min,
             t_max,
-        )
+        ))
     else:
-        cfg.temperature = TemperatureProcess(
+        cfg = cfg._replace(temperature=TemperatureProcess(
             t_min_c=t_min, t_max_c=t_max, walk_sigma_c=draw(st.floats(0.0, 3.0))
-        )
-    cfg.cadence = cfg.cadence._replace(
+        ))
+    cfg = cfg._replace(cadence=cfg.cadence._replace(
         period_rounds=draw(st.integers(1, 12)),
         drift_dbm=draw(st.floats(0.0, 2.0)),
-    )
-    cfg.energy = cfg.energy._replace(initial_battery_j=draw(st.floats(1e-4, 0.05)))
+    ))
+    cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=draw(st.floats(1e-4, 0.05))))
     return cfg
 
 
@@ -107,13 +107,13 @@ def one_region_drain():
     distant nodes first: n_current falls below n_desired and rule (ii) sets
     the survivors' levels."""
     cfg = SimConfig(node_count=12, rounds=40, seed=0, area_side_m=150.0)
-    cfg.regions = RegionConfig(
+    cfg = cfg._replace(regions=RegionConfig(
         boundary_high_dbm=8.0,
         boundary_low_dbm=7.0,
         threshold_loss_dbm={Region.A: 3.78, Region.B: -0.61, Region.C: -9.0},
-    )
-    cfg.cadence = cfg.cadence._replace(period_rounds=1)
-    cfg.energy = cfg.energy._replace(initial_battery_j=0.002)
+    ))
+    cfg = cfg._replace(cadence=cfg.cadence._replace(period_rounds=1))
+    cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.002))
     return cfg
 
 
@@ -123,9 +123,9 @@ def staggered_drain():
     raises the survivors' levels while they still have battery, so their
     transmit power and tx costs change mid-run."""
     cfg = one_region_drain()
-    cfg.link_budget = cfg.link_budget._replace(eb_n0_db=35.0)
-    cfg.energy = cfg.energy._replace(initial_battery_j=0.01)
-    cfg.temperature = cfg.temperature._replace(walk_sigma_c=2.0)
+    cfg = cfg._replace(link_budget=cfg.link_budget._replace(eb_n0_db=35.0))
+    cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.01))
+    cfg = cfg._replace(temperature=cfg.temperature._replace(walk_sigma_c=2.0))
     return cfg
 
 
@@ -188,14 +188,14 @@ def lockstep_groups(draw):
             rounds=draw(st.integers(1, base.rounds)),
             prr_sampled=draw(st.booleans()),
         )
-        _draw_regions_and_cap(draw, cfg)
-        cfg.cadence = cfg.cadence._replace(
+        cfg = _draw_regions_and_cap(draw, cfg)
+        cfg = cfg._replace(cadence=cfg.cadence._replace(
             period_rounds=draw(st.integers(1, 12)),
             drift_dbm=draw(st.floats(0.0, 2.0)),
-        )
+        ))
         # Log-uniform, so members often lose nodes in different rounds.
         battery = 10.0 ** draw(st.floats(-4.0, -1.3))
-        cfg.energy = cfg.energy._replace(initial_battery_j=battery)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=battery))
         members.append(cfg)
     return members
 
@@ -204,7 +204,7 @@ def extinct_beside_survivor():
     """A member on a battery that lasts one round next to members that run
     all 30 rounds: the shared walk must go on for the survivors' nodes."""
     base = SimConfig(node_count=8, rounds=30, seed=7, area_side_m=80.0, prr_sampled=True)
-    base.temperature = base.temperature._replace(walk_sigma_c=2.0)
+    base = base._replace(temperature=base.temperature._replace(walk_sigma_c=2.0))
     doomed = base._replace(energy=base.energy._replace(initial_battery_j=1e-6))
     sampled_classical = base._replace(controller="classical")
     expected_east = base._replace(prr_sampled=False, cadence=base.cadence._replace(period_rounds=1))
@@ -264,7 +264,7 @@ def twin_groups(draw):
 
 def _twin_base():
     base = SimConfig(node_count=8, rounds=30, seed=11, area_side_m=90.0)
-    base.temperature = base.temperature._replace(walk_sigma_c=2.0)
+    base = base._replace(temperature=base.temperature._replace(walk_sigma_c=2.0))
     return base
 
 
@@ -347,22 +347,22 @@ def crowded_drains(draw):
         area_side_m=draw(st.floats(100.0, 200.0)),
         prr_sampled=draw(st.booleans()),
     )
-    cfg.regions = RegionConfig(
+    cfg = cfg._replace(regions=RegionConfig(
         boundary_high_dbm=high,
         boundary_low_dbm=low,
         threshold_loss_dbm={r: low_loss + draw(st.floats(0.0, 0.5)) * span for r in REGIONS},
-    )
+    ))
     top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
-    cfg.level_cap_dbm = top_level + draw(st.floats(0.0, 10.0))
-    cfg.temperature = TemperatureProcess(
+    cfg = cfg._replace(level_cap_dbm=top_level + draw(st.floats(0.0, 10.0)))
+    cfg = cfg._replace(temperature=TemperatureProcess(
         t_min_c=t_min, t_max_c=t_max, walk_sigma_c=draw(st.floats(0.0, 2.0))
-    )
-    cfg.link_budget = cfg.link_budget._replace(eb_n0_db=draw(st.floats(20.0, 30.0)))
-    cfg.cadence = cfg.cadence._replace(
+    ))
+    cfg = cfg._replace(link_budget=cfg.link_budget._replace(eb_n0_db=draw(st.floats(20.0, 30.0))))
+    cfg = cfg._replace(cadence=cfg.cadence._replace(
         period_rounds=draw(st.integers(1, 5)),
         drift_dbm=draw(st.floats(0.0, 2.0)),
-    )
-    cfg.energy = cfg.energy._replace(initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.0)))
+    ))
+    cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=10.0 ** draw(st.floats(-3.0, -2.0))))
     return cfg
 
 

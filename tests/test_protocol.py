@@ -53,7 +53,7 @@ class TestRegionConfig:
 def one_round_run(temps, controller="east"):
     """Run one round with node i held at ``temps[i]`` degrees C."""
     cfg = SimConfig(node_count=len(temps), rounds=1, seed=1, controller=controller)
-    cfg.temperature = TemperatureProcess(trace=TraceTable((array("d", temps),)))
+    cfg = cfg._replace(temperature=TemperatureProcess(trace=TraceTable((array("d", temps),))))
     return run_simulation(cfg)
 
 
@@ -73,7 +73,7 @@ class TestEstimateRssiLoss:
 
     def test_dead_nodes_do_not_ack(self):
         cfg = SimConfig(node_count=3, rounds=50, seed=1, controller="classical")
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.006)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.006))
         records = run_simulation(cfg).records
         alive_before = [3] + [sum(rec.alive) for rec in records[:-1]]
         assert [rec.acks for rec in records] == alive_before
@@ -87,7 +87,7 @@ class TestEstimateRssiLoss:
 
     def test_all_dead_signals_completion(self):
         cfg = SimConfig(node_count=2, rounds=500, seed=1)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.003)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.003))
         result = run_simulation(cfg)
         assert result.extinction_round == len(result.records) - 1 < 499
         assert not any(result.records[-1].alive)

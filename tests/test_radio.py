@@ -107,7 +107,7 @@ def valid_temperature_rows(draw):
     values drawn between."""
     t_min, t_max = sorted([draw(st.floats(-200.0, 1e4)), draw(st.floats(-200.0, 1e4))])
     config = SimConfig()
-    config.temperature = config.temperature._replace(t_min_c=t_min, t_max_c=t_max)
+    config = config._replace(temperature=config.temperature._replace(t_min_c=t_min, t_max_c=t_max))
     try:
         validate(config)
     except ConfigError:

@@ -40,7 +40,7 @@ class TestSummarize:
 
     def test_survivors_sum_to_alive(self):
         cfg = SimConfig(node_count=15, rounds=200, seed=8)
-        cfg.energy = cfg.energy._replace(initial_battery_j=0.02)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.02))
         result = run_simulation(cfg)
         rows = summarize(result)
         assert sum(row.survivors for row in rows) == result.survivors

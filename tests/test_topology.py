@@ -117,7 +117,7 @@ class TestLeanSha256:
 def walk_temps(nodes, rounds, seed, sigma):
     """Per-round temperatures of a synthetic-walk run, as the engine records them."""
     cfg = SimConfig(node_count=nodes, rounds=rounds, seed=seed)
-    cfg.temperature = cfg.temperature._replace(walk_sigma_c=sigma)
+    cfg = cfg._replace(temperature=cfg.temperature._replace(walk_sigma_c=sigma))
     result = run_simulation(cfg)
     assert len(result.records) == rounds
     return result, [rec.temps_c for rec in result.records]
@@ -387,7 +387,7 @@ class TestLoadTemperatureTrace:
         records = []
         for path in (full, cropped):
             cfg = SimConfig(node_count=4, rounds=5, seed=9)
-            cfg.temperature = load_temperature_trace(str(path))
+            cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
             records.append([record_as_dict(rec) for rec in run_simulation(cfg).records])
         assert len(records[0]) == len(records[1]) == 5
         assert all(records_equal(a, b) for a, b in zip(*records))
@@ -456,9 +456,9 @@ class TestLoadTemperatureTrace:
         path = tmp_path / "trace.csv"
         write_trace(path, ["0,0,20.0", "0,1,21.5"])
         cfg = SimConfig(node_count=1, rounds=2, seed=3)
-        cfg.temperature = load_temperature_trace(str(path))
+        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
         assert [rec.temps_c for rec in run_simulation(cfg).records] == [[20.0], [21.5]]
-        cfg.rounds = 3
+        cfg = cfg._replace(rounds=3)
         with pytest.raises(ConfigError, match="trace covers 1 nodes x 2 rounds"):
             run_simulation(cfg)
 
