@@ -1,20 +1,21 @@
 """Deterministic discrete-round executor.
 
 The nodes are deployed once. Each round, round 0 included, then runs a
-fixed sequence. One shared step sets every node's temperature (its trace
-value, else its base temperature in round 0 and a walk step after that), its
-loss and the compensation level of that loss, through ``radio.loss_row`` and
-``radio.level_row``, once per round each. In round 0 set-up follows:
-partition the nodes into regions by those losses, derive the desired
-neighbor counts and give every node its level (its region's threshold
-level, or the baseline's worst-case level) and tx costs. Then decide which
-regions run a closed-loop exchange, reassign the levels in each east region
-short of neighbors, then in one pass over the alive nodes in id order score
-each node's data packet, debit its energy and retire it if depleted, and
-finally record metrics. The baseline runs the same per-region step, with
-every region exchanging every round at the worst-case level, which no rule
-moves. Identical (config, seed) pairs produce identical output, record for
-record.
+fixed sequence. One shared step sets every node's temperature from the
+round's row of the trace or of the synthetic walk (the base temperatures in
+round 0, a Gaussian step after that), which the walk cache holds once it has
+been drawn, then its loss and the compensation level of that loss, through
+``radio.loss_row`` and ``radio.level_row``, once per round each. In round 0
+set-up follows: partition the nodes into regions by those losses, derive
+the desired neighbor counts and give every node its level (its region's
+threshold level, or the baseline's worst-case level) and tx costs. Then
+decide which regions run a closed-loop exchange, reassign the levels in each
+east region short of neighbors, then in one pass over the alive nodes in id
+order score each node's data packet, debit its energy and retire it if
+depleted, and finally record metrics. The baseline runs the same per-region
+step, with every region exchanging every round at the worst-case level,
+which no rule moves. Identical (config, seed) pairs produce identical
+output, record for record.
 
 Configs that share the seed, node count, area and temperature source can run
 as one lockstep group: the deployment and each node's temperatures, losses
@@ -60,8 +61,10 @@ from .radio import (
 )
 from .topology import (
     Deployment,
+    TemperatureProcess,
     deploy_random,
     substream,
+    walk_rows,
     walk_stream,
 )
 
@@ -208,10 +211,13 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     """Advance every config one round at a time.
 
     Each round, round 0 included, starts with one shared step over every
-    node, which rewrites the shared lists in place: the temperatures (the
-    trace row, else the base temperatures in round 0 and a walk step after
-    that), their losses, the compensation levels of those losses and, if any
-    member samples PRR, each node's uniform draw. Then each unfinished member
+    node, which rewrites the shared lists in place: the temperatures, their
+    losses, the compensation levels of those losses and, if any member
+    samples PRR, each node's uniform draw. The temperatures come from one
+    iterator of per-round rows for the group's longest member: the trace's
+    rows, cropped to the run, or ``topology.walk_rows``, which reads the
+    walk from the walk cache or draws it with ``_walk_steps`` and writes it
+    there; either way one row is held at a time. Then each unfinished member
     runs its round on those values; a member's set-up runs at its first
     ``next()``, after round 0's step. Sharing is exact because every node
     draws from its own streams once per round, in a group just as in a run
@@ -227,7 +233,7 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         config_mod.validate(config)
     first = configs[0]
     proc = first.temperature
-    trace_rows = proc.trace.rows if proc.trace is not None else None
+    n_rounds = max(config.rounds for config in configs)
 
     deployment = deploy_random(
         first.node_count,
@@ -237,11 +243,17 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         t_max_c=proc.t_max_c,
     )
     n = len(deployment.x_m)
+    # Every temperature lies in [t_min_c, t_max_c] (a trace value checked
+    # at load, or a clamped walk step), as the unchecked loss_row and
+    # level_row require.
+    if proc.trace is not None:
+        rows = (row[:n] for row in proc.trace.rows[:n_rounds])
+    else:
+        rows = walk_rows(first.seed, n, n_rounds, proc,
+                         _walk_steps(first.seed, deployment.base_temp_c, proc, n_rounds))
     temps: list[float] = []
     losses: list[float] = []
     comp: list[float] = []
-    if trace_rows is None:
-        walks = [walk_stream(first.seed, i).random for i in range(n)]
     if any(config.prr_sampled for config in configs):
         prr_streams = [substream(first.seed, "prr", i) for i in range(n)]
         draws: Optional[list[float]] = []
@@ -255,53 +267,65 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
         for config, key in zip(configs, keys)
     ]
 
+    results: list[Optional[SimResult]] = [None] * len(configs)
+    active = list(enumerate(runs))
+    try:
+        for row in rows:
+            # (1) the shared step
+            temps[:] = row
+            losses[:] = loss_row(temps)
+            comp[:] = level_row(losses)
+            if prr_streams is not None:
+                draws[:] = [stream.random() for stream in prr_streams]
+
+            # (2)-(4) in each member, which yields once the round is done
+            for k, run in active:
+                try:
+                    next(run)
+                except StopIteration as stop:
+                    results[k] = stop.value
+            active = [(k, run) for k, run in active if results[k] is None]
+            if not active:
+                break
+    finally:
+        # the walk cache keeps a walk only once all its rows were read
+        rows.close()
+    return results
+
+
+def _walk_steps(
+    seed: int, base_temp_c: Sequence[float], proc: TemperatureProcess, n_rounds: int
+) -> Generator[Sequence[float], None, None]:
+    """The synthetic walk's rows for rounds 0 to ``n_rounds - 1``: the base
+    temperatures, then per round every node's Gaussian step of
+    ``walk_sigma_c`` on its own walk stream, clamped to [t_min_c, t_max_c].
+    The streams are seeded at the first ``next()``."""
+    walks = [walk_stream(seed, i).random for i in range(len(base_temp_c))]
     sigma = proc.walk_sigma_c
     t_min, t_max = proc.t_min_c, proc.t_max_c
     two_pi = 2.0 * math.pi
-    results: list[Optional[SimResult]] = [None] * len(configs)
-    active = list(enumerate(runs))
+    temps = base_temp_c
+    yield temps
     # Every node steps every round, so all draw their Box-Muller pairs in the
     # same rounds: spare is every node's cached second normal, or None.
     spare: Optional[list[float]] = None
-    for round_idx in range(max(config.rounds for config in configs)):
-        # (1) the shared step. Every temperature lies in [t_min_c, t_max_c]
-        # (clamped, or a trace value checked at load), as the unchecked
-        # loss_row and level_row require.
-        if trace_rows is not None:
-            temps[:] = trace_rows[round_idx][:n]
-        elif round_idx == 0:
-            temps[:] = deployment.base_temp_c
+    for _ in range(1, n_rounds):
+        # Random.gauss(0.0, 1.0) written out: the same Box-Muller arithmetic
+        # and cached spare, and the same mu + z * sigma, where 0.0 + z turns
+        # a -0.0 draw into 0.0 as gauss does.
+        if spare is None:
+            # every node draws from its own stream, so each still takes its
+            # x2pi from its first draw and its g2rad from its second
+            x2pis = [rand() * two_pi for rand in walks]
+            g2rads = [sqrt(-2.0 * log(1.0 - rand())) for rand in walks]
+            normals = [cos(x2pi) * g2rad for x2pi, g2rad in zip(x2pis, g2rads)]
+            spare = [sin(x2pi) * g2rad for x2pi, g2rad in zip(x2pis, g2rads)]
         else:
-            # Random.gauss(0.0, 1.0) written out: the same Box-Muller
-            # arithmetic and cached spare, and the same mu + z * sigma,
-            # where 0.0 + z turns a -0.0 draw into 0.0 as gauss does.
-            if spare is None:
-                # every node draws from its own stream, so each still takes
-                # its x2pi from its first draw and its g2rad from its second
-                x2pis = [rand() * two_pi for rand in walks]
-                g2rads = [sqrt(-2.0 * log(1.0 - rand())) for rand in walks]
-                normals = [cos(x2pi) * g2rad for x2pi, g2rad in zip(x2pis, g2rads)]
-                spare = [sin(x2pi) * g2rad for x2pi, g2rad in zip(x2pis, g2rads)]
-            else:
-                normals, spare = spare, None
-            stepped = [t + sigma * (0.0 + z) for t, z in zip(temps, normals)]
-            # min(max(t, t_min), t_max), without two builtin calls
-            temps[:] = [t_min if t_min > t else (t_max if t_max < t else t) for t in stepped]
-        losses[:] = loss_row(temps)
-        comp[:] = level_row(losses)
-        if prr_streams is not None:
-            draws[:] = [stream.random() for stream in prr_streams]
-
-        # (2)-(4) in each member, which yields once the round is done
-        for k, run in active:
-            try:
-                next(run)
-            except StopIteration as stop:
-                results[k] = stop.value
-        active = [(k, run) for k, run in active if results[k] is None]
-        if not active:
-            break
-    return results
+            normals, spare = spare, None
+        stepped = [t + sigma * (0.0 + z) for t, z in zip(temps, normals)]
+        # min(max(t, t_min), t_max), without two builtin calls
+        temps = [t_min if t_min > t else (t_max if t_max < t else t) for t in stepped]
+        yield temps
 
 
 def _member_rounds(

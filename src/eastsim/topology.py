@@ -1,12 +1,17 @@
-"""Node deployment and the per-round temperature process.
+"""Node deployment, the per-round temperature process and its caches.
 
 One root seed drives everything; independent substreams are derived by
 hashing a purpose label (and node id) so that, for example, re-rolling
 temperatures never perturbs node placement.
+
+A loaded trace and a synthetic walk are each cached as a file of per-round
+rows under ``$XDG_CACHE_HOME/eastsim`` (``traces/`` and ``walks/``), so a
+later command reads the rows instead of parsing or drawing them again.
 """
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import functools
 import math
@@ -15,15 +20,15 @@ import random
 import struct
 import sys
 import tempfile
-from typing import NamedTuple, Optional
+from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DataError
 
-# sha256 for short strings (substream keys, config fingerprints) from the
-# interpreter's builtin module, as CPython's random.py takes its sha512: the
-# same digests, without the OpenSSL that ``import hashlib`` maps. Only the
-# functions that hash file contents import hashlib, whose OpenSSL sha256 is
-# several times faster on megabytes.
+# sha256 for short strings (substream keys, config fingerprints, cache keys)
+# and the package source from the interpreter's builtin module, as CPython's
+# random.py takes its sha512: the same digests, without the OpenSSL that
+# ``import hashlib`` maps. Only the function that hashes a trace file imports
+# hashlib, whose OpenSSL sha256 is several times faster on megabytes.
 try:
     from _sha2 import sha256 as lean_sha256  # Python 3.12+
 except ImportError:
@@ -182,26 +187,30 @@ def load_temperature_trace(
     )
 
 
-# A trace cache file is this header (magic with the format version, byte
-# order of the values, N, R, min and max of the values), the values as raw
-# doubles in round-major order, then the sha256 of everything before it. The
-# package source that wrote it is in the file's name only.
-_CACHE_MAGIC = b"eastsim-trace-cache-v3\n"
+# A cache file, trace or walk alike, is a header (magic with the format
+# version, byte order of the values, N, R, and bounds of the values: a
+# trace's min and max, a walk's t_min_c and t_max_c), the values as raw
+# doubles in round-major order, then the crc32 of everything before it,
+# which detects a damaged file and imports no hashlib. Its kind is its
+# directory; the package source that wrote it is in its name only.
+_CACHE_MAGIC = b"eastsim-cache-v4\n"
 _CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}scQQdd")
+_CACHE_CHECKSUM = struct.Struct("<I")
 _BYTE_ORDER = "<" if sys.byteorder == "little" else ">"
-_CACHE_DIGEST_SIZE = 32  # a sha256 digest
-# Writing a cache file deletes all but this many most recently written ones.
+# Writing a cache file deletes all but this many most recently written ones
+# of its directory.
 _CACHE_FILES = 8
+# A walk of more bytes than this is drawn without being cached, so the
+# walks directory never holds more than _CACHE_FILES times this.
+_WALK_CACHE_BYTES = 16 << 20
 
 
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> Optional[bytes]:
     """The sha256 of this package's source files, so that a cache file
-    written by other loader code is a miss; None when they cannot be read."""
-    import hashlib
-
+    written by other code is a miss; None when they cannot be read."""
     package = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
+    digest = lean_sha256()
     try:
         for name in sorted(os.listdir(package)):
             if name.endswith(".py"):
@@ -213,85 +222,214 @@ def _source_digest() -> Optional[bytes]:
     return digest.digest()
 
 
-def _trace_cache_path(sha256: str) -> Optional[str]:
-    """The cache file of the trace with this sha256, or None where nothing is
-    cached: under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``. The
-    name holds the source digest too, so no load opens a file other source
-    wrote, and checkouts that share the directory keep their own files."""
-    source = _source_digest()
-    if source is None:
-        return None
+def _cache_path(kind: str, name: str) -> Optional[str]:
+    """The file ``name`` of the cache ``kind`` ("traces" or "walks"), or
+    None where nothing is cached: under an absolute ``$XDG_CACHE_HOME``,
+    else ``~/.cache``."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         home = os.path.expanduser("~")
         if not os.path.isabs(home):
             return None
         root = os.path.join(home, ".cache")
-    return os.path.join(root, "eastsim", "traces", f"{sha256}-{source.hex()}")
+    return os.path.join(root, "eastsim", kind, name)
 
 
-def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
-    """The table a cache file holds, or None unless it passes every check:
-    header (a short one raises struct.error), length, value range and
-    checksum. The rows are read one at a time, as written."""
-    import hashlib
-    from array import array
+def _trace_cache_path(sha256: str) -> Optional[str]:
+    """The cache file of the trace with this sha256, or None where nothing is
+    cached. The name holds the source digest too, so no load opens a file
+    other source wrote, and checkouts that share the directory keep their
+    own files."""
+    source = _source_digest()
+    if source is None:
+        return None
+    return _cache_path("traces", f"{sha256}-{source.hex()}")
 
-    with contextlib.suppress(OSError, struct.error), open(path, "rb") as fh:
+
+def _open_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[tuple[BinaryIO, int, int]]:
+    """The cache file at ``path``, open at its first row, with its N and R,
+    or None unless its magic, byte order, dimensions, length, value range
+    and checksum pass. The checksum is read in 64 KB chunks, so nothing of
+    the size the header claims is allocated."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with contextlib.suppress(OSError, struct.error):
         header = fh.read(_CACHE_HEADER.size)
         magic, byte_order, n_nodes, n_rounds, lo, hi = _CACHE_HEADER.unpack(header)
-        if magic != _CACHE_MAGIC or byte_order != _BYTE_ORDER.encode() or not (n_nodes and n_rounds):
-            return None
-        # The length is checked before anything of the header's N and R is allocated.
-        if os.fstat(fh.fileno()).st_size != len(header) + 8 * n_nodes * n_rounds + _CACHE_DIGEST_SIZE:
-            return None
-        if not (t_min_c <= lo and hi <= t_max_c):
-            return None
-        rows = tuple(array("d", [0.0]) * n_nodes for _ in range(n_rounds))
-        checksum = hashlib.sha256(header)
-        for row in rows:
-            fh.readinto(row)  # a file cut short since the fstat fails the digest test
-            checksum.update(row)
-        if checksum.digest() == fh.read(_CACHE_DIGEST_SIZE):
-            return TraceTable(rows)
+        size = 8 * n_nodes * n_rounds
+        if (
+            magic == _CACHE_MAGIC
+            and byte_order == _BYTE_ORDER.encode()
+            and n_nodes and n_rounds
+            and os.fstat(fh.fileno()).st_size == len(header) + size + _CACHE_CHECKSUM.size
+            and t_min_c <= lo and hi <= t_max_c
+        ):
+            crc = binascii.crc32(header)
+            while chunk := fh.read(min(size, 1 << 16)):
+                crc = binascii.crc32(chunk, crc)
+                size -= len(chunk)
+            if fh.read(_CACHE_CHECKSUM.size) == _CACHE_CHECKSUM.pack(crc):
+                fh.seek(len(header))
+                return fh, n_nodes, n_rounds
+    fh.close()
     return None
 
 
-def _write_trace_cache(path: str, table: TraceTable) -> None:
-    """Writes the cache file of a loaded table through a temporary file, then
-    deletes the oldest files beyond ``_CACHE_FILES``; a location that cannot
-    be written only means nothing is cached."""
-    import hashlib
+class _CacheWriter:
+    """A cache file of ``n_rounds`` rows of ``n_nodes`` values within
+    [lo, hi], written row by row to a temporary file beside ``path``.
+    ``commit`` ends it with its checksum, renames it to ``path`` and then
+    deletes all but the ``_CACHE_FILES`` most recently written files of the
+    directory; ``discard`` deletes it. After an OSError, at any step, writes
+    do nothing and the file is deleted: a location that cannot be written
+    only means that nothing is cached."""
 
-    directory = os.path.dirname(path)
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError:  # checked first, so a location never writable costs no scan
-        return
-    rows = table.rows
-    n_nodes = len(rows[0])
-    lo, hi = min(map(min, rows)), max(map(max, rows))
-    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, len(rows), lo, hi)
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with open(fd, "wb") as fh:
-            checksum = hashlib.sha256(header)
-            fh.write(header)
-            for row in rows:  # each row's own bytes: native-order doubles
-                checksum.update(row)
-                fh.write(row)
-            fh.write(checksum.digest())
-        os.replace(tmp, path)
-        tmp = None
-        with os.scandir(directory) as entries:
-            files = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
-        for entry in files[_CACHE_FILES:]:
-            os.unlink(entry.path)
-    except OSError:
-        if tmp is not None:
+    def __init__(self, path: str, n_nodes: int, n_rounds: int, lo: float, hi: float) -> None:
+        self.path = path
+        self.tmp: Optional[str] = None
+        self.crc = 0
+        directory = os.path.dirname(path)
+        try:
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except OSError:
+            return
+        self.fh = open(fd, "wb")
+        self.tmp = tmp
+        self.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, n_rounds, lo, hi))
+
+    def write(self, data) -> None:
+        if self.tmp is not None:
+            self.crc = binascii.crc32(data, self.crc)
+            try:
+                self.fh.write(data)
+            except OSError:
+                self.discard()
+
+    def commit(self) -> None:
+        self.write(_CACHE_CHECKSUM.pack(self.crc))
+        if self.tmp is None:
+            return
+        try:
+            self.fh.close()
+            os.replace(self.tmp, self.path)
+            self.tmp = None
+            with os.scandir(os.path.dirname(self.path)) as entries:
+                files = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
+            for entry in files[_CACHE_FILES:]:
+                os.unlink(entry.path)
+        except OSError:
+            self.discard()
+
+    def discard(self) -> None:
+        if self.tmp is not None:
             with contextlib.suppress(OSError):
-                os.unlink(tmp)
+                self.fh.close()
+            with contextlib.suppress(OSError):
+                os.unlink(self.tmp)
+            self.tmp = None
+
+
+def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
+    """The table a cache file holds, or None unless it passes every check
+    of ``_open_cache``. The rows are read one at a time, as written."""
+    from array import array
+
+    opened = _open_cache(path, t_min_c, t_max_c)
+    if opened is None:
+        return None
+    fh, n_nodes, n_rounds = opened
+    with fh:
+        rows = tuple(array("d", [0.0]) * n_nodes for _ in range(n_rounds))
+        for row in rows:
+            if fh.readinto(row) != 8 * n_nodes:
+                return None  # cut short since it was checked
+    return TraceTable(rows)
+
+
+def _write_trace_cache(path: str, table: TraceTable) -> None:
+    """Writes the cache file of a loaded table (see ``_CacheWriter``)."""
+    rows = table.rows
+    out = _CacheWriter(path, len(rows[0]), len(rows), min(map(min, rows)), max(map(max, rows)))
+    for row in rows:  # each row's own bytes: native-order doubles
+        out.write(row)
+    out.commit()
+
+
+def walk_rows(
+    seed: int, n_nodes: int, n_rounds: int, proc: TemperatureProcess, steps: Iterator[Sequence[float]]
+) -> Iterator[Sequence[float]]:
+    """The ``n_rounds`` per-round temperature rows of the synthetic walk of
+    ``n_nodes`` nodes under ``seed`` and ``proc``, read from the walk cache,
+    else taken from ``steps``, which must yield those rows and is not
+    started on a hit.
+
+    The cache file is named by the sha256 of the walk's inputs, the
+    interpreter and the package source (see ``_walk_cache_path``). It is
+    used only if every check of ``_open_cache`` and its shape pass, before
+    the first row is yielded; each row is then read on its own. On a miss
+    each row of ``steps`` is also written to a temporary file, which becomes
+    the cache file when the generator is closed or exhausted after the last
+    row and is deleted when it stops before. A walk of more than
+    ``_WALK_CACHE_BYTES`` is only drawn. Either way one row is held at a
+    time. Close the generator when done with it.
+    """
+    path = _walk_cache_path(seed, n_nodes, n_rounds, proc)
+    if path is None:
+        yield from steps
+        return
+    opened = _open_cache(path, proc.t_min_c, proc.t_max_c)
+    if opened is not None:
+        fh, file_nodes, file_rounds = opened
+        with fh:
+            if (file_nodes, file_rounds) == (n_nodes, n_rounds):
+                row = bytearray(8 * n_nodes)
+                temps = memoryview(row).cast("d")
+                for _ in range(n_rounds):
+                    if fh.readinto(row) != len(row):
+                        raise DataError(f"{path}: walk cache file cut short while it was read")
+                    yield temps.tolist()
+                return
+    yield from _written_walk(path, n_nodes, n_rounds, proc, steps)
+
+
+def _walk_cache_path(seed: int, n_nodes: int, n_rounds: int, proc: TemperatureProcess) -> Optional[str]:
+    """The cache file of a synthetic walk, or None where nothing is cached
+    or the walk is larger than ``_WALK_CACHE_BYTES``: named by the sha256
+    of every input the walk depends on, of the interpreter and platform,
+    whose math library drew it, and of the package source."""
+    source = _source_digest()
+    if source is None or 8 * n_nodes * n_rounds > _WALK_CACHE_BYTES:
+        return None
+    key = (
+        f"{sys.implementation.cache_tag}:{sys.platform}:"
+        f"{seed}:{n_nodes}:{n_rounds}:{proc.t_min_c!r}:{proc.t_max_c!r}:{proc.walk_sigma_c!r}"
+    )
+    return _cache_path("walks", lean_sha256(key.encode("ascii") + source).hexdigest())
+
+
+def _written_walk(
+    path: str, n_nodes: int, n_rounds: int, proc: TemperatureProcess, steps: Iterator[Sequence[float]]
+) -> Iterator[Sequence[float]]:
+    """The rows of ``steps``, each written to the walk's cache file before
+    it is yielded; the file is committed only once all ``n_rounds`` rows
+    were (see ``walk_rows``). Every value lies in [t_min_c, t_max_c], which
+    the header records as the rows' bounds."""
+    row_bytes = struct.Struct(f"{_BYTE_ORDER}{n_nodes}d").pack
+    out = _CacheWriter(path, n_nodes, n_rounds, proc.t_min_c, proc.t_max_c)
+    written = 0
+    try:
+        for row in steps:
+            out.write(row_bytes(*row))
+            written += 1
+            yield row
+    finally:
+        if written == n_rounds:
+            out.commit()
+        else:
+            out.discard()
 
 
 def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> TraceTable:

@@ -146,14 +146,15 @@ MUTANTS = [
     ("trace load: sparse indices keep growing the dense rows", "src/eastsim/topology.py",
      "if seen is None and n_nodes * n_rounds > limit:", "if False:"),
     ("trace cache hit skips the range check", "src/eastsim/topology.py",
-     "if not (t_min_c <= lo and hi <= t_max_c):", "if False:"),
+     "and t_min_c <= lo and hi <= t_max_c", "and True"),
     ("trace cache checksum never compared", "src/eastsim/topology.py",
-     "if checksum.digest() == fh.read(_CACHE_DIGEST_SIZE):", "if True:"),
+     "if fh.read(_CACHE_CHECKSUM.size) == _CACHE_CHECKSUM.pack(crc):", "if True:"),
     ("trace cache ignores the file's length", "src/eastsim/topology.py",
-     "if os.fstat(fh.fileno()).st_size != len(header) + 8 * n_nodes * n_rounds + _CACHE_DIGEST_SIZE:",
-     "if False:"),
+     "and os.fstat(fh.fileno()).st_size == len(header) + size + _CACHE_CHECKSUM.size",
+     "and True"),
     ("trace cache lets a short header's struct.error escape", "src/eastsim/topology.py",
-     "contextlib.suppress(OSError, struct.error)", "contextlib.suppress(OSError)"),
+     "with contextlib.suppress(OSError, struct.error):",
+     "with contextlib.suppress(OSError):"),
     ("topology imports hashlib, and so OpenSSL, at module level", "src/eastsim/topology.py",
      "import contextlib", "import contextlib\nimport hashlib"),
     ("topology imports array at module level", "src/eastsim/topology.py",
@@ -172,16 +173,27 @@ MUTANTS = [
      "scored[0] == round_idx", "scored[0] is not None"),
     ("the twin key omits prr", "src/eastsim/engine.py",
      "config.regions, config.prr,", "config.regions,"),
+    ("the walk cache key omits walk_sigma_c", "src/eastsim/topology.py",
+     ":{proc.walk_sigma_c!r}", ""),
+    ("the walk cache key omits the interpreter", "src/eastsim/topology.py",
+     "{sys.implementation.cache_tag}:", ""),
+    ("a walk above the size bound is cached", "src/eastsim/topology.py",
+     " or 8 * n_nodes * n_rounds > _WALK_CACHE_BYTES", ""),
+    ("a walk that stops early commits its partial cache file", "src/eastsim/topology.py",
+     "if written == n_rounds:", "if True:"),
+    ("a walk that stops early leaves its temporary file", "src/eastsim/topology.py",
+     "out.discard()", "pass"),
     ("trace cache file named without the source digest", "src/eastsim/topology.py",
      'f"{sha256}-{source.hex()}"', "sha256"),
     ("an unreadable package file still yields a source digest", "src/eastsim/topology.py",
      "        return None\n    return digest.digest()", "        pass\n    return digest.digest()"),
     ("a trace cache path is named without a source digest", "src/eastsim/topology.py",
-     "if source is None:", "if False:"),
+     'if source is None:\n        return None\n    return _cache_path("traces"',
+     'if False:\n        return None\n    return _cache_path("traces"'),
     ("a relative home still names a trace cache directory", "src/eastsim/topology.py",
      "if not os.path.isabs(home):", "if False:"),
     ("a failed cache write leaves its temporary file", "src/eastsim/topology.py",
-     "os.unlink(tmp)", "pass"),
+     "os.unlink(self.tmp)", "pass"),
     ("report rejects a 1-round run", "src/eastsim/cli.py",
      "len(round_lines) < 2", "len(round_lines) <= 2"),
     ("east_dominates at a tie in control packets", "src/eastsim/report.py",
@@ -191,10 +203,10 @@ MUTANTS = [
     ("summarize: a loss at the threshold counts as below", "src/eastsim/report.py",
      "final.losses_dbm[i] >= threshold_loss", "final.losses_dbm[i] > threshold_loss"),
     ("the shared pass writes into a trace row", "src/eastsim/engine.py",
-     "temps[:] = trace_rows[round_idx][:n]",
-     "temps[:] = trace_rows[round_idx][:n]; trace_rows[round_idx][0] += 0.5"),
+     "(row[:n] for row in proc.trace.rows[:n_rounds])",
+     "(row.__setitem__(0, row[0] + 0.5) or row[:n] for row in proc.trace.rows[:n_rounds])"),
     ("the shared pass copies the whole trace row", "src/eastsim/engine.py",
-     "trace_rows[round_idx][:n]", "trace_rows[round_idx]"),
+     "(row[:n] for row in", "(row for row in"),
     ("rounds.csv prints PRR with %.5f", "src/eastsim/cli.py",
      '"%d,%s,%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.6f,%.6f,%.6f"',
      '"%d,%s,%d,%d,%.6f,%.6f,%d,%d,%d,%d,%.5f,%.5f,%.5f"'),
@@ -242,7 +254,7 @@ MUTANTS = [
     ("trace load: a row is rejected only when both indices are negative", "src/eastsim/topology.py",
      "if node_id < 0 or round_idx < 0:", "if node_id < 0 and round_idx < 0:"),
     ("trace cache accepts a header with one zero dimension", "src/eastsim/topology.py",
-     "not (n_nodes and n_rounds)", "not (n_nodes or n_rounds)"),
+     "and n_nodes and n_rounds", "and (n_nodes or n_rounds)"),
     ("--figure-round equal to rounds passes the up-front check", "src/eastsim/cli.py",
      "0 <= figure_round < config.rounds", "0 <= figure_round <= config.rounds"),
     # input guards that no other test reaches, each replaced by ``if False:``

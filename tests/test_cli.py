@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from eastsim import cli, topology
+from eastsim import cli, engine, topology
 from eastsim.cli import main
 from eastsim.config import (
     CONFIG_KEYS,
@@ -637,6 +637,66 @@ class TestEveryKeyReachesTheArtifacts:
 
         first, second = KEY_EFFECTS[key]
         assert artifacts("first", first) != artifacts("second", second)
+
+
+class TestWalkCache:
+    """A rerun of a synthetic command reads its walk from the walk cache."""
+
+    @pytest.fixture
+    def walk_streams(self, monkeypatch):
+        """How many walk streams the commands seeded."""
+        seeded = []
+
+        def counting_walk(seed, node_id):
+            seeded.append(node_id)
+            return topology.walk_stream(seed, node_id)
+
+        monkeypatch.setattr(engine, "walk_stream", counting_walk)
+        return seeded
+
+    @staticmethod
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["compare"], ["sweep", "--key", "cadence.period_rounds", "--values", "1,4"],
+    ], ids=["run", "compare", "sweep"])
+    def test_warm_command_writes_the_files_of_a_cold_one(self, tmp_path, cache_dirs, walk_streams,
+                                                         command):
+        for name in ("cold", "warm"):
+            assert main([*command, *SMALL, "--out", str(tmp_path / name)]) == 0
+            assert len(walk_streams) == 15  # the cold command's, once per node
+        assert len(os.listdir(cache_dirs.walks)) == 1
+        cold, warm = self.files(tmp_path / "cold"), self.files(tmp_path / "warm")
+        assert cold == warm and cold  # every file, manifests included
+
+    @pytest.mark.parametrize("setting, names_a_walk", [
+        ("seed=8", True), ("nodes=14", True), ("rounds=11", True),
+        ("temperature.t_min_c=-9", True), ("temperature.t_max_c=52", True),
+        ("temperature.walk_sigma_c=0.75", True),
+        ("controller=classical", False), ("cadence.period_rounds=3", False),
+        ("cadence.drift_dbm=0.5", False), ("energy.initial_battery_j=1.5", False),
+        ("energy.data_bits=512", False),
+    ])
+    def test_only_walk_inputs_name_another_file(self, tmp_path, cache_dirs, walk_streams, setting,
+                                                names_a_walk):
+        assert main(["run", *SMALL, "--out", str(tmp_path / "first")]) == 0
+        seeded = len(walk_streams)
+        assert main(["run", *SMALL, "--set", setting, "--out", str(tmp_path / "second")]) == 0
+        assert len(os.listdir(cache_dirs.walks)) == (2 if names_a_walk else 1)
+        assert (len(walk_streams) > seeded) == names_a_walk
+
+    def test_unwritable_location_runs_and_writes_nothing(self, tmp_path, monkeypatch, walk_streams):
+        assert main(["run", *SMALL, "--out", str(tmp_path / "cached")]) == 0
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for name in ("first", "second"):
+            assert main(["run", *SMALL, "--out", str(tmp_path / name)]) == 0
+        assert len(walk_streams) == 3 * 15  # nothing cached, so every run drew
+        assert blocker.read_text() == "not a directory\n"
+        cached = self.files(tmp_path / "cached")
+        assert self.files(tmp_path / "first") == self.files(tmp_path / "second") == cached
 
 
 class TestSeedResolution:

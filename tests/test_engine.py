@@ -1,11 +1,13 @@
 """Tests for the discrete-round executor."""
 
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 
-from eastsim import engine, protocol, radio
+from eastsim import engine, protocol, radio, topology
 from eastsim.cli import main, write_run_outputs
 from eastsim.config import SimConfig, fingerprint
 from eastsim.engine import Lockstep, run_simulation
@@ -275,11 +277,12 @@ class TestLockstep:
         assert results[0].deployment is results[1].deployment
         assert same_as_solo_runs((drained, kept), results)
 
-    def test_dead_node_keeps_its_values_while_its_walk_goes_on(self, monkeypatch):
+    def test_dead_node_keeps_its_values_while_its_walk_goes_on(self, tmp_path, monkeypatch):
         # The shared pass steps every node every round, so node 0's walk
         # draws as often as in a run without deaths: 39 Gaussian steps take
         # 40 uniform draws (20 Box-Muller pairs). Its records keep the
-        # temperature and loss it had in round 27, when it died.
+        # temperature and loss it had in round 27, when it died. Each run
+        # gets an empty walk cache, so each draws its own walk.
         draws = {}
 
         class CountingRandom(random.Random):
@@ -300,6 +303,7 @@ class TestLockstep:
         kept_draws = draws[0]
         cfg = SimConfig(node_count=4, rounds=40, seed=2)
         cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.004))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "second-cache"))
         result = run_simulation(cfg)
         death = next(r.round_index for r in result.records if not r.alive[0])
         assert death == 27
@@ -508,6 +512,88 @@ class TestStreamSeeding:
         for config in configs:
             run_simulation(config, lockstep=batch)
         assert calls == {"walk": 12, "prr": 12 if any(sampling) else 0}
+
+
+class TestWalkCache:
+    """A synthetic walk is drawn once per (seed, nodes, rounds, bounds,
+    sigma) and package source; later runs read its rows from the walk cache."""
+
+    @staticmethod
+    def same_records(a, b):
+        return len(a.records) == len(b.records) and all(
+            records_equal(record_as_dict(ra), record_as_dict(rb)) and repr(ra) == repr(rb)
+            for ra, rb in zip(a.records, b.records)
+        )
+
+    def test_warm_run_draws_no_walk(self, monkeypatch, cache_dirs):
+        calls = TestStreamSeeding.count_seeding(monkeypatch)
+        cold = run_simulation(small_config())
+        assert calls["walk"] == 12  # once per node
+        warm = run_simulation(small_config())
+        assert calls["walk"] == 12  # not at all
+        assert self.same_records(warm, cold)
+        assert len(os.listdir(cache_dirs.walks)) == 1
+
+    def test_group_caches_the_walk_of_its_longest_member(self, monkeypatch, cache_dirs):
+        calls = TestStreamSeeding.count_seeding(monkeypatch)
+        configs = [small_config(rounds=10), small_config(rounds=20)]
+        batch = Lockstep(configs)
+        grouped = [run_simulation(config, lockstep=batch) for config in configs]
+        assert calls["walk"] == 12
+        assert self.same_records(run_simulation(small_config(rounds=20)), grouped[1])
+        assert calls["walk"] == 12  # a hit on the group's 20 rounds
+        assert self.same_records(run_simulation(small_config(rounds=10)), grouped[0])
+        assert calls["walk"] == 24  # 10 rounds name a walk of their own
+        assert len(os.listdir(cache_dirs.walks)) == 2
+
+    def test_extinct_run_caches_nothing(self, monkeypatch, cache_dirs):
+        calls = TestStreamSeeding.count_seeding(monkeypatch)
+        cfg = small_config(rounds=200)
+        cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.002))
+        for _ in range(2):
+            result = run_simulation(cfg)
+            assert result.extinction_round is not None and len(result.records) < 200
+            assert os.listdir(cache_dirs.walks) == []  # no cache file and no *.tmp
+        assert calls["walk"] == 24  # each run drew its own walk
+
+    def test_failed_run_caches_nothing(self, monkeypatch, cache_dirs):
+        rounds = []
+
+        def failing_level_row(losses):
+            rounds.append(None)
+            if len(rounds) == 5:
+                raise RuntimeError("a failure in round 4")
+            return radio.level_row(losses)
+
+        monkeypatch.setattr(engine, "level_row", failing_level_row)
+        with pytest.raises(RuntimeError, match="round 4"):
+            run_simulation(small_config())
+        assert os.listdir(cache_dirs.walks) == []
+
+    def test_walk_rows_stream_one_row_at_a_time(self, cache_dirs):
+        # 200 nodes x 2000 rounds, 3.2 MB of walk, drawn (cold) and read
+        # back (warm) as the shared step reads them. Cold, the peak is the
+        # 200 walk streams' Mersenne Twister states; warm, two 64 KB chunks
+        # of the cache file's check.
+        proc = small_config().temperature
+        nodes, rounds, seed = 200, 2000, 1
+        deployment = deploy_random(nodes, 100.0, seed)
+        topology._source_digest()  # cached before the first measurement
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                rows = engine.walk_rows(seed, nodes, rounds, proc,
+                                        engine._walk_steps(seed, deployment.base_temp_c, proc, rounds))
+                temps = []
+                for row in rows:
+                    temps[:] = row
+                rows.close()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(os.listdir(cache_dirs.walks)) == 1
+        assert all(peak < nodes * rounds * 8 / 4 for peak in peaks), peaks
 
 
 class TestTraceMode:

@@ -1,5 +1,6 @@
 """Tests for deployment and the temperature process."""
 
+import binascii
 import hashlib
 import importlib.util
 import os
@@ -22,10 +23,12 @@ from eastsim.config import SimConfig, fingerprint, parse_config
 from eastsim.engine import run_simulation
 from eastsim.errors import ConfigError, DataError
 from eastsim.topology import (
+    TemperatureProcess,
     TraceTable,
     deploy_random,
     lean_sha256,
     load_temperature_trace,
+    walk_rows,
     walk_stream,
 )
 
@@ -499,8 +502,8 @@ def cache_name(sha256):
 
 
 def reseal(blob):
-    """A cache file's bytes with its checksum made to match the rest again."""
-    return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
+    """A cache file's bytes with its crc32 made to match the rest again."""
+    return blob[:-4] + topology._CACHE_CHECKSUM.pack(binascii.crc32(blob[:-4]))
 
 
 def with_byte(blob, offset, value):
@@ -519,7 +522,7 @@ def with_zero_dimension(blob, field):
     followed by the empty payload that header implies and a checksum."""
     fields = list(topology._CACHE_HEADER.unpack_from(blob))
     fields[field] = 0
-    return reseal(topology._CACHE_HEADER.pack(*fields) + blob[-32:])
+    return reseal(topology._CACHE_HEADER.pack(*fields) + blob[-4:])
 
 
 MAGIC = topology._CACHE_MAGIC
@@ -564,11 +567,11 @@ def _load_per_line(path, text, t_min_c, t_max_c):
 
 class TestTraceCache:
     @pytest.mark.parametrize("node_major", [True, False], ids=["node_major", "round_major"])
-    def test_warm_load_equals_cold_load(self, tmp_path, trace_cache_home, parses, node_major):
+    def test_warm_load_equals_cold_load(self, tmp_path, cache_dirs, parses, node_major):
         path = write_cells(tmp_path / "trace.csv", node_major)
         cold = load_temperature_trace(path)
         assert len(parses) == 1
-        assert os.listdir(trace_cache_home) == [cache_name(cold.trace_sha256)]
+        assert os.listdir(cache_dirs.traces) == [cache_name(cold.trace_sha256)]
         warm = load_temperature_trace(path)
         assert len(parses) == 1  # nothing parsed: a hit
         assert warm == cold
@@ -628,26 +631,26 @@ class TestTraceCache:
         assert str(warm.value) == str(cold.value)
         assert "row 5: temperature 53.0 outside declared range [-10.0, 50.0]" in str(warm.value)
 
-    def test_failed_load_writes_no_cache_file(self, tmp_path, trace_cache_home):
+    def test_failed_load_writes_no_cache_file(self, tmp_path, cache_dirs):
         path = tmp_path / "trace.csv"
         write_trace(path, ["0,0,20.0", "0,0,21.0"])
         with pytest.raises(DataError, match="duplicate"):
             load_temperature_trace(str(path))
-        assert not trace_cache_home.exists()
+        assert not cache_dirs.traces.exists()
 
     @pytest.mark.parametrize("damage", DAMAGED_CACHE)
-    def test_damaged_cache_file_is_a_miss_and_rewritten(self, tmp_path, trace_cache_home, parses, damage):
+    def test_damaged_cache_file_is_a_miss_and_rewritten(self, tmp_path, cache_dirs, parses, damage):
         path = write_cells(tmp_path / "trace.csv")
         cold = load_temperature_trace(path)
-        cache_file = trace_cache_home / cache_name(cold.trace_sha256)
+        cache_file = cache_dirs.traces / cache_name(cold.trace_sha256)
         valid = cache_file.read_bytes()
         cache_file.write_bytes(DAMAGED_CACHE[damage](valid))
         assert load_temperature_trace(path) == cold
         assert len(parses) == 2
         assert cache_file.read_bytes() == valid
-        assert os.listdir(trace_cache_home) == [cache_name(cold.trace_sha256)]  # no temporary file left
+        assert os.listdir(cache_dirs.traces) == [cache_name(cold.trace_sha256)]  # no temporary file left
 
-    def test_changed_package_source_misses_cache(self, tmp_path, trace_cache_home, parses):
+    def test_changed_package_source_misses_cache(self, tmp_path, cache_dirs, parses):
         package = tmp_path / "copy" / "eastsim"
         shutil.copytree(
             os.path.dirname(topology.__file__), package, ignore=shutil.ignore_patterns("__pycache__")
@@ -675,10 +678,10 @@ class TestTraceCache:
         assert load_with_copy() == repr(shifted)  # the edited loader ran
         assert load_temperature_trace(str(trace)).trace.rows == rows
         assert len(parses) == 1  # the edited copy wrote a file of its own
-        assert len(os.listdir(trace_cache_home)) == 2
+        assert len(os.listdir(cache_dirs.traces)) == 2
 
     def test_two_sources_sharing_a_directory_keep_their_own_files(
-        self, tmp_path, trace_cache_home, monkeypatch, parses
+        self, tmp_path, cache_dirs, monkeypatch, parses
     ):
         path = write_cells(tmp_path / "trace.csv")
         sources = [b"\x01" * 32, b"\x02" * 32]
@@ -686,18 +689,18 @@ class TestTraceCache:
             monkeypatch.setattr(topology, "_source_digest", lambda source=source: source)
             sha256 = load_temperature_trace(path).trace_sha256
         assert len(parses) == 2  # each source parsed once; both later loads were hits
-        assert sorted(os.listdir(trace_cache_home)) == [f"{sha256}-{source.hex()}" for source in sources]
+        assert sorted(os.listdir(cache_dirs.traces)) == [f"{sha256}-{source.hex()}" for source in sources]
 
-    def test_write_keeps_only_the_most_recently_written_files(self, tmp_path, trace_cache_home):
-        trace_cache_home.mkdir(parents=True)
+    def test_write_keeps_only_the_most_recently_written_files(self, tmp_path, cache_dirs):
+        cache_dirs.traces.mkdir(parents=True)
         older = []
         for i in range(topology._CACHE_FILES):
-            cache_file = trace_cache_home / f"older-{i}"
+            cache_file = cache_dirs.traces / f"older-{i}"
             cache_file.write_bytes(b"")
             os.utime(cache_file, ns=(i * 10**9, i * 10**9))
             older.append(cache_file.name)
         sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
-        assert sorted(os.listdir(trace_cache_home)) == sorted(older[1:] + [cache_name(sha256)])
+        assert sorted(os.listdir(cache_dirs.traces)) == sorted(older[1:] + [cache_name(sha256)])
 
     def test_cache_home_on_a_regular_file_only_disables_caching(self, tmp_path, monkeypatch, parses):
         blocker = tmp_path / "blocker"
@@ -727,7 +730,7 @@ class TestTraceCache:
         assert sorted(os.listdir(tmp_path)) == ["trace.csv"]
 
     def test_unreadable_package_source_disables_caching(
-        self, tmp_path, trace_cache_home, monkeypatch, parses
+        self, tmp_path, cache_dirs, monkeypatch, parses
     ):
         package = os.path.dirname(os.path.abspath(topology.__file__))
 
@@ -746,10 +749,10 @@ class TestTraceCache:
         finally:
             topology._source_digest.cache_clear()
         assert len(parses) == 2
-        assert not trace_cache_home.exists()
+        assert not cache_dirs.traces.exists()
 
     def test_failed_cache_write_removes_its_temporary_file(
-        self, tmp_path, trace_cache_home, monkeypatch, parses
+        self, tmp_path, cache_dirs, monkeypatch, parses
     ):
         def fail_replace(src, dst):
             raise PermissionError(f"cannot replace {dst}")
@@ -760,17 +763,17 @@ class TestTraceCache:
         assert [loaded.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
         assert load_temperature_trace(path) == loaded
         assert len(parses) == 2  # nothing was cached
-        assert os.listdir(trace_cache_home) == []
+        assert os.listdir(cache_dirs.traces) == []
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_cli_writes_identical_files_on_warm_cache(self, tmp_path, trace_cache_home, parses, command):
+    def test_cli_writes_identical_files_on_warm_cache(self, tmp_path, cache_dirs, parses, command):
         trace = write_cells(tmp_path / "trace.csv")
         argv = [command, "--set", "nodes=3", "--set", "rounds=4",
                 "--set", f"temperature.trace_path={trace}"]
         for name in ("cold", "warm"):
             assert main([*argv, "--out", str(tmp_path / name)]) == 0
         assert len(parses) == 1
-        assert len(os.listdir(trace_cache_home)) == 1
+        assert len(os.listdir(cache_dirs.traces)) == 1
         files = {}
         for name in ("cold", "warm"):
             root = tmp_path / name
@@ -778,3 +781,206 @@ class TestTraceCache:
                 str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
             }
         assert files["cold"] == files["warm"] and files["cold"]
+
+
+# The walks of the walk-cache tests: 3 nodes x 4 rounds under the default
+# bounds, a negative zero and both bounds among the values.
+WALK_ROWS = [[-0.0, 21.5, -10.0], [53.0, 0.0, 0.25], [52.75, -9.5, 1e-300], [20.0, 30.125, 45.0]]
+WALK_PROC = TemperatureProcess()
+
+
+def walk_cache_rows(started, seed=1, rows=WALK_ROWS, proc=WALK_PROC):
+    """``walk_rows`` over ``rows``, recording in ``started`` each time the
+    stand-in walk starts, which is each miss."""
+
+    def steps():
+        started.append(seed)
+        yield from rows
+
+    return walk_rows(seed, len(rows[0]), len(rows), proc, steps())
+
+
+def read_walk(started, **kwargs):
+    rows = walk_cache_rows(started, **kwargs)
+    try:
+        return [list(row) for row in rows]
+    finally:
+        rows.close()
+
+
+def walk_file(cache_dirs):
+    """The one file of the walk cache directory."""
+    (name,) = os.listdir(cache_dirs.walks)
+    return cache_dirs.walks / name
+
+
+def with_walk_header(blob, field, value):
+    """A walk cache file's bytes with one header field set, resealed."""
+    fields = list(topology._CACHE_HEADER.unpack_from(blob))
+    fields[field] = value
+    return reseal(topology._CACHE_HEADER.pack(*fields) + blob[topology._CACHE_HEADER.size :])
+
+
+# Damaged walk cache files: each maps the bytes of a valid one to a file
+# that must be a miss. Every case past the first three carries a valid
+# checksum, so only the field it changes can make it a miss.
+DAMAGED_WALK = {
+    "truncated": lambda blob: blob[:-1],
+    "short_header": lambda blob: blob[: topology._CACHE_HEADER.size - 1],
+    "payload_byte_flipped": lambda blob: with_byte(
+        blob, topology._CACHE_HEADER.size, blob[topology._CACHE_HEADER.size] ^ 0x01
+    ),
+    "trailing_bytes": lambda blob: reseal(blob[:-4] + b"\x00" * 8 + blob[-4:]),
+    "other_format_version": lambda blob: reseal(
+        with_byte(blob, len(MAGIC) - 2, blob[len(MAGIC) - 2] ^ 0x01)
+    ),
+    "other_byte_order": lambda blob: with_walk_header(
+        blob, 1, b">" if topology._BYTE_ORDER == "<" else b"<"
+    ),
+    # 4 nodes x 3 rounds: the same 12 cells, so the length passes too
+    "other_shape": lambda blob: with_walk_header(with_walk_header(blob, 2, 4), 3, 3),
+    "below_t_min_c": lambda blob: with_walk_header(blob, 4, WALK_PROC.t_min_c - 1.0),
+    "above_t_max_c": lambda blob: with_walk_header(blob, 5, WALK_PROC.t_max_c + 1.0),
+}
+
+
+class TestWalkCache:
+    def test_warm_rows_equal_cold_rows(self, cache_dirs):
+        started = []
+        cold = read_walk(started)
+        assert started == [1]
+        assert cold == WALK_ROWS
+        blob = walk_file(cache_dirs).read_bytes()
+        assert len(blob) == topology._CACHE_HEADER.size + 8 * 3 * 4 + 4  # 8 B a node-round
+        warm = read_walk(started)
+        assert started == [1]  # a hit: the walk never started
+        assert repr(warm) == repr(cold)  # -0.0 stays -0.0
+        assert walk_file(cache_dirs).read_bytes() == blob
+
+    def test_each_input_names_its_own_file(self, cache_dirs):
+        started = []
+        variants = [
+            {}, {"seed": 2}, {"rows": [row[:2] for row in WALK_ROWS]}, {"rows": WALK_ROWS[:3]},
+            *({"proc": WALK_PROC._replace(**{field: value})}
+              for field, value in (("t_min_c", -11.0), ("t_max_c", 54.0), ("walk_sigma_c", 0.25))),
+        ]
+        for variant in variants + variants:
+            read_walk(started, **variant)
+        assert len(started) == len(variants)  # each variant missed once, then hit
+        assert len(os.listdir(cache_dirs.walks)) == len(variants)
+
+    def test_interpreter_and_platform_name_their_own_files(self, cache_dirs, monkeypatch):
+        # libm's cos, sin and log drew the walk: another build's walk is a miss
+        started = []
+        read_walk(started)
+        monkeypatch.setattr(sys.implementation, "cache_tag", "other-interpreter")
+        read_walk(started)
+        monkeypatch.setattr(sys, "platform", "other-platform")
+        read_walk(started)
+        read_walk(started)
+        assert len(started) == 3
+        assert len(os.listdir(cache_dirs.walks)) == 3
+
+    def test_walk_above_the_size_bound_is_drawn_and_writes_nothing(self, cache_dirs, monkeypatch):
+        # 1000 nodes x 2097 rounds is the largest walk of 1000 nodes cached
+        assert topology._walk_cache_path(1, 1000, 2097, WALK_PROC) is not None
+        assert topology._walk_cache_path(1, 1000, 2098, WALK_PROC) is None
+        monkeypatch.setattr(topology, "_WALK_CACHE_BYTES", 8 * 3 * 4 - 1)
+        started = []
+        assert read_walk(started) == read_walk(started) == WALK_ROWS
+        assert len(started) == 2  # drawn both times
+        assert not cache_dirs.walks.exists()  # no file, and no temporary file
+        monkeypatch.setattr(topology, "_WALK_CACHE_BYTES", 8 * 3 * 4)
+        read_walk(started)
+        assert len(os.listdir(cache_dirs.walks)) == 1
+
+    @pytest.mark.parametrize("damage", DAMAGED_WALK)
+    def test_damaged_file_is_a_miss_and_rewritten(self, cache_dirs, damage):
+        started = []
+        read_walk(started)
+        cache_file = walk_file(cache_dirs)
+        valid = cache_file.read_bytes()
+        cache_file.write_bytes(DAMAGED_WALK[damage](valid))
+        assert read_walk(started) == WALK_ROWS
+        assert len(started) == 2
+        assert cache_file.read_bytes() == valid
+        assert os.listdir(cache_dirs.walks) == [cache_file.name]  # no temporary file left
+
+    @pytest.mark.parametrize("rows_read", [0, 1, 3])
+    def test_stop_before_the_last_row_leaves_no_file(self, cache_dirs, rows_read):
+        started = []
+        rows = walk_cache_rows(started)
+        for _ in range(rows_read):
+            next(rows)
+        rows.close()
+        assert started == ([1] if rows_read else [])
+        assert not cache_dirs.walks.exists() or os.listdir(cache_dirs.walks) == []
+
+    def test_file_cut_short_while_read_is_an_error(self, cache_dirs):
+        # rows wider than the reader's buffer, so each is read from the file
+        wide = [[float(r)] * 2000 for r in range(4)]
+        read_walk([], rows=wide)
+        rows = walk_cache_rows([], rows=wide)
+        assert next(rows) == wide[0]  # the file passed its checks
+        os.truncate(walk_file(cache_dirs), topology._CACHE_HEADER.size + 8 * 2000 * 2 - 8)
+        with pytest.raises(DataError, match="walk cache file cut short while it was read"):
+            next(rows)
+
+    def test_stream_holds_one_row(self):
+        # 200 nodes x 2000 rounds, 3.2 MB of walk: each way a row at a time
+        nodes, rounds = 200, 2000
+        proc = TemperatureProcess(t_min_c=-1.0, t_max_c=1.0)
+        topology._source_digest()  # cached before the first measurement
+
+        def steps():
+            row = [0.5] * nodes
+            for _ in range(rounds):
+                yield row
+
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                rows = walk_rows(1, nodes, rounds, proc, steps())
+                for row in rows:
+                    assert len(row) == nodes
+                rows.close()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # two 64 KB chunks of the check and a few rows: a tenth of the walk
+        assert all(peak < nodes * rounds * 8 / 10 for peak in peaks), peaks
+
+    def test_walks_and_traces_evict_only_their_own_files(self, tmp_path, cache_dirs):
+        for directory in cache_dirs:
+            directory.mkdir(parents=True)
+            for i in range(topology._CACHE_FILES):
+                older = directory / f"older-{i}"
+                older.write_bytes(b"")
+                os.utime(older, ns=(i * 10**9, i * 10**9))
+        read_walk([])
+        assert len(os.listdir(cache_dirs.traces)) == topology._CACHE_FILES
+        assert "older-0" not in os.listdir(cache_dirs.walks)
+        load_temperature_trace(write_cells(tmp_path / "trace.csv"))
+        assert len(os.listdir(cache_dirs.walks)) == topology._CACHE_FILES
+        assert "older-0" not in os.listdir(cache_dirs.traces)
+        assert "older-1" in os.listdir(cache_dirs.walks)
+
+    def test_unwritable_location_caches_nothing(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        started = []
+        assert read_walk(started) == read_walk(started) == WALK_ROWS
+        assert len(started) == 2
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_failed_commit_removes_its_temporary_file(self, cache_dirs, monkeypatch):
+        def fail_replace(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        started = []
+        assert read_walk(started) == read_walk(started) == WALK_ROWS
+        assert len(started) == 2
+        assert os.listdir(cache_dirs.walks) == []
