@@ -136,7 +136,8 @@ def _convert(key: str, kind: str, raw: str):
 
 def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
     """A copy of ``config`` with ``key=value`` strings applied in order;
-    ``config`` itself is left alone."""
+    ``config`` itself is left alone. Setting ``temperature.trace_path``
+    drops a loaded trace: ``parse_config`` loads the one it names."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -146,6 +147,8 @@ def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
             raise ConfigError(f"unknown config key: {key}")
         kind, path, _ = CONFIG_KEYS[key]
         config = _set(config, path, _convert(key, kind, raw))
+        if key == "temperature.trace_path":  # a loaded table was read from the old path
+            config = config._replace(temperature=config.temperature._replace(trace=None, trace_sha256=None))
     return config
 
 

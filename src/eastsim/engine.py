@@ -38,6 +38,7 @@ from typing import Collection, Generator, NamedTuple, Optional, Sequence
 
 from . import config as config_mod
 from .config import SimConfig
+from .errors import ConfigError
 from .protocol import (
     REGIONS,
     ControlTraffic,
@@ -231,6 +232,8 @@ def _run_group(configs: list[SimConfig], keep: Optional[frozenset[int]]) -> list
     """
     for config in configs:
         config_mod.validate(config)
+        if config.trace_path and config.temperature.trace is None:
+            raise ConfigError(f"temperature.trace_path: {config.trace_path} was never loaded")
     first = configs[0]
     proc = first.temperature
     n_rounds = max(config.rounds for config in configs)

@@ -20,7 +20,7 @@ import random
 import struct
 import sys
 import tempfile
-from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, DataError
 
@@ -145,12 +145,12 @@ def load_temperature_trace(
     in any order, zero-based dense indices. Values must lie within
     [t_min_c, t_max_c]. The table is held as per-round rows.
 
-    A loaded table is cached in a file named by the sha256 of the trace's
-    bytes and of the package source (see ``_trace_cache_path``); a later
-    load of the same bytes by the same package source reads that file
-    instead of parsing, when every check on it passes. The file is hashed
-    in 64 KB chunks and read whole only on a miss, whose bytes, hashed
-    again, name the cache file and ``trace_sha256``: both name what was parsed.
+    A loaded table is cached in a file whose key is the sha256 of the
+    trace's bytes (see ``_cache_path``); a later load of the same bytes by
+    the same package source reads that file instead of parsing, when every
+    check on it passes. The file is hashed in 64 KB chunks and read whole
+    only on a miss, whose bytes, hashed again, name the cache file and
+    ``trace_sha256``: both name what was parsed.
     """
     import hashlib
 
@@ -159,16 +159,18 @@ def load_temperature_trace(
             digest = hashlib.sha256()
             while chunk := fh.read(1 << 16):
                 digest.update(chunk)
-            cache_path = _trace_cache_path(digest.hexdigest())
-            table = None if cache_path is None else _read_trace_cache(cache_path, t_min_c, t_max_c)
-            if table is None:
+            cache_path = _cache_path("traces", digest.hexdigest())
+            rows = None if cache_path is None else _read_cache(cache_path, t_min_c, t_max_c)
+            if rows is None:
                 fh.seek(0)
                 data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
-    if table is None:
+    if rows is not None:
+        table = TraceTable(tuple(rows))
+    else:
         digest = hashlib.sha256(data)
-        cache_path = _trace_cache_path(digest.hexdigest())
+        cache_path = _cache_path("traces", digest.hexdigest())
         try:
             # A byte order mark is not part of the header.
             text = data.decode("utf-8").removeprefix("\ufeff")
@@ -177,7 +179,10 @@ def load_temperature_trace(
         del data  # the parse reads only the text
         table = _load_per_line(path, text, t_min_c, t_max_c)
         if cache_path is not None:
-            _write_trace_cache(cache_path, table)
+            rows = table.rows
+            lo, hi = min(map(min, rows)), max(map(max, rows))
+            for _ in _write_cache(cache_path, len(rows[0]), len(rows), lo, hi, rows):
+                pass
     return TemperatureProcess(
         t_min_c=t_min_c,
         t_max_c=t_max_c,
@@ -192,7 +197,8 @@ def load_temperature_trace(
 # trace's min and max, a walk's t_min_c and t_max_c), the values as raw
 # doubles in round-major order, then the crc32 of everything before it,
 # which detects a damaged file and imports no hashlib. Its kind is its
-# directory; the package source that wrote it is in its name only.
+# directory; its key and the package source that wrote it are in its name
+# only.
 _CACHE_MAGIC = b"eastsim-cache-v4\n"
 _CACHE_HEADER = struct.Struct(f"<{len(_CACHE_MAGIC)}scQQdd")
 _CACHE_CHECKSUM = struct.Struct("<I")
@@ -222,35 +228,50 @@ def _source_digest() -> Optional[bytes]:
     return digest.digest()
 
 
-def _cache_path(kind: str, name: str) -> Optional[str]:
-    """The file ``name`` of the cache ``kind`` ("traces" or "walks"), or
-    None where nothing is cached: under an absolute ``$XDG_CACHE_HOME``,
-    else ``~/.cache``."""
+def _cache_path(kind: str, key: str) -> Optional[str]:
+    """The cache file of ``key`` (a trace's sha256, a walk's inputs) in the
+    cache ``kind`` ("traces" or "walks"), or None where nothing is cached:
+    under an absolute ``$XDG_CACHE_HOME``, else ``~/.cache``. Its name is
+    the sha256 of the key and of the package source, so no load opens a
+    file other source wrote, and checkouts that share the directory keep
+    their own files."""
+    source = _source_digest()
+    if source is None:
+        return None
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         home = os.path.expanduser("~")
         if not os.path.isabs(home):
             return None
         root = os.path.join(home, ".cache")
-    return os.path.join(root, "eastsim", kind, name)
+    return os.path.join(root, "eastsim", kind, lean_sha256(key.encode("ascii") + source).hexdigest())
 
 
-def _trace_cache_path(sha256: str) -> Optional[str]:
-    """The cache file of the trace with this sha256, or None where nothing is
-    cached. The name holds the source digest too, so no load opens a file
-    other source wrote, and checkouts that share the directory keep their
-    own files."""
-    source = _source_digest()
-    if source is None:
-        return None
-    return _cache_path("traces", f"{sha256}-{source.hex()}")
+def _read_cache(
+    path: str, t_min_c: float, t_max_c: float, shape: Optional[tuple[int, int]] = None
+) -> Optional[Iterator[Sequence[float]]]:
+    """The rows of the cache file at ``path``, or None unless its magic,
+    byte order, dimensions (N and R, equal to ``shape`` when given), length,
+    value range and checksum pass, all before any row is read. The checksum
+    is read in 64 KB chunks, so nothing of the size the header claims is
+    allocated. Each row is then read on its own with ``readinto``: a walk's
+    (``shape`` given) into one buffer and yielded as a list, a trace's into
+    an ``array('d')`` of its size. A file cut short since its checks raises
+    DataError. Close the iterator when done with it."""
 
+    def rows() -> Iterator[Sequence[float]]:
+        with fh:
+            if shape is None:
+                from array import array
+            else:
+                buffer = bytearray(8 * n_nodes)
+                temps = memoryview(buffer).cast("d")
+            for _ in range(n_rounds):
+                row = array("d", [0.0]) * n_nodes if shape is None else buffer
+                if fh.readinto(row) != 8 * n_nodes:
+                    raise DataError(f"{path}: cache file cut short while it was read")
+                yield row if shape is None else temps.tolist()
 
-def _open_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[tuple[BinaryIO, int, int]]:
-    """The cache file at ``path``, open at its first row, with its N and R,
-    or None unless its magic, byte order, dimensions, length, value range
-    and checksum pass. The checksum is read in 64 KB chunks, so nothing of
-    the size the header claims is allocated."""
     try:
         fh = open(path, "rb")
     except OSError:
@@ -263,6 +284,7 @@ def _open_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[tuple[Bin
             magic == _CACHE_MAGIC
             and byte_order == _BYTE_ORDER.encode()
             and n_nodes and n_rounds
+            and shape in (None, (n_nodes, n_rounds))
             and os.fstat(fh.fileno()).st_size == len(header) + size + _CACHE_CHECKSUM.size
             and t_min_c <= lo and hi <= t_max_c
         ):
@@ -272,90 +294,63 @@ def _open_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[tuple[Bin
                 size -= len(chunk)
             if fh.read(_CACHE_CHECKSUM.size) == _CACHE_CHECKSUM.pack(crc):
                 fh.seek(len(header))
-                return fh, n_nodes, n_rounds
+                return rows()
     fh.close()
     return None
 
 
-class _CacheWriter:
-    """A cache file of ``n_rounds`` rows of ``n_nodes`` values within
-    [lo, hi], written row by row to a temporary file beside ``path``.
-    ``commit`` ends it with its checksum, renames it to ``path`` and then
-    deletes all but the ``_CACHE_FILES`` most recently written files of the
-    directory; ``discard`` deletes it. After an OSError, at any step, writes
-    do nothing and the file is deleted: a location that cannot be written
-    only means that nothing is cached."""
-
-    def __init__(self, path: str, n_nodes: int, n_rounds: int, lo: float, hi: float) -> None:
-        self.path = path
-        self.tmp: Optional[str] = None
-        self.crc = 0
-        directory = os.path.dirname(path)
+def _write_cache(
+    path: str, n_nodes: int, n_rounds: int, lo: float, hi: float, rows: Iterable[Sequence[float]]
+) -> Iterator[Sequence[float]]:
+    """The rows of ``rows``, each yielded once it is packed into a temporary
+    file beside ``path``, the cache file of ``n_rounds`` rows of ``n_nodes``
+    values within [lo, hi]. Once all ``n_rounds`` rows have passed, whether
+    the generator is then exhausted or closed, the file gets its checksum,
+    is renamed to ``path``, and all but the ``_CACHE_FILES`` most recently
+    written files of its directory are deleted; if it stops before, the file
+    is deleted. An OSError at any step only means that nothing is cached:
+    the rows keep flowing."""
+    pack = struct.Struct(f"{_BYTE_ORDER}{n_nodes}d").pack
+    directory = os.path.dirname(path)
+    fh = tmp = None
+    written: Optional[int] = 0  # rows in the file; None once a step failed
+    try:
         try:
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            fh = open(fd, "wb")
+            data = _CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, n_rounds, lo, hi)
+            fh.write(data)
+            crc = binascii.crc32(data)
         except OSError:
-            return
-        self.fh = open(fd, "wb")
-        self.tmp = tmp
-        self.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _BYTE_ORDER.encode(), n_nodes, n_rounds, lo, hi))
-
-    def write(self, data) -> None:
-        if self.tmp is not None:
-            self.crc = binascii.crc32(data, self.crc)
-            try:
-                self.fh.write(data)
-            except OSError:
-                self.discard()
-
-    def commit(self) -> None:
-        self.write(_CACHE_CHECKSUM.pack(self.crc))
-        if self.tmp is None:
-            return
-        try:
-            self.fh.close()
-            os.replace(self.tmp, self.path)
-            self.tmp = None
-            with os.scandir(os.path.dirname(self.path)) as entries:
-                files = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
-            for entry in files[_CACHE_FILES:]:
-                os.unlink(entry.path)
-        except OSError:
-            self.discard()
-
-    def discard(self) -> None:
-        if self.tmp is not None:
-            with contextlib.suppress(OSError):
-                self.fh.close()
-            with contextlib.suppress(OSError):
-                os.unlink(self.tmp)
-            self.tmp = None
-
-
-def _read_trace_cache(path: str, t_min_c: float, t_max_c: float) -> Optional[TraceTable]:
-    """The table a cache file holds, or None unless it passes every check
-    of ``_open_cache``. The rows are read one at a time, as written."""
-    from array import array
-
-    opened = _open_cache(path, t_min_c, t_max_c)
-    if opened is None:
-        return None
-    fh, n_nodes, n_rounds = opened
-    with fh:
-        rows = tuple(array("d", [0.0]) * n_nodes for _ in range(n_rounds))
+            written = None
         for row in rows:
-            if fh.readinto(row) != 8 * n_nodes:
-                return None  # cut short since it was checked
-    return TraceTable(rows)
-
-
-def _write_trace_cache(path: str, table: TraceTable) -> None:
-    """Writes the cache file of a loaded table (see ``_CacheWriter``)."""
-    rows = table.rows
-    out = _CacheWriter(path, len(rows[0]), len(rows), min(map(min, rows)), max(map(max, rows)))
-    for row in rows:  # each row's own bytes: native-order doubles
-        out.write(row)
-    out.commit()
+            if written is not None:
+                data = pack(*row)
+                crc = binascii.crc32(data, crc)
+                try:
+                    fh.write(data)
+                    written += 1
+                except OSError:
+                    written = None
+            yield row
+    finally:
+        if written == n_rounds:
+            with contextlib.suppress(OSError):
+                fh.write(_CACHE_CHECKSUM.pack(crc))
+                fh.close()
+                os.replace(tmp, path)
+                tmp = None
+                with os.scandir(directory) as entries:
+                    files = sorted(entries, key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
+                for entry in files[_CACHE_FILES:]:
+                    os.unlink(entry.path)
+        if fh is not None:
+            with contextlib.suppress(OSError):
+                fh.close()
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def walk_rows(
@@ -366,70 +361,26 @@ def walk_rows(
     else taken from ``steps``, which must yield those rows and is not
     started on a hit.
 
-    The cache file is named by the sha256 of the walk's inputs, the
-    interpreter and the package source (see ``_walk_cache_path``). It is
-    used only if every check of ``_open_cache`` and its shape pass, before
-    the first row is yielded; each row is then read on its own. On a miss
-    each row of ``steps`` is also written to a temporary file, which becomes
-    the cache file when the generator is closed or exhausted after the last
-    row and is deleted when it stops before. A walk of more than
-    ``_WALK_CACHE_BYTES`` is only drawn. Either way one row is held at a
-    time. Close the generator when done with it.
+    The cache file's key holds every input the walk depends on and the
+    interpreter and platform, whose math library drew it (see
+    ``_cache_path``). It is read only if every check of ``_read_cache``
+    passes, its shape included; on a miss each row of ``steps`` passes
+    through ``_write_cache``. A walk of more than ``_WALK_CACHE_BYTES`` is
+    only drawn. Either way one row is held at a time. Close the generator
+    when done with it.
     """
-    path = _walk_cache_path(seed, n_nodes, n_rounds, proc)
-    if path is None:
-        yield from steps
-        return
-    opened = _open_cache(path, proc.t_min_c, proc.t_max_c)
-    if opened is not None:
-        fh, file_nodes, file_rounds = opened
-        with fh:
-            if (file_nodes, file_rounds) == (n_nodes, n_rounds):
-                row = bytearray(8 * n_nodes)
-                temps = memoryview(row).cast("d")
-                for _ in range(n_rounds):
-                    if fh.readinto(row) != len(row):
-                        raise DataError(f"{path}: walk cache file cut short while it was read")
-                    yield temps.tolist()
-                return
-    yield from _written_walk(path, n_nodes, n_rounds, proc, steps)
-
-
-def _walk_cache_path(seed: int, n_nodes: int, n_rounds: int, proc: TemperatureProcess) -> Optional[str]:
-    """The cache file of a synthetic walk, or None where nothing is cached
-    or the walk is larger than ``_WALK_CACHE_BYTES``: named by the sha256
-    of every input the walk depends on, of the interpreter and platform,
-    whose math library drew it, and of the package source."""
-    source = _source_digest()
-    if source is None or 8 * n_nodes * n_rounds > _WALK_CACHE_BYTES:
-        return None
     key = (
         f"{sys.implementation.cache_tag}:{sys.platform}:"
         f"{seed}:{n_nodes}:{n_rounds}:{proc.t_min_c!r}:{proc.t_max_c!r}:{proc.walk_sigma_c!r}"
     )
-    return _cache_path("walks", lean_sha256(key.encode("ascii") + source).hexdigest())
-
-
-def _written_walk(
-    path: str, n_nodes: int, n_rounds: int, proc: TemperatureProcess, steps: Iterator[Sequence[float]]
-) -> Iterator[Sequence[float]]:
-    """The rows of ``steps``, each written to the walk's cache file before
-    it is yielded; the file is committed only once all ``n_rounds`` rows
-    were (see ``walk_rows``). Every value lies in [t_min_c, t_max_c], which
-    the header records as the rows' bounds."""
-    row_bytes = struct.Struct(f"{_BYTE_ORDER}{n_nodes}d").pack
-    out = _CacheWriter(path, n_nodes, n_rounds, proc.t_min_c, proc.t_max_c)
-    written = 0
-    try:
-        for row in steps:
-            out.write(row_bytes(*row))
-            written += 1
-            yield row
-    finally:
-        if written == n_rounds:
-            out.commit()
-        else:
-            out.discard()
+    path = None if 8 * n_nodes * n_rounds > _WALK_CACHE_BYTES else _cache_path("walks", key)
+    if path is None:
+        yield from steps
+        return
+    rows = _read_cache(path, proc.t_min_c, proc.t_max_c, (n_nodes, n_rounds))
+    if rows is None:
+        rows = _write_cache(path, n_nodes, n_rounds, proc.t_min_c, proc.t_max_c, steps)
+    yield from rows
 
 
 def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> TraceTable:

@@ -178,22 +178,27 @@ MUTANTS = [
     ("the walk cache key omits the interpreter", "src/eastsim/topology.py",
      "{sys.implementation.cache_tag}:", ""),
     ("a walk above the size bound is cached", "src/eastsim/topology.py",
-     " or 8 * n_nodes * n_rounds > _WALK_CACHE_BYTES", ""),
+     "None if 8 * n_nodes * n_rounds > _WALK_CACHE_BYTES else ", ""),
     ("a walk that stops early commits its partial cache file", "src/eastsim/topology.py",
      "if written == n_rounds:", "if True:"),
     ("a walk that stops early leaves its temporary file", "src/eastsim/topology.py",
-     "out.discard()", "pass"),
+     "os.unlink(tmp)", "written in range(n_rounds) or os.unlink(tmp)"),
+    ("a walk cache hit skips the shape check", "src/eastsim/topology.py",
+     "and shape in (None, (n_nodes, n_rounds))", "and True"),
     ("trace cache file named without the source digest", "src/eastsim/topology.py",
-     'f"{sha256}-{source.hex()}"', "sha256"),
+     'key.encode("ascii") + source', 'key.encode("ascii") + (b"" if kind == "traces" else source)'),
+    ("walk cache file named without the source digest", "src/eastsim/topology.py",
+     'key.encode("ascii") + source', 'key.encode("ascii") + (source if kind == "traces" else b"")'),
     ("an unreadable package file still yields a source digest", "src/eastsim/topology.py",
      "        return None\n    return digest.digest()", "        pass\n    return digest.digest()"),
-    ("a trace cache path is named without a source digest", "src/eastsim/topology.py",
-     'if source is None:\n        return None\n    return _cache_path("traces"',
-     'if False:\n        return None\n    return _cache_path("traces"'),
+    ("a cache path is named without a source digest", "src/eastsim/topology.py",
+     "if source is None:", "if False:"),
     ("a relative home still names a trace cache directory", "src/eastsim/topology.py",
      "if not os.path.isabs(home):", "if False:"),
-    ("a failed cache write leaves its temporary file", "src/eastsim/topology.py",
-     "os.unlink(self.tmp)", "pass"),
+    ("a failed commit leaves its temporary file", "src/eastsim/topology.py",
+     "os.unlink(tmp)", "written == n_rounds or os.unlink(tmp)"),
+    ("a failed row write leaves its temporary file", "src/eastsim/topology.py",
+     "os.unlink(tmp)", "written is None or os.unlink(tmp)"),
     ("report rejects a 1-round run", "src/eastsim/cli.py",
      "len(round_lines) < 2", "len(round_lines) <= 2"),
     ("east_dominates at a tie in control packets", "src/eastsim/report.py",

@@ -10,7 +10,9 @@ from array import array
 import pytest
 
 import eastsim
-from eastsim.config import CONFIG_KEYS, SimConfig, apply_overrides
+from eastsim.config import CONFIG_KEYS, SimConfig, apply_overrides, parse_config
+from eastsim.engine import run_simulation
+from eastsim.errors import ConfigError
 from eastsim.protocol import Region, RegionConfig
 from eastsim.topology import TraceTable, deploy_random
 
@@ -122,3 +124,24 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     assert namespace["config"].controller == "east"
     assert [run.config.controller for run in (namespace["east"], namespace["classical"])] == [
         "east", "classical"]
+
+
+def test_a_trace_path_never_loaded_is_refused():
+    # a config built in Python names a trace that no load read: running the
+    # synthetic walk under that name would mislabel the run
+    with pytest.raises(ConfigError, match="temperature.trace_path: a.csv was never loaded"):
+        run_simulation(SimConfig(node_count=3, rounds=2, trace_path="a.csv"))
+
+
+def test_overriding_the_trace_path_drops_the_loaded_trace(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("node,round,temp_c\n" + "".join(
+        f"{n},{r},{20 + n + r}.5\n" for n in range(3) for r in range(2)))
+    parsed = parse_config(None, ["nodes=3", "rounds=2", f"temperature.trace_path={trace}"])
+    assert parsed.temperature.trace is not None
+    moved = apply_overrides(parsed, ["temperature.trace_path=/nonexistent.csv"])
+    assert (moved.temperature.trace, moved.temperature.trace_sha256) == (None, None)
+    assert parsed.temperature.trace is not None  # the parsed config keeps its table
+    with pytest.raises(ConfigError, match="temperature.trace_path: /nonexistent.csv was never loaded"):
+        run_simulation(moved)
+    assert run_simulation(parsed).records[-1].temps_c == [21.5, 22.5, 23.5]  # round 1 of the trace

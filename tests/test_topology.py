@@ -1,8 +1,10 @@
 """Tests for deployment and the temperature process."""
 
 import binascii
+import errno
 import hashlib
 import importlib.util
+import io
 import os
 import random
 import shutil
@@ -496,9 +498,10 @@ def parses(monkeypatch):
     return calls
 
 
-def cache_name(sha256):
-    """The cache file name of the trace with this sha256, for this source."""
-    return f"{sha256}-{topology._source_digest().hex()}"
+def cache_name(key, source=None):
+    """The cache file name of a key (a trace's sha256, a walk's inputs),
+    for this source or ``source``: the sha256 of both."""
+    return lean_sha256(key.encode("ascii") + (source or topology._source_digest())).hexdigest()
 
 
 def reseal(blob):
@@ -563,6 +566,34 @@ def _load_per_line(path, text, t_min_c, t_max_c):
     table = _unshifted_load_per_line(path, text, t_min_c, t_max_c)
     return TraceTable(tuple(array("d", [temp + 1.0 for temp in row]) for row in table.rows))
 """
+
+
+class FullDisk(io.BufferedWriter):
+    """A file whose writes fail once a cache header is written to it."""
+
+    def write(self, data):
+        if self.tell() >= topology._CACHE_HEADER.size:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+@pytest.fixture(params=["rename", "row_write"])
+def failing_write(request, monkeypatch):
+    """Cache writes that fail: when the file is renamed into place
+    ("rename"), or at its first row, once its header is written ("row_write")."""
+
+    def fail_replace(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    def open_full(file, mode="r", *args, **kwargs):
+        if mode == "wb":
+            return FullDisk(io.FileIO(file, mode))
+        return open(file, mode, *args, **kwargs)
+
+    if request.param == "rename":
+        monkeypatch.setattr(os, "replace", fail_replace)
+    else:
+        monkeypatch.setattr(topology, "open", open_full, raising=False)
 
 
 class TestTraceCache:
@@ -689,7 +720,7 @@ class TestTraceCache:
             monkeypatch.setattr(topology, "_source_digest", lambda source=source: source)
             sha256 = load_temperature_trace(path).trace_sha256
         assert len(parses) == 2  # each source parsed once; both later loads were hits
-        assert sorted(os.listdir(cache_dirs.traces)) == [f"{sha256}-{source.hex()}" for source in sources]
+        assert sorted(os.listdir(cache_dirs.traces)) == sorted(cache_name(sha256, source) for source in sources)
 
     def test_write_keeps_only_the_most_recently_written_files(self, tmp_path, cache_dirs):
         cache_dirs.traces.mkdir(parents=True)
@@ -724,7 +755,7 @@ class TestTraceCache:
         monkeypatch.setenv("HOME", "relative-home")
         monkeypatch.chdir(tmp_path)
         path = write_cells(tmp_path / "trace.csv")
-        assert topology._trace_cache_path("0" * 64) is None
+        assert topology._cache_path("traces", "0" * 64) is None
         assert load_temperature_trace(path) == load_temperature_trace(path)
         assert len(parses) == 2
         assert sorted(os.listdir(tmp_path)) == ["trace.csv"]
@@ -744,7 +775,7 @@ class TestTraceCache:
         topology._source_digest.cache_clear()
         try:
             assert topology._source_digest() is None
-            assert topology._trace_cache_path("0" * 64) is None
+            assert topology._cache_path("traces", "0" * 64) is None
             assert load_temperature_trace(path) == load_temperature_trace(path)
         finally:
             topology._source_digest.cache_clear()
@@ -752,18 +783,31 @@ class TestTraceCache:
         assert not cache_dirs.traces.exists()
 
     def test_failed_cache_write_removes_its_temporary_file(
-        self, tmp_path, cache_dirs, monkeypatch, parses
+        self, tmp_path, cache_dirs, parses, failing_write
     ):
-        def fail_replace(src, dst):
-            raise PermissionError(f"cannot replace {dst}")
-
-        monkeypatch.setattr(os, "replace", fail_replace)
         path = write_cells(tmp_path / "trace.csv")
         loaded = load_temperature_trace(path)
         assert [loaded.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
         assert load_temperature_trace(path) == loaded
         assert len(parses) == 2  # nothing was cached
         assert os.listdir(cache_dirs.traces) == []
+
+    def test_file_cut_short_while_read_is_an_error(self, tmp_path, cache_dirs, monkeypatch):
+        # rows wider than the reader's buffer, so each is read from the file
+        path = tmp_path / "trace.csv"
+        write_trace(path, [f"{n},{r},{r}.5" for n in range(2000) for r in range(4)])
+        cache_file = cache_dirs.traces / cache_name(load_temperature_trace(str(path)).trace_sha256)
+        read_cache = topology._read_cache
+
+        def cut_after_checks(*args):
+            rows = read_cache(*args)
+            os.truncate(cache_file, topology._CACHE_HEADER.size + 8 * 2000 * 2 - 8)
+            return rows
+
+        monkeypatch.setattr(topology, "_read_cache", cut_after_checks)
+        with pytest.raises(DataError) as cut:
+            load_temperature_trace(str(path))
+        assert str(cut.value) == f"{cache_file}: cache file cut short while it was read"
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_cli_writes_identical_files_on_warm_cache(self, tmp_path, cache_dirs, parses, command):
@@ -881,10 +925,24 @@ class TestWalkCache:
         assert len(started) == 3
         assert len(os.listdir(cache_dirs.walks)) == 3
 
+    def test_two_sources_sharing_a_directory_keep_their_own_files(self, cache_dirs, monkeypatch):
+        started = []
+        sources = [b"\x01" * 32, b"\x02" * 32]
+        for source in sources + sources:
+            monkeypatch.setattr(topology, "_source_digest", lambda source=source: source)
+            assert read_walk(started) == WALK_ROWS
+        assert len(started) == 2  # each source drew once; both later reads were hits
+        assert len(os.listdir(cache_dirs.walks)) == 2
+
     def test_walk_above_the_size_bound_is_drawn_and_writes_nothing(self, cache_dirs, monkeypatch):
-        # 1000 nodes x 2097 rounds is the largest walk of 1000 nodes cached
-        assert topology._walk_cache_path(1, 1000, 2097, WALK_PROC) is not None
-        assert topology._walk_cache_path(1, 1000, 2098, WALK_PROC) is None
+        # 1000 nodes x 2097 rounds is the largest walk of 1000 nodes cached:
+        # of these two walks only it looks for a cache file
+        keys = []
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "_cache_path", lambda kind, key: keys.append(key))
+            for rounds in (2097, 2098):
+                assert list(walk_rows(1, 1000, rounds, WALK_PROC, iter(()))) == []
+        assert len(keys) == 1 and ":1:1000:2097:" in keys[0]
         monkeypatch.setattr(topology, "_WALK_CACHE_BYTES", 8 * 3 * 4 - 1)
         started = []
         assert read_walk(started) == read_walk(started) == WALK_ROWS
@@ -922,9 +980,11 @@ class TestWalkCache:
         read_walk([], rows=wide)
         rows = walk_cache_rows([], rows=wide)
         assert next(rows) == wide[0]  # the file passed its checks
-        os.truncate(walk_file(cache_dirs), topology._CACHE_HEADER.size + 8 * 2000 * 2 - 8)
-        with pytest.raises(DataError, match="walk cache file cut short while it was read"):
+        cache_file = walk_file(cache_dirs)
+        os.truncate(cache_file, topology._CACHE_HEADER.size + 8 * 2000 * 2 - 8)
+        with pytest.raises(DataError) as cut:
             next(rows)
+        assert str(cut.value) == f"{cache_file}: cache file cut short while it was read"
 
     def test_stream_holds_one_row(self):
         # 200 nodes x 2000 rounds, 3.2 MB of walk: each way a row at a time
@@ -975,11 +1035,7 @@ class TestWalkCache:
         assert len(started) == 2
         assert blocker.read_text() == "not a directory\n"
 
-    def test_failed_commit_removes_its_temporary_file(self, cache_dirs, monkeypatch):
-        def fail_replace(src, dst):
-            raise PermissionError(f"cannot replace {dst}")
-
-        monkeypatch.setattr(os, "replace", fail_replace)
+    def test_failed_write_removes_its_temporary_file(self, cache_dirs, failing_write):
         started = []
         assert read_walk(started) == read_walk(started) == WALK_ROWS
         assert len(started) == 2
