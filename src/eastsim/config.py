@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ConfigError
-from .protocol import REGIONS, CadenceParams, Region, RegionConfig, classical_assign
+from .protocol import REGIONS, CadenceParams, RegionConfig, classical_assign
 from .radio import (
     EnergyModelParams,
     LinkBudgetParams,
@@ -55,8 +54,7 @@ class SimConfig(NamedTuple):
 
 # Every config key, in README order: its kind (int, float, bool or str), its
 # attribute path on SimConfig and its lower bound, if any. Parsing,
-# validation, sweeps and the fingerprint all read this table. The region
-# thresholds' paths end in the Region that keys the threshold_loss_dbm dict.
+# validation, sweeps and the fingerprint all read this table.
 CONFIG_KEYS = {
     "nodes": ("int", "node_count", ">= 1"),
     "rounds": ("int", "rounds", ">= 1"),
@@ -77,9 +75,9 @@ CONFIG_KEYS = {
     "link_budget.margin_m": ("float", "link_budget.margin_m", ">= 1"),
     "regions.boundary_high_dbm": ("float", "regions.boundary_high_dbm", None),
     "regions.boundary_low_dbm": ("float", "regions.boundary_low_dbm", None),
-    "regions.threshold_loss_a_dbm": ("float", "regions.threshold_loss_dbm.A", None),
-    "regions.threshold_loss_b_dbm": ("float", "regions.threshold_loss_dbm.B", None),
-    "regions.threshold_loss_c_dbm": ("float", "regions.threshold_loss_dbm.C", None),
+    "regions.threshold_loss_a_dbm": ("float", "regions.threshold_loss_a_dbm", None),
+    "regions.threshold_loss_b_dbm": ("float", "regions.threshold_loss_b_dbm", None),
+    "regions.threshold_loss_c_dbm": ("float", "regions.threshold_loss_c_dbm", None),
     "cadence.period_rounds": ("int", "cadence.period_rounds", ">= 1"),
     "cadence.drift_dbm": ("float", "cadence.drift_dbm", ">= 0"),
     "prr.alpha_per_db": ("float", "prr.alpha_per_db", "> 0"),
@@ -100,16 +98,13 @@ SWEEPABLE_KEYS = tuple(key for key, (kind, _, _) in CONFIG_KEYS.items() if kind 
 def _get(config: SimConfig, path: str):
     value = config
     for name in path.split("."):
-        value = value[Region(name)] if isinstance(value, Mapping) else getattr(value, name)
+        value = getattr(value, name)
     return value
 
 
 def _set(config: SimConfig, path: str, value) -> SimConfig:
     """A copy of ``config`` with ``value`` at ``path``, rebuilding the section it lies in."""
     section, _, name = path.rpartition(".")
-    if section == "regions.threshold_loss_dbm":
-        thresholds = {**config.regions.threshold_loss_dbm, Region(name): value}
-        return config._replace(regions=config.regions._replace(threshold_loss_dbm=thresholds))
     if section:
         return config._replace(**{section: getattr(config, section)._replace(**{name: value})})
     return config._replace(**{name: value})
@@ -134,10 +129,15 @@ def _convert(key: str, kind: str, raw: str):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
 
 
+# The keys the trace load reads: a table loaded under their old values may
+# not hold under the new ones.
+_TRACE_LOAD_KEYS = ("temperature.trace_path", "temperature.t_min_c", "temperature.t_max_c")
+
+
 def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
     """A copy of ``config`` with ``key=value`` strings applied in order;
-    ``config`` itself is left alone. Setting ``temperature.trace_path``
-    drops a loaded trace: ``parse_config`` loads the one it names."""
+    ``config`` itself is left alone. Setting a key the trace load reads
+    drops a loaded trace: ``parse_config`` loads it again."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -147,8 +147,8 @@ def apply_overrides(config: SimConfig, overrides: Iterable[str]) -> SimConfig:
             raise ConfigError(f"unknown config key: {key}")
         kind, path, _ = CONFIG_KEYS[key]
         config = _set(config, path, _convert(key, kind, raw))
-        if key == "temperature.trace_path":  # a loaded table was read from the old path
-            config = config._replace(temperature=config.temperature._replace(trace=None, trace_sha256=None))
+        if key in _TRACE_LOAD_KEYS:
+            config = config._replace(temperature=config.temperature._replace(trace=None))
     return config
 
 
@@ -177,10 +177,9 @@ def parse_config(path: Optional[str], overrides: Iterable[str] = ()) -> SimConfi
     config = apply_overrides(SimConfig(), [*entries, *overrides])
     validate(config)
     if config.trace_path:
-        config = config._replace(temperature=load_temperature_trace(
-            config.trace_path,
-            t_min_c=config.temperature.t_min_c,
-            t_max_c=config.temperature.t_max_c,
+        temp = config.temperature
+        config = config._replace(temperature=temp._replace(
+            trace=load_temperature_trace(config.trace_path, temp.t_min_c, temp.t_max_c)
         ))
         validate(config)  # the trace must also cover the run
     return config
@@ -283,12 +282,16 @@ def _format_value(kind: str, value) -> str:
 
 def fingerprint(config: SimConfig) -> str:
     """Content hash of the resolved config, stable under key reordering.
-    A loaded temperature trace counts by the hash of its bytes."""
+    Under a loaded temperature trace, the trace counts by the hash of its
+    bytes and ``walk_sigma_c`` as 0.0: a run depends on the trace's
+    contents, not on where they were read, and its temperatures do not walk."""
+    trace = config.temperature.trace
     parts = []
     for key, (kind, path, _) in sorted(CONFIG_KEYS.items()):
         value = _format_value(kind, _get(config, path))
-        if key == "temperature.trace_path" and config.temperature.trace_sha256:
-            # A run depends on the trace's contents, not on where they were read.
-            value = f"sha256:{config.temperature.trace_sha256}"
+        if trace is not None and key == "temperature.walk_sigma_c":
+            value = "0.0"
+        if trace is not None and key == "temperature.trace_path" and trace.sha256:
+            value = f"sha256:{trace.sha256}"
         parts.append(f"{key}={value}")
     return lean_sha256("\n".join(parts).encode("utf-8")).hexdigest()

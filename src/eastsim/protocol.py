@@ -22,8 +22,7 @@ every round at the worst-case compensation level, which no rule moves.
 from __future__ import annotations
 
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .radio import power_level_for_rssi_loss, rssi_loss_from_temperature
 
@@ -46,15 +45,20 @@ class RegionConfig(NamedTuple):
     Nodes with loss above ``boundary_high_dbm`` land in A, between the two
     boundaries in B, and at or below ``boundary_low_dbm`` in C. Threshold
     power levels are always derived from the threshold losses through the
-    compensation curve, never stored independently. The default threshold
-    mapping is one read-only mapping that every default instance shares.
+    compensation curve, never stored independently.
     """
 
     boundary_high_dbm: float = -0.61
     boundary_low_dbm: float = -5.17
-    threshold_loss_dbm: Mapping[Region, float] = MappingProxyType(
-        {Region.A: 3.78, Region.B: -0.61, Region.C: -5.17}
-    )
+    threshold_loss_a_dbm: float = 3.78
+    threshold_loss_b_dbm: float = -0.61
+    threshold_loss_c_dbm: float = -5.17
+
+    @property
+    def threshold_loss_dbm(self) -> dict[Region, float]:
+        """Each region's threshold loss, in a new dict on every read."""
+        return {Region.A: self.threshold_loss_a_dbm, Region.B: self.threshold_loss_b_dbm,
+                Region.C: self.threshold_loss_c_dbm}
 
     def threshold_level_dbm(self, region: Region) -> float:
         return power_level_for_rssi_loss(self.threshold_loss_dbm[region])

@@ -48,18 +48,21 @@ def substream(seed: int, *labels: object) -> random.Random:
 
 
 class TraceTable:
-    """A dense temperature trace held as per-round rows: ``rows[round][node]``.
+    """A dense temperature trace held as per-round rows: ``rows[round][node]``,
+    and the sha256 of the bytes it was parsed from, if any.
 
     Each row is an ``array('d')``, whether the table was parsed or read from
     the trace cache, and every row has the same width; only the functions
-    that build rows import ``array``. Tables compare equal elementwise
-    and are unhashable, and nothing writes a row. ``len(table)``
-    counts the (node, round) cells, as many as the file has data rows, which
-    is why this is no named tuple: ``_make`` and ``_replace`` check ``len()``.
+    that build rows import ``array``. Tables compare equal elementwise, by
+    their rows alone, and are unhashable, and nothing writes a row.
+    ``len(table)`` counts the (node, round) cells, as many as the file has
+    data rows, which is why this is no named tuple: ``_make`` and
+    ``_replace`` check ``len()``.
     """
 
-    def __init__(self, rows: tuple[array, ...]) -> None:
+    def __init__(self, rows: tuple[array, ...], sha256: Optional[str] = None) -> None:
         self.rows = rows
+        self.sha256 = sha256
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TraceTable) and self.rows == other.rows
@@ -73,15 +76,14 @@ class TemperatureProcess(NamedTuple):
 
     Synthetic mode: a per-node Gaussian random walk started at the node's
     base temperature, clamped to [t_min_c, t_max_c] after every step.
-    Trace mode, when ``trace`` is set: exact lookup in a dense per-round table.
+    Trace mode, when ``trace`` is set: exact lookup in a dense per-round table,
+    which ``walk_sigma_c`` does not touch.
     """
 
     t_min_c: float = -10.0
     t_max_c: float = 53.0
     walk_sigma_c: float = 0.5
     trace: Optional[TraceTable] = None
-    # sha256 of the trace file's bytes; the config fingerprint hashes it.
-    trace_sha256: Optional[str] = None
 
     @property
     def mode(self) -> str:
@@ -136,9 +138,7 @@ def walk_stream(seed: int, node_id: int) -> random.Random:
     return substream(seed, "temp-walk", node_id)
 
 
-def load_temperature_trace(
-    path: str, t_min_c: float = -10.0, t_max_c: float = 53.0
-) -> TemperatureProcess:
+def load_temperature_trace(path: str, t_min_c: float = -10.0, t_max_c: float = 53.0) -> TraceTable:
     """Load a dense per-node per-round temperature table.
 
     Format: header ``node,round,temp_c``, one row per (node, round) pair
@@ -149,8 +149,8 @@ def load_temperature_trace(
     trace's bytes (see ``_cache_path``); a later load of the same bytes by
     the same package source reads that file instead of parsing, when every
     check on it passes. The file is hashed in 64 KB chunks and read whole
-    only on a miss, whose bytes, hashed again, name the cache file and
-    ``trace_sha256``: both name what was parsed.
+    only on a miss, whose bytes, hashed again, name the cache file and the
+    table's ``sha256``: both name what was parsed.
     """
     import hashlib
 
@@ -166,9 +166,7 @@ def load_temperature_trace(
                 data = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"temperature trace not found: {path}") from None
-    if rows is not None:
-        table = TraceTable(tuple(rows))
-    else:
+    if rows is None:
         digest = hashlib.sha256(data)
         cache_path = _cache_path("traces", digest.hexdigest())
         try:
@@ -177,19 +175,12 @@ def load_temperature_trace(
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
         del data  # the parse reads only the text
-        table = _load_per_line(path, text, t_min_c, t_max_c)
+        rows = _load_per_line(path, text, t_min_c, t_max_c)
         if cache_path is not None:
-            rows = table.rows
             lo, hi = min(map(min, rows)), max(map(max, rows))
             for _ in _write_cache(cache_path, len(rows[0]), len(rows), lo, hi, rows):
                 pass
-    return TemperatureProcess(
-        t_min_c=t_min_c,
-        t_max_c=t_max_c,
-        walk_sigma_c=0.0,
-        trace=table,
-        trace_sha256=digest.hexdigest(),
-    )
+    return TraceTable(tuple(rows), digest.hexdigest())
 
 
 # A cache file, trace or walk alike, is a header (magic with the format
@@ -383,8 +374,8 @@ def walk_rows(
     yield from rows
 
 
-def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> TraceTable:
-    """The table of a trace's decoded text, read line by line in any row order.
+def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> tuple[array, ...]:
+    """The per-round rows of a trace's decoded text, read line by line in any row order.
 
     A ``DataError`` names the first bad row of the file.
     """
@@ -462,7 +453,7 @@ def _load_per_line(path: str, text: str, t_min_c: float, t_max_c: float) -> Trac
             for round_idx in range(n_rounds):
                 if (node_id, round_idx) not in seen:
                     raise DataError(f"{path}: missing entry for node {node_id}, round {round_idx}")
-    return TraceTable(tuple(rows))
+    return tuple(rows)
 
 
 def _cells_read(rows: list[array]) -> set[tuple[int, int]]:

@@ -89,13 +89,17 @@ MUTANTS = [
      '"cadence.drift_dbm", ">= 0"', '"cadence.drift_dbm", "> 0"'),
     ("table: link_budget.margin_m >= 1 becomes > 1", "src/eastsim/config.py",
      '"link_budget.margin_m", ">= 1"', '"link_budget.margin_m", "> 1"'),
-    ("region-threshold setter always writes Region.A", "src/eastsim/config.py",
-     "Region(name): value", "Region.A: value"),
+    ("the region B threshold key writes region A's field", "src/eastsim/config.py",
+     '("float", "regions.threshold_loss_b_dbm", None)', '("float", "regions.threshold_loss_a_dbm", None)'),
     ("the setter drops a top-level key", "src/eastsim/config.py",
      "return config._replace(**{name: value})", "return config"),
     ("parse_config discards the loaded trace", "src/eastsim/config.py",
-     "config = config._replace(temperature=load_temperature_trace(",
-     "config._replace(temperature=load_temperature_trace("),
+     "config = config._replace(temperature=temp._replace(",
+     "config._replace(temperature=temp._replace("),
+    ("fingerprint hashes the configured sigma under a trace", "src/eastsim/config.py",
+     'if trace is not None and key == "temperature.walk_sigma_c":', "if False:"),
+    ("a t_max_c override keeps the table", "src/eastsim/config.py",
+     '"temperature.t_min_c", "temperature.t_max_c")', '"temperature.t_min_c")'),
     ("run ignores the resolved seed", "src/eastsim/cli.py",
      "config = _resolve_seed(parse_config(args.config, args.set), args.seed)\n    _check_figure_round",
      "config = parse_config(args.config, args.set)\n    _resolve_seed(config, args.seed)\n"

@@ -10,11 +10,13 @@ from array import array
 import pytest
 
 import eastsim
-from eastsim.config import CONFIG_KEYS, SimConfig, apply_overrides, parse_config
+from eastsim.config import CONFIG_KEYS, SimConfig, apply_overrides, fingerprint, parse_config
 from eastsim.engine import run_simulation
-from eastsim.errors import ConfigError
+from eastsim.errors import ConfigError, DataError
 from eastsim.protocol import Region, RegionConfig
 from eastsim.topology import TraceTable, deploy_random
+
+from oracle import record_as_dict, records_equal
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SECTIONS = ("temperature", "link_budget", "regions", "cadence", "prr", "energy")
@@ -49,9 +51,13 @@ def test_sections_and_deployment_reject_field_assignment(value):
 
 
 def test_default_thresholds_are_read_only():
-    with pytest.raises(TypeError):
-        RegionConfig().threshold_loss_dbm[Region.A] = 0.0
-    assert RegionConfig().threshold_loss_dbm[Region.A] == 3.78
+    # the mapping is a new copy on every read, and the property has no setter
+    regions = RegionConfig()
+    regions.threshold_loss_dbm[Region.A] = 0.0
+    with pytest.raises(AttributeError):
+        regions.threshold_loss_dbm = {}
+    assert regions.threshold_loss_dbm[Region.A] == regions.threshold_loss_a_dbm == 3.78
+    assert regions == RegionConfig()
 
 
 def test_config_replace_leaves_the_original():
@@ -82,19 +88,15 @@ def test_apply_overrides_returns_a_copy():
 
 def test_every_settable_field_is_a_config_key():
     # a field that no config key reaches is a knob only the Python API can
-    # turn; the trace load alone sets the loaded table and its hash
+    # turn; the trace load alone sets the loaded table
     config = SimConfig()
     leaves = set()
     for name in SimConfig._fields:
         if name not in SECTIONS:
             leaves.add(name)
             continue
-        for field in getattr(config, name)._fields:
-            if (name, field) == ("regions", "threshold_loss_dbm"):
-                leaves.update(f"regions.threshold_loss_dbm.{r.value}" for r in Region)
-            else:
-                leaves.add(f"{name}.{field}")
-    leaves -= {"temperature.trace", "temperature.trace_sha256"}
+        leaves.update(f"{name}.{field}" for field in getattr(config, name)._fields)
+    leaves -= {"temperature.trace"}
     assert leaves == {path for _, path, _ in CONFIG_KEYS.values()}
 
 
@@ -126,6 +128,13 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
         "east", "classical"]
 
 
+def write_trace(path, low=20.0):
+    """A 3-node, 2-round trace whose values lie in [low + 0.5, low + 3.5]."""
+    path.write_text("node,round,temp_c\n" + "".join(
+        f"{n},{r},{low + n + r + 0.5}\n" for n in range(3) for r in range(2)))
+    return path
+
+
 def test_a_trace_path_never_loaded_is_refused():
     # a config built in Python names a trace that no load read: running the
     # synthetic walk under that name would mislabel the run
@@ -134,14 +143,49 @@ def test_a_trace_path_never_loaded_is_refused():
 
 
 def test_overriding_the_trace_path_drops_the_loaded_trace(tmp_path):
-    trace = tmp_path / "trace.csv"
-    trace.write_text("node,round,temp_c\n" + "".join(
-        f"{n},{r},{20 + n + r}.5\n" for n in range(3) for r in range(2)))
+    trace = write_trace(tmp_path / "trace.csv")
     parsed = parse_config(None, ["nodes=3", "rounds=2", f"temperature.trace_path={trace}"])
     assert parsed.temperature.trace is not None
     moved = apply_overrides(parsed, ["temperature.trace_path=/nonexistent.csv"])
-    assert (moved.temperature.trace, moved.temperature.trace_sha256) == (None, None)
+    assert moved.temperature.trace is None
     assert parsed.temperature.trace is not None  # the parsed config keeps its table
     with pytest.raises(ConfigError, match="temperature.trace_path: /nonexistent.csv was never loaded"):
         run_simulation(moved)
     assert run_simulation(parsed).records[-1].temps_c == [21.5, 22.5, 23.5]  # round 1 of the trace
+
+
+def test_clearing_the_trace_path_runs_the_configured_walk(tmp_path):
+    # a config that loaded a trace, with the trace path cleared, runs the
+    # walk of the configured sigma, as if it had never named a trace
+    keys = ["nodes=3", "rounds=3", "temperature.walk_sigma_c=2.0"]
+    trace = write_trace(tmp_path / "trace.csv")
+    parsed = parse_config(None, [*keys, f"temperature.trace_path={trace}", "rounds=2"])
+    cleared = apply_overrides(parsed, ["temperature.trace_path=", "rounds=3"])
+    synthetic = parse_config(None, keys)
+    assert fingerprint(cleared) == fingerprint(synthetic)
+    runs = [[record_as_dict(r) for r in run_simulation(c).records] for c in (cleared, synthetic)]
+    assert len(runs[0]) == len(runs[1]) == 3
+    assert all(records_equal(a, b) for a, b in zip(*runs))
+    assert len({record["temps"] for record in runs[0]}) == 3  # the walk moves
+
+
+@pytest.mark.parametrize("override", ["temperature.t_min_c=42", "temperature.t_max_c=42"])
+def test_a_range_override_drops_the_loaded_trace(tmp_path, override):
+    # the trace holds 40.5 to 43.5 C, part of which either new bound excludes
+    keys = ["nodes=3", "rounds=2", f"temperature.trace_path={write_trace(tmp_path / 'a.csv', 40.0)}"]
+    parsed = parse_config(None, keys)
+    changed = apply_overrides(parsed, [override])
+    assert changed.temperature.trace is None
+    with pytest.raises(ConfigError, match="temperature.trace_path: .*a.csv was never loaded"):
+        run_simulation(changed)
+    with pytest.raises(DataError, match="outside declared range"):
+        parse_config(None, [*keys, override])
+
+
+@pytest.mark.parametrize("override", ["temperature.walk_sigma_c=0.75", "seed=5", "rounds=1"])
+def test_an_override_the_trace_load_does_not_read_keeps_the_trace(tmp_path, override):
+    parsed = parse_config(None, ["nodes=3", "rounds=2",
+                                 f"temperature.trace_path={write_trace(tmp_path / 'a.csv')}"])
+    changed = apply_overrides(parsed, [override])
+    assert changed.temperature.trace is parsed.temperature.trace
+    assert run_simulation(changed).records[0].temps_c == [20.5, 21.5, 22.5]

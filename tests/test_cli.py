@@ -784,7 +784,7 @@ class TestCmdCompare:
         argv = draining_trace_argv(tmp_path)
         assert main(["compare", "--out", str(tmp_path / "o"), *argv]) == 0
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh-cache"))
-        fresh = topology.load_temperature_trace(str(tmp_path / "trace.csv")).trace
+        fresh = topology.load_temperature_trace(str(tmp_path / "trace.csv"))
         assert len(recorded_runs) == 2
         assert all(result.config.temperature.trace == fresh for result in recorded_runs)
 

@@ -15,7 +15,9 @@ from eastsim.errors import ConfigError
 from eastsim.protocol import REGIONS, classical_assign
 from eastsim.radio import free_space_base_requirement
 from eastsim.report import emit_figure_data
-from eastsim.topology import deploy_random, load_temperature_trace, substream, walk_stream
+from eastsim.topology import (
+    TemperatureProcess, deploy_random, load_temperature_trace, substream, walk_stream,
+)
 
 from oracle import record_as_dict, records_equal, reference_run
 from test_property import death_only_beside_twins, first_twin_drains_beside_intact_twins
@@ -498,7 +500,7 @@ class TestStreamSeeding:
         path.write_text("node,round,temp_c\n"
                         + "".join(f"{n},{r},{20.0 + n}\n" for n in range(4) for r in range(5)))
         cfg = SimConfig(node_count=3, rounds=4, seed=1, prr_sampled=True)
-        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
+        cfg = cfg._replace(temperature=TemperatureProcess(trace=load_temperature_trace(str(path))))
         calls = self.count_seeding(monkeypatch)
         run_simulation(cfg)
         assert calls == {"walk": 0, "prr": 3}
@@ -605,7 +607,7 @@ class TestTraceMode:
         path.write_text("\n".join(rows) + "\n")
 
         cfg = SimConfig(node_count=3, rounds=4, seed=1)
-        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
+        cfg = cfg._replace(temperature=TemperatureProcess(trace=load_temperature_trace(str(path))))
         result = run_simulation(cfg)
         for rec in result.records:
             for node_id in range(3):
@@ -617,6 +619,6 @@ class TestTraceMode:
         path.write_text("\n".join(rows) + "\n")
 
         cfg = SimConfig(node_count=3, rounds=4, seed=1)
-        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
+        cfg = cfg._replace(temperature=TemperatureProcess(trace=load_temperature_trace(str(path))))
         with pytest.raises(ConfigError, match="trace"):
             run_simulation(cfg)

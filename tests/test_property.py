@@ -61,7 +61,9 @@ def _draw_regions_and_cap(draw, cfg):
     cfg = cfg._replace(regions=RegionConfig(
         boundary_high_dbm=low + draw(st.floats(0.1, 10.0)),
         boundary_low_dbm=low,
-        threshold_loss_dbm={r: draw(st.floats(-9.0, 6.0)) for r in REGIONS},
+        threshold_loss_a_dbm=draw(st.floats(-9.0, 6.0)),
+        threshold_loss_b_dbm=draw(st.floats(-9.0, 6.0)),
+        threshold_loss_c_dbm=draw(st.floats(-9.0, 6.0)),
     ))
     top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
     return cfg._replace(level_cap_dbm=top_level + draw(st.floats(0.0, 10.0)))
@@ -110,7 +112,7 @@ def one_region_drain():
     cfg = cfg._replace(regions=RegionConfig(
         boundary_high_dbm=8.0,
         boundary_low_dbm=7.0,
-        threshold_loss_dbm={Region.A: 3.78, Region.B: -0.61, Region.C: -9.0},
+        threshold_loss_c_dbm=-9.0,
     ))
     cfg = cfg._replace(cadence=cfg.cadence._replace(period_rounds=1))
     cfg = cfg._replace(energy=cfg.energy._replace(initial_battery_j=0.002))
@@ -350,7 +352,9 @@ def crowded_drains(draw):
     cfg = cfg._replace(regions=RegionConfig(
         boundary_high_dbm=high,
         boundary_low_dbm=low,
-        threshold_loss_dbm={r: low_loss + draw(st.floats(0.0, 0.5)) * span for r in REGIONS},
+        threshold_loss_a_dbm=low_loss + draw(st.floats(0.0, 0.5)) * span,
+        threshold_loss_b_dbm=low_loss + draw(st.floats(0.0, 0.5)) * span,
+        threshold_loss_c_dbm=low_loss + draw(st.floats(0.0, 0.5)) * span,
     ))
     top_level = max(cfg.regions.threshold_level_dbm(r) for r in REGIONS)
     cfg = cfg._replace(level_cap_dbm=top_level + draw(st.floats(0.0, 10.0)))

@@ -64,8 +64,8 @@ class TestSummarize:
         region = result.partition[0]
         members = [i for i, r in enumerate(result.partition) if r is region]
         lowest = min(final.losses_dbm[i] for i in members)
-        thresholds = {**result.config.regions.threshold_loss_dbm, region: lowest}
-        regions = result.config.regions._replace(threshold_loss_dbm=thresholds)
+        field = f"threshold_loss_{region.value.lower()}_dbm"
+        regions = result.config.regions._replace(**{field: lowest})
         result.config = result.config._replace(regions=regions)
         row = {row.region: row for row in summarize(result)}[region]
         assert (row.nodes_above_threshold, row.nodes_below_threshold) == (len(members), 0)

@@ -230,7 +230,7 @@ def load_text(path, text):
     table, or the DataError's message with the path stripped."""
     path.write_bytes(text.encode("utf-8"))
     try:
-        return load_temperature_trace(str(path)).trace
+        return load_temperature_trace(str(path))
     except DataError as exc:
         return str(exc).removeprefix(f"{path}: ")
 
@@ -271,12 +271,12 @@ class TestLoadTemperatureTrace:
         path = tmp_path / "trace.csv"
         rows = [f"{n},{r},{20.0 + n + r}" for n in range(2) for r in range(3)]
         write_trace(path, rows)
-        proc = load_temperature_trace(str(path))
-        assert proc.mode == "trace"
-        assert len(proc.trace) == 6
-        assert len(proc.trace.rows[0]) == 2
-        assert len(proc.trace.rows) == 3
-        assert proc.trace.rows[2][1] == 23.0
+        table = load_temperature_trace(str(path))
+        assert len(table) == 6
+        assert len(table.rows[0]) == 2
+        assert len(table.rows) == 3
+        assert table.rows[2][1] == 23.0
+        assert table.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_missing_entry_identified(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -326,10 +326,10 @@ class TestLoadTemperatureTrace:
             write_trace(path, [f"{n},{r},{t}" for n, r, t in order])
             loaded[name] = load_temperature_trace(str(path))
         for name in ("round_major", "shuffled"):
-            assert loaded[name].trace == loaded["node_major"].trace
-            rows = loaded[name].trace.rows
+            assert loaded[name] == loaded["node_major"]
+            rows = loaded[name].rows
             assert (len(rows[0]), len(rows)) == (3, 4)
-        assert loaded["shuffled"].trace.rows[3][2] == 22.75
+        assert loaded["shuffled"].rows[3][2] == 22.75
 
     @pytest.mark.parametrize(
         "rows, named",
@@ -392,7 +392,7 @@ class TestLoadTemperatureTrace:
         records = []
         for path in (full, cropped):
             cfg = SimConfig(node_count=4, rounds=5, seed=9)
-            cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
+            cfg = cfg._replace(temperature=TemperatureProcess(trace=load_temperature_trace(str(path))))
             records.append([record_as_dict(rec) for rec in run_simulation(cfg).records])
         assert len(records[0]) == len(records[1]) == 5
         assert all(records_equal(a, b) for a, b in zip(*records))
@@ -461,7 +461,7 @@ class TestLoadTemperatureTrace:
         path = tmp_path / "trace.csv"
         write_trace(path, ["0,0,20.0", "0,1,21.5"])
         cfg = SimConfig(node_count=1, rounds=2, seed=3)
-        cfg = cfg._replace(temperature=load_temperature_trace(str(path)))
+        cfg = cfg._replace(temperature=TemperatureProcess(trace=load_temperature_trace(str(path))))
         assert [rec.temps_c for rec in run_simulation(cfg).records] == [[20.0], [21.5]]
         cfg = cfg._replace(rounds=3)
         with pytest.raises(ConfigError, match="trace covers 1 nodes x 2 rounds"):
@@ -563,8 +563,8 @@ _unshifted_load_per_line = _load_per_line
 def _load_per_line(path, text, t_min_c, t_max_c):
     from array import array
 
-    table = _unshifted_load_per_line(path, text, t_min_c, t_max_c)
-    return TraceTable(tuple(array("d", [temp + 1.0 for temp in row]) for row in table.rows))
+    rows = _unshifted_load_per_line(path, text, t_min_c, t_max_c)
+    return tuple(array("d", [temp + 1.0 for temp in row]) for row in rows)
 """
 
 
@@ -602,14 +602,14 @@ class TestTraceCache:
         path = write_cells(tmp_path / "trace.csv", node_major)
         cold = load_temperature_trace(path)
         assert len(parses) == 1
-        assert os.listdir(cache_dirs.traces) == [cache_name(cold.trace_sha256)]
+        assert os.listdir(cache_dirs.traces) == [cache_name(cold.sha256)]
         warm = load_temperature_trace(path)
         assert len(parses) == 1  # nothing parsed: a hit
         assert warm == cold
-        assert repr(warm.trace.rows) == repr(cold.trace.rows)  # -0.0 stays -0.0
+        assert repr(warm.rows) == repr(cold.rows)  # -0.0 stays -0.0
         for loaded in (cold, warm):
-            assert all(type(row) is array and row.typecode == "d" for row in loaded.trace.rows)
-        assert [warm.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
+            assert all(type(row) is array and row.typecode == "d" for row in loaded.rows)
+        assert [warm.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
 
     def test_warm_load_retains_eight_bytes_a_cell(self, tmp_path, parses):
         # 200 x 100 doubles, 8 B a cell plus each row's header (8.5 B); boxed
@@ -624,7 +624,7 @@ class TestTraceCache:
         finally:
             tracemalloc.stop()
         assert len(parses) == 1
-        assert retained <= 8.75 * len(warm.trace), f"{retained / len(warm.trace):.2f} B per cell"
+        assert retained <= 8.75 * len(warm), f"{retained / len(warm):.2f} B per cell"
 
     def test_cold_and_warm_load_peaks_per_cell(self, tmp_path, parses):
         # 200 x 100 cells. A cold load holds the text, its lines and the rows
@@ -641,7 +641,7 @@ class TestTraceCache:
         for _ in ("cold", "warm"):
             tracemalloc.start()
             try:
-                trace = load_temperature_trace(str(path), t_max_c=250.0).trace
+                trace = load_temperature_trace(str(path), t_max_c=250.0)
                 peaks.append(tracemalloc.get_traced_memory()[1] / len(trace))
             finally:
                 tracemalloc.stop()
@@ -673,13 +673,13 @@ class TestTraceCache:
     def test_damaged_cache_file_is_a_miss_and_rewritten(self, tmp_path, cache_dirs, parses, damage):
         path = write_cells(tmp_path / "trace.csv")
         cold = load_temperature_trace(path)
-        cache_file = cache_dirs.traces / cache_name(cold.trace_sha256)
+        cache_file = cache_dirs.traces / cache_name(cold.sha256)
         valid = cache_file.read_bytes()
         cache_file.write_bytes(DAMAGED_CACHE[damage](valid))
         assert load_temperature_trace(path) == cold
         assert len(parses) == 2
         assert cache_file.read_bytes() == valid
-        assert os.listdir(cache_dirs.traces) == [cache_name(cold.trace_sha256)]  # no temporary file left
+        assert os.listdir(cache_dirs.traces) == [cache_name(cold.sha256)]  # no temporary file left
 
     def test_changed_package_source_misses_cache(self, tmp_path, cache_dirs, parses):
         package = tmp_path / "copy" / "eastsim"
@@ -690,7 +690,7 @@ class TestTraceCache:
         write_trace(trace, node_major_lines(2, 3))
         script = (
             "import sys\nfrom eastsim.topology import load_temperature_trace\n"
-            "print(load_temperature_trace(sys.argv[1]).trace.rows)\n"
+            "print(load_temperature_trace(sys.argv[1]).rows)\n"
         )
 
         def load_with_copy():
@@ -701,13 +701,13 @@ class TestTraceCache:
             )
             return done.stdout.strip()
 
-        rows = load_temperature_trace(str(trace)).trace.rows
+        rows = load_temperature_trace(str(trace)).rows
         assert load_with_copy() == repr(rows)  # the same source: a hit
         with open(package / "topology.py", "a", encoding="utf-8") as fh:
             fh.write(SHIFTED_LOADER)
         shifted = trace_table([temp + 1.0 for temp in row] for row in rows).rows
         assert load_with_copy() == repr(shifted)  # the edited loader ran
-        assert load_temperature_trace(str(trace)).trace.rows == rows
+        assert load_temperature_trace(str(trace)).rows == rows
         assert len(parses) == 1  # the edited copy wrote a file of its own
         assert len(os.listdir(cache_dirs.traces)) == 2
 
@@ -718,7 +718,7 @@ class TestTraceCache:
         sources = [b"\x01" * 32, b"\x02" * 32]
         for source in sources + sources:
             monkeypatch.setattr(topology, "_source_digest", lambda source=source: source)
-            sha256 = load_temperature_trace(path).trace_sha256
+            sha256 = load_temperature_trace(path).sha256
         assert len(parses) == 2  # each source parsed once; both later loads were hits
         assert sorted(os.listdir(cache_dirs.traces)) == sorted(cache_name(sha256, source) for source in sources)
 
@@ -730,7 +730,7 @@ class TestTraceCache:
             cache_file.write_bytes(b"")
             os.utime(cache_file, ns=(i * 10**9, i * 10**9))
             older.append(cache_file.name)
-        sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
+        sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).sha256
         assert sorted(os.listdir(cache_dirs.traces)) == sorted(older[1:] + [cache_name(sha256)])
 
     def test_cache_home_on_a_regular_file_only_disables_caching(self, tmp_path, monkeypatch, parses):
@@ -746,7 +746,7 @@ class TestTraceCache:
         monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
         monkeypatch.chdir(tmp_path)
-        sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).trace_sha256
+        sha256 = load_temperature_trace(write_cells(tmp_path / "trace.csv")).sha256
         assert os.listdir(tmp_path / "home" / ".cache" / "eastsim" / "traces") == [cache_name(sha256)]
         assert not (tmp_path / "relative").exists()
 
@@ -787,7 +787,7 @@ class TestTraceCache:
     ):
         path = write_cells(tmp_path / "trace.csv")
         loaded = load_temperature_trace(path)
-        assert [loaded.trace.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
+        assert [loaded.rows[r][n] for n, r in CACHE_CELLS] == list(CACHE_CELLS.values())
         assert load_temperature_trace(path) == loaded
         assert len(parses) == 2  # nothing was cached
         assert os.listdir(cache_dirs.traces) == []
@@ -796,7 +796,7 @@ class TestTraceCache:
         # rows wider than the reader's buffer, so each is read from the file
         path = tmp_path / "trace.csv"
         write_trace(path, [f"{n},{r},{r}.5" for n in range(2000) for r in range(4)])
-        cache_file = cache_dirs.traces / cache_name(load_temperature_trace(str(path)).trace_sha256)
+        cache_file = cache_dirs.traces / cache_name(load_temperature_trace(str(path)).sha256)
         read_cache = topology._read_cache
 
         def cut_after_checks(*args):
